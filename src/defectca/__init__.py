@@ -55,7 +55,6 @@ from .rules import (
 from .lattice import (
     Configuration,
     PeriodicBackground,
-    SampledBackground,
     apply_rule,
     decode_config,
     encode_config,

@@ -65,17 +65,14 @@ class PeriodicComponentCode:
         return PeriodicBackground(word, (-anchor) % len(word))
 
 
-def build_periodic_code(component: MarkovShift, rule: LocalRule,
-                        side: str = "left") -> PeriodicComponentCode:
+def build_periodic_code(component: MarkovShift,
+                        rule: LocalRule) -> PeriodicComponentCode:
     """Build the code for a sigma-periodic, jointly transitive component.
 
     ``component`` may be a union of sigma-cycles provided the rule and shift
     actions together act transitively on its symbols (a single
-    (shift, rule)-orbit).  ``side`` is recorded for interface symmetry; the
-    maps themselves are side-independent.
+    (shift, rule)-orbit).
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     if rule.radius != 1:
         raise ValueError("radius must be 1 (recode first)")
     syms = tuple(sorted(component.usable))

@@ -22,12 +22,12 @@ from .diffusive import (
     build_walk_kernel,
     markov_property_test,
     sample_walks,
-    stationary_and_drift,
     verify_resolving_system,
 )
 from .errors import DefectcaError
 from .lattice import apply_rule, encode_config
-from .rules import check_invariance, is_left_resolving, is_right_resolving, normalize
+from .rules import (check_invariance, is_left_resolving, is_right_resolving,
+                    normalize, recode_rule)
 from .shifts import MarkovShift, entropy, regularity, sft_to_markov, transitive_components
 from .tracking import track
 from .turing import ClassicalTM, classical_to_lr, regime_of, turing_to_ca
@@ -185,14 +185,13 @@ def run_walk(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
     trajs, stats = sample_walks(rule, L, R, delta, steps, samples, cfg.seed,
                                 W=W, kernel=kernel)
     report = markov_property_test(stats, kernel)
-    classes = stationary_and_drift(kernel)
     em.write_json("walk-stats.json", {
         "samples": stats.sample_count,
         "steps": stats.horizon,
         "excluded": stats.excluded,
         "empirical_drift": stats.empirical_drift,
         "variance_per_step": stats.variance_per_step,
-        "theoretical_drifts": [c.drift for c in classes],
+        "theoretical_drifts": stats.theoretical_drifts,
         "kernel_states": len(kernel.states),
         "markov_rows_checked": len(report.rows),
         "markov_max_tv": report.max_tv,
@@ -292,8 +291,9 @@ def run_run_tm(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
 def run_verify(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
     rule = dio.load_rule(cfg.resolve("rule", base))
     background = _background(cfg, base)
-    shift = background if isinstance(background, MarkovShift) \
-        else sft_to_markov(background)[0]
+    # the resolving checks read the rule in the shift's block presentation
+    shift, coder = (background, None) if isinstance(background, MarkovShift) \
+        else sft_to_markov(background)
     rep = regularity(shift)
     out = {
         "entropy": entropy(shift),
@@ -303,9 +303,10 @@ def run_verify(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
         "invariant": check_invariance(rule, background),
     }
     if rule.radius == 1:
-        out["left_resolving"] = is_left_resolving(rule, shift)
-        out["right_resolving"] = is_right_resolving(rule, shift)
-        res = verify_resolving_system(rule, shift, shift)
+        block_rule = rule if coder is None else recode_rule(rule, coder.P)
+        out["left_resolving"] = is_left_resolving(block_rule, shift)
+        out["right_resolving"] = is_right_resolving(block_rule, shift)
+        res = verify_resolving_system(block_rule, shift, shift)
         out["resolving_system"] = res.passed
         out["resolving_witnesses"] = list(res.witnesses)
     if "right_shift" in cfg.params:

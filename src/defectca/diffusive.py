@@ -20,19 +20,18 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DefectcaError
+from .errors import DefectcaError, MultipleDefectsError
 from .rules import LocalRule, is_left_resolving, is_right_resolving, check_invariance
 from .shifts import (
     MarkovShift,
     Word,
     build_markov_shift,
     higher_power,
+    power_iteration,
     regularity,
     transitive_components,
 )
-
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 100_000
+from .tracking import defect_run, frame_of
 
 
 # ---------------------------------------------------------------------------
@@ -94,28 +93,11 @@ class MarkovMeasure:
         return h
 
 
-def _perron_pair(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Perron root with right and left eigenvectors via shifted power iteration."""
-    n = A.shape[0]
-    B = A + np.eye(n)
-    lam = 1.0
-    vecs = []
-    for M in (B, B.T):
-        v = np.ones(n)
-        for _ in range(POWER_MAX_ITER):
-            w = M @ v
-            lam = float(w @ v) / float(v @ v)
-            if float(np.max(np.abs(w - lam * v))) <= POWER_TOL * max(1.0, lam):
-                break
-            v = w / float(np.linalg.norm(w, ord=np.inf))
-        vecs.append(v / float(np.max(v)))
-    return lam - 1.0, vecs[0], vecs[1]
-
-
 def parry_measure(shift: MarkovShift) -> MarkovMeasure:
     """The Markov measure of maximal entropy on an irreducible shift.
 
-    Built from the Perron eigendata of the adjacency matrix; on right-regular
+    Built from the Perron eigendata of the adjacency matrix (found by
+    :func:`~defectca.shifts.power_iteration`); on right-regular
     shifts the rows come out uniform on follower sets, and on left-regular
     shifts the backward rows are uniform on predecessor sets.
     """
@@ -130,7 +112,10 @@ def parry_measure(shift: MarkovShift) -> MarkovMeasure:
     for a in syms:
         for b in shift.followers(a):
             A[idx[a], idx[b]] = 1.0
-    lam, right, left = _perron_pair(A)
+    B = A + np.eye(n)
+    _, right = power_iteration(B)
+    lam, left = power_iteration(B.T)
+    lam -= 1.0
     kernel = {}
     for a in syms:
         for b in shift.followers(a):
@@ -265,29 +250,23 @@ class WalkKernel:
         return self.rows[s]
 
 
-def _frame_from_run(i: int, k: int) -> int:
-    w = k - i
-    return i + (w + 1) // 2
-
-
 def _one_step(rule: LocalRule, union: MarkovShift, state: State,
-              l3: int, r3: int) -> tuple[int, dict[int, int]]:
-    """Image cells around the frame for one noise choice; returns (v, cells).
+              l3: int, r3: int) -> int | str:
+    """The frame's next start for one noise choice, or "vanished" / "split".
 
     ``state`` holds cells z-2..z+3 with the frame at [z, z+1] and z = 0 here.
     The image is computed on -2..3 and the new frame start is read off the
     unique bad-transition run.
     """
-    cells = {-3: l3, -2: state[0], -1: state[1], 0: state[2], 1: state[3],
-             2: state[4], 3: state[5], 4: r3}
-    img = {z: rule((cells[z - 1], cells[z], cells[z + 1])) for z in range(-2, 4)}
-    bad = [j for j in range(-2, 3) if (img[j], img[j + 1]) not in union.edges]
-    if not bad:
-        return 99, img  # defect vanished
-    if any(b != a + 1 for a, b in zip(bad, bad[1:])):
-        return 98, img  # split
-    z_new = _frame_from_run(bad[0], bad[-1])
-    return z_new, img
+    cells = (l3, *state, r3)
+    img = [rule(cells[j:j + 3]) for j in range(6)]
+    try:
+        run = defect_run(img, union.edges, -2)
+    except MultipleDefectsError:
+        return "split"
+    if run is None:
+        return "vanished"
+    return frame_of(run)[0]
 
 
 def _velocity_of_state(rule: LocalRule, L: MarkovShift, R: MarkovShift,
@@ -296,13 +275,12 @@ def _velocity_of_state(rule: LocalRule, L: MarkovShift, R: MarkovShift,
     vs = set()
     for l3 in L.predecessors(state[0]):
         for r3 in R.followers(state[5]):
-            v, _ = _one_step(rule, union, state, l3, r3)
-            vs.add(v)
+            vs.add(_one_step(rule, union, state, l3, r3))
     if len(vs) != 1:
         raise DefectcaError(f"frame displacement at {state} depends on noise: {vs}")
     v = vs.pop()
-    if v in (98, 99):
-        return None  # split or vanished: state leaves the walk regime
+    if v in ("split", "vanished"):
+        return None  # the state leaves the walk regime
     if not -1 <= v <= 1:
         raise DefectcaError(f"frame moved by {v} at {state}; not a width-2 walk")
     return v
@@ -639,12 +617,14 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
             lo += 1
             hi -= 1
             cells = img
-            bad = [j for j in range(len(cells) - 1)
-                   if (cells[j], cells[j + 1]) not in edges]
-            if not bad or any(b != a + 1 for a, b in zip(bad, bad[1:])):
+            try:
+                run = defect_run(cells, edges, lo)
+            except MultipleDefectsError:
+                run = None
+            if run is None:
                 ok = False
                 break
-            z = _frame_from_run(bad[0] + lo, bad[-1] + lo)
+            z = frame_of(run)[0]
             zs.append(z)
             state = tuple(cells[z - 2 - lo: z + 4 - lo])
             if prev_state is not None:

@@ -13,6 +13,10 @@ class NoChoicePointError(DefectcaError):
     """Raised when a cycle-pair construction is attempted on a zero-entropy shift."""
 
 
+class ConvergenceError(DefectcaError):
+    """Raised when an iterative numerical routine fails to converge."""
+
+
 class MultipleDefectsError(DefectcaError):
     """Raised when a configuration contains more than one separated defect."""
 

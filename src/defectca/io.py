@@ -15,7 +15,7 @@ from .errors import DefectcaError
 from .lattice import Configuration, PeriodicBackground
 from .rules import LocalRule, from_linear, from_wolfram_number, rule_from_table
 from .shifts import SFT, Alphabet, MarkovShift, Word, build_markov_shift, build_sft
-from .tracking import DefectTrajectory
+from .tracking import DefectTrajectory, bad_transitions
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +194,14 @@ def spacetime_rows(rule: LocalRule, config: Configuration, steps: int,
         row = cur.window(lo - 1, hi + 1)
         rows.append(row[1:-1])
         if shift is not None:
-            bad = [(row[j], row[j + 1]) not in shift.edges
-                   for j in range(len(row) - 1)]
+            bad = [False] * (len(row) - 1)
+            for j in bad_transitions(row, shift.edges):
+                bad[j] = True
             masks.append([bad[j] or bad[j + 1] for j in range(hi - lo)])
         else:
             masks.append([False] * (hi - lo))
         cur = apply_rule(rule, cur)
     return rows, masks
-
-
-def dump_json(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def read_json(path):

@@ -1,17 +1,16 @@
 """Finitely presented bi-infinite configurations and rule application.
 
 A configuration is a left background, a finite core word, and a right
-background.  Backgrounds are eventually periodic words (anchored to absolute
-coordinates, so shifting is phase arithmetic) or lazily sampled random
-streams that extend only at their outer end.
+background.  Backgrounds are periodic words anchored to absolute
+coordinates, so shifting is phase arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .rules import LocalRule, RecodedSystem
+from .rules import LocalRule
 from .shifts import Alphabet, BlockCoder, Word
 
 
@@ -38,48 +37,6 @@ class PeriodicBackground:
         return PeriodicBackground(self.word, (self.phase + k) % len(self.word))
 
 
-class SampledBackground:
-    """A memoized random half-infinite stream.
-
-    ``side="left"`` extends toward -infinity: a fresh cell at z is drawn from
-    ``draw_prev(rng, cell(z+1))``.  ``side="right"`` extends toward +infinity
-    via ``draw_next(rng, cell(z-1))``.  Memoized cells never change, so
-    regeneration with the same seed is bit-identical.
-    """
-
-    def __init__(self, side: str, anchor: int, first: int,
-                 draw: Callable, rng):
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-        self.side = side
-        self.draw = draw
-        self.rng = rng
-        self.cells: dict[int, int] = {anchor: first}
-        self._frontier = anchor
-
-    def cell(self, z: int) -> int:
-        got = self.cells.get(z)
-        if got is not None:
-            return got
-        if self.side == "left":
-            while self._frontier > z:
-                nxt = self.draw(self.rng, self.cells[self._frontier])
-                self._frontier -= 1
-                self.cells[self._frontier] = nxt
-        else:
-            while self._frontier < z:
-                nxt = self.draw(self.rng, self.cells[self._frontier])
-                self._frontier += 1
-                self.cells[self._frontier] = nxt
-        return self.cells[z]
-
-    def image(self, rule):
-        raise TypeError("sampled backgrounds are consumed into the core, not mapped")
-
-    def shifted(self, k: int):
-        raise TypeError("sampled backgrounds cannot be shifted")
-
-
 @dataclass(frozen=True)
 class Configuration:
     """A bi-infinite point: left background | core | right background.
@@ -88,9 +45,9 @@ class Configuration:
     """
 
     alphabet: Alphabet
-    left: object
+    left: PeriodicBackground
     core: Word
-    right: object
+    right: PeriodicBackground
     origin: int = 0
 
     @property
@@ -145,21 +102,16 @@ def periodic_config(alphabet: Alphabet, left_word: Sequence[int], core: Sequence
 def apply_rule(rule: LocalRule, config: Configuration) -> Configuration:
     """One synchronous update of the whole configuration.
 
-    The core grows by the rule radius on each side.  Periodic backgrounds are
-    replaced by their image words (same period and anchoring).  Sampled
-    backgrounds consume ``r`` fresh symbols per step at the outer frontier
-    and are retained as-is beyond the enlarged core; that retention is
-    exact in law only when the background is resolving for the rule, which
-    the random-walk samplers verify before relying on it.
+    The core grows by the rule radius on each side.  Backgrounds are
+    replaced by their image words (same period and anchoring).
     """
     r = rule.radius
     lo, hi = config.origin - r, config.end + r
     src = config.window(lo - r, hi + r)
     k = 2 * r + 1
     new_core = tuple(rule(src[j:j + k]) for j in range(hi - lo))
-    left = config.left.image(rule) if isinstance(config.left, PeriodicBackground) else config.left
-    right = config.right.image(rule) if isinstance(config.right, PeriodicBackground) else config.right
-    return Configuration(config.alphabet, left, new_core, right, lo)
+    return Configuration(config.alphabet, config.left.image(rule), new_core,
+                         config.right.image(rule), lo)
 
 
 def encode_config(coder: BlockCoder, config: Configuration) -> Configuration:
@@ -200,10 +152,6 @@ def decode_config(coder: BlockCoder, config: Configuration) -> Configuration:
     core = coder.decode_word(config.core) if config.core else ()
     return Configuration(coder.source, unblock_bg(config.left), core,
                          unblock_bg(config.right), config.origin)
-
-
-def recode_config(system: RecodedSystem, config: Configuration) -> Configuration:
-    return encode_config(system.coder, config)
 
 
 def power_encode_config(coder: BlockCoder, config: Configuration) -> Configuration:

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptySubshiftError, NoChoicePointError
+from .errors import ConvergenceError, EmptySubshiftError, NoChoicePointError
 
 Word = tuple[int, ...]
 
@@ -490,25 +490,23 @@ def is_cycle_union(shift: MarkovShift) -> bool:
                for v in shift.usable)
 
 
-def _power_spectral_radius(shift: MarkovShift, comp: list[int]) -> float:
-    """Perron root of one SCC's adjacency matrix by shifted power iteration."""
-    idx = {v: i for i, v in enumerate(comp)}
-    n = len(comp)
-    A = np.zeros((n, n))
-    for v in comp:
-        for w in shift.followers(v):
-            if w in idx:
-                A[idx[v], idx[w]] = 1.0
-    B = A + np.eye(n)
-    v = np.ones(n)
-    lam = 0.0
+def power_iteration(M: np.ndarray) -> tuple[float, np.ndarray]:
+    """Dominant eigenvalue and eigenvector (max-entry 1) of a nonnegative matrix.
+
+    The caller makes ``M`` aperiodic, e.g. by adding the identity to an
+    adjacency matrix, which shifts the Perron root by one and keeps its
+    eigenvectors.  Raises :class:`ConvergenceError` when the iteration
+    has not converged within ``POWER_MAX_ITER`` steps.
+    """
+    v = np.ones(M.shape[0])
     for _ in range(POWER_MAX_ITER):
-        w = B @ v
+        w = M @ v
         lam = float(w @ v) / float(v @ v)
         if float(np.max(np.abs(w - lam * v))) <= POWER_TOL * max(1.0, lam):
-            break
+            return lam, v
         v = w / float(np.linalg.norm(w, ord=np.inf))
-    return lam - 1.0
+    raise ConvergenceError(f"power iteration on a {M.shape[0]}-vertex matrix "
+                           f"did not converge in {POWER_MAX_ITER} steps")
 
 
 def entropy(shift: MarkovShift) -> float:
@@ -516,7 +514,7 @@ def entropy(shift: MarkovShift) -> float:
 
     Exactly 0.0 when no vertex lies on two distinct cycles (combinatorial
     check, no numerics); otherwise log2 of the adjacency spectral radius,
-    computed per strongly connected component by power iteration.
+    computed per strongly connected component by :func:`power_iteration`.
     """
     if choice_point(shift) is None:
         return 0.0
@@ -524,7 +522,13 @@ def entropy(shift: MarkovShift) -> float:
     for comp in _cyclic_sccs(shift):
         if _scc_is_simple_cycle(shift, comp):
             continue
-        rad = max(rad, _power_spectral_radius(shift, comp))
+        idx = {v: i for i, v in enumerate(comp)}
+        A = np.zeros((len(comp), len(comp)))
+        for v in comp:
+            for w in shift.followers(v):
+                if w in idx:
+                    A[idx[v], idx[w]] = 1.0
+        rad = max(rad, power_iteration(A + np.eye(len(comp)))[0] - 1.0)
     return math.log2(rad)
 
 

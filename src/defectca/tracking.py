@@ -74,6 +74,29 @@ def frame_of(interval: DefectInterval) -> tuple[int, int, int]:
     return interval.i + L + 1, L, R
 
 
+def bad_transitions(word: Sequence[int], edges) -> list[int]:
+    """Indices j whose transition (word[j], word[j+1]) is not in ``edges``."""
+    return [j for j in range(len(word) - 1) if (word[j], word[j + 1]) not in edges]
+
+
+def defect_run(word: Sequence[int], edges, origin: int) -> Optional[DefectInterval]:
+    """The single maximal run of inadmissible transitions in a word.
+
+    Transition j is reported at ``origin + j``.  None when every transition
+    is admissible; raises :class:`MultipleDefectsError` when the bad
+    transitions form more than one run.
+    """
+    bad = bad_transitions(word, edges)
+    if not bad:
+        return None
+    if bad[-1] - bad[0] != len(bad) - 1:
+        cuts = [n for n in range(1, len(bad)) if bad[n] != bad[n - 1] + 1]
+        runs = [(origin + bad[a], origin + bad[b - 1])
+                for a, b in zip([0] + cuts, cuts + [len(bad)])]
+        raise MultipleDefectsError(f"{len(runs)} separated defects at {runs}")
+    return DefectInterval(origin + bad[0], origin + bad[-1])
+
+
 def locate_defect(config: Configuration, shift: MarkovShift) -> Optional[DefectInterval]:
     """The unique maximal run of inadmissible transitions touching the core.
 
@@ -83,27 +106,7 @@ def locate_defect(config: Configuration, shift: MarkovShift) -> Optional[DefectI
     """
     lo = config.origin - 1
     hi = max(config.end - 1, lo)
-    bad = []
-    prev = config.cell(lo)
-    for j in range(lo, hi + 1):
-        cur = config.cell(j + 1)
-        if (prev, cur) not in shift.edges:
-            bad.append(j)
-        prev = cur
-    if not bad:
-        return None
-    runs = []
-    start = prev_j = bad[0]
-    for j in bad[1:]:
-        if j == prev_j + 1:
-            prev_j = j
-            continue
-        runs.append((start, prev_j))
-        start = prev_j = j
-    runs.append((start, prev_j))
-    if len(runs) > 1:
-        raise MultipleDefectsError(f"{len(runs)} separated defects at {runs}")
-    return DefectInterval(*runs[0])
+    return defect_run(config.window(lo, hi + 2), shift.edges, lo)
 
 
 def record_at(config: Configuration, interval: DefectInterval, t: int) -> DefectRecord:

@@ -193,11 +193,11 @@ class CAConjugacy:
         return Configuration(self.rule.alphabet, left, core, right, origin)
 
     def decode(self, config: Configuration) -> MachineState:
-        from .tracking import locate_defect
+        from .tracking import frame_of, locate_defect
         interval = locate_defect(config, self.union)
         if interval is None:
             raise DefectcaError("no defect to carry the head")
-        z = interval.i + (interval.w + 1) // 2
+        z = frame_of(interval)[0]
         head = (config.cell(z), config.cell(z + 1))
         lo = min(config.origin, z)
         hi = max(config.end, z + 2)
@@ -234,9 +234,8 @@ def ca_to_turing(rule: LocalRule, L: MarkovShift, R: MarkovShift,
             for r2 in Rh.followers(r1):
                 for l3 in Lh.predecessors(l2):
                     for r3 in Rh.followers(r2):
-                        v, _ = _one_step(phi, union,
-                                         (l2, l1, d[0], d[1], r1, r2), l3, r3)
-                        vs.add(v)
+                        vs.add(_one_step(phi, union,
+                                         (l2, l1, d[0], d[1], r1, r2), l3, r3))
         if len(vs) != 1:
             raise DefectcaError(f"velocity at ({l1},{d},{r1}) is not local")
         v = vs.pop()
@@ -406,6 +405,19 @@ class CycleEncoder:
                 raise ValueError(f"block {block} is not a code block")
         return tuple(bits)
 
+    def encode_symbol(self, t: int, bits: int) -> Word:
+        """The cells of symbol t written as ``bits`` bits, most significant first."""
+        return self.encode(tuple((t >> (bits - 1 - i)) & 1 for i in range(bits)))
+
+    def decode_symbol(self, cells: Sequence[int], size: int) -> int:
+        """Invert :meth:`encode_symbol` for a symbol below ``size``."""
+        t = 0
+        for b in self.decode(cells):
+            t = (t << 1) | b
+        if t >= size:
+            raise ValueError("decoded bits name no tape symbol")
+        return t
+
 
 def build_cycle_encoder(shift: MarkovShift) -> CycleEncoder:
     P, c0, c1 = equal_length_cycles(shift)
@@ -464,36 +476,17 @@ class LRCompiledMachine:
     def cells_per_symbol(self) -> int:
         return self.bits * self.enc_left.P
 
-    def _sym_bits(self, t: int) -> tuple[int, ...]:
-        return tuple((t >> (self.bits - 1 - i)) & 1 for i in range(self.bits))
-
-    def _bits_sym(self, bits: Sequence[int]) -> int:
-        t = 0
-        for b in bits:
-            t = (t << 1) | b
-        if t >= self.tm.tape_size:
-            raise ValueError("decoded bits name no tape symbol")
-        return t
-
-    def encode_symbol(self, t: int, side: str) -> Word:
-        enc = self.enc_left if side == "left" else self.enc_right
-        return enc.encode(self._sym_bits(t))
-
-    def decode_cells(self, cells: Sequence[int], side: str) -> int:
-        enc = self.enc_left if side == "left" else self.enc_right
-        return self._bits_sym(enc.decode(cells))
-
     def initial_state(self, tape: dict, d, z: int, window: int,
                       blank: int = 0) -> MachineState:
         C = self.cells_per_symbol
         lcells: list[int] = []
         for k in range(z - window, z):
-            lcells.extend(self.encode_symbol(tape.get(k, blank), "left"))
+            lcells.extend(self.enc_left.encode_symbol(tape.get(k, blank), self.bits))
         rcells: list[int] = []
         for k in range(z + 1, z + window + 1):
-            rcells.extend(self.encode_symbol(tape.get(k, blank), "right"))
-        lbg = self.encode_symbol(blank, "left")
-        rbg = self.encode_symbol(blank, "right")
+            rcells.extend(self.enc_right.encode_symbol(tape.get(k, blank), self.bits))
+        lbg = self.enc_left.encode_symbol(blank, self.bits)
+        rbg = self.enc_right.encode_symbol(blank, self.bits)
         return MachineState(left_tape(lbg, tuple(lcells)),
                             ("idle", d, tape.get(z, blank)),
                             right_tape(rbg, tuple(rcells)), 0)
@@ -517,10 +510,10 @@ class LRCompiledMachine:
         tape = {zsym: state.head[2]}
         for k in range(1, window + 1):
             cells = tuple(state.left.read(n) for n in range(k * C, (k - 1) * C, -1))
-            tape[zsym - k] = self.decode_cells(cells, "left")
+            tape[zsym - k] = self.enc_left.decode_symbol(cells, self.tm.tape_size)
             cells = tuple(state.right.read(n) for n in range((k - 1) * C + 1,
                                                              k * C + 1))
-            tape[zsym + k] = self.decode_cells(cells, "right")
+            tape[zsym + k] = self.enc_right.decode_symbol(cells, self.tm.tape_size)
         return tape, state.head[1], zsym
 
 
@@ -546,21 +539,6 @@ def classical_to_lr(tm: ClassicalTM, L: MarkovShift,
     bits = max(1, (tm.tape_size - 1).bit_length())
     C = bits * encL.P
 
-    def sym_bits(t: int) -> tuple[int, ...]:
-        return tuple((t >> (bits - 1 - i)) & 1 for i in range(bits))
-
-    def bits_sym(bs: Sequence[int]) -> int:
-        t = 0
-        for b in bs:
-            t = (t << 1) | b
-        return t
-
-    def enc_sym(t: int, side: str) -> Word:
-        return (encL if side == "left" else encR).encode(sym_bits(t))
-
-    def dec_cells(cells: Sequence[int], side: str) -> int:
-        return bits_sym((encL if side == "left" else encR).decode(cells))
-
     def launch(d, t0):
         return tm.tau[(t0, d)], tm.upsilon[(t0, d)], tm.velocity[(t0, d)]
 
@@ -579,21 +557,21 @@ def classical_to_lr(tm: ClassicalTM, L: MarkovShift,
             if v == 1:
                 buf = (r1,)
                 if C == 1:
-                    return ("idle", dp, dec_cells(buf, "right"))
-                return ("right", dp, enc_sym(t0p, "left"), 1, buf)
+                    return ("idle", dp, encR.decode_symbol(buf, tm.tape_size))
+                return ("right", dp, encL.encode_symbol(t0p, bits), 1, buf)
             buf = (l1,)
             if C == 1:
-                return ("idle", dp, dec_cells(buf, "left"))
-            return ("left", dp, enc_sym(t0p, "right"), 1, buf)
+                return ("idle", dp, encL.decode_symbol(buf, tm.tape_size))
+            return ("left", dp, encR.encode_symbol(t0p, bits), 1, buf)
         _, dp, w, j, buf = head
         if kind == "right":
             buf = buf + (r1,)
             if j + 1 == C:
-                return ("idle", dp, dec_cells(buf, "right"))
+                return ("idle", dp, encR.decode_symbol(buf, tm.tape_size))
             return ("right", dp, w, j + 1, buf)
         buf = (l1,) + buf
         if j + 1 == C:
-            return ("idle", dp, dec_cells(buf, "left"))
+            return ("idle", dp, encL.decode_symbol(buf, tm.tape_size))
         return ("left", dp, w, j + 1, buf)
 
     def tau_C(l1, head, r1):
@@ -601,9 +579,9 @@ def classical_to_lr(tm: ClassicalTM, L: MarkovShift,
         if kind == "idle":
             t0p, _, v = launch(head[1], head[2])
             if v == 1:
-                return enc_sym(t0p, "left")[0]
+                return encL.encode_symbol(t0p, bits)[0]
             if v == -1:
-                return enc_sym(t0p, "right")[C - 1]
+                return encR.encode_symbol(t0p, bits)[C - 1]
             return l1
         _, _, w, j, _ = head
         return w[j] if kind == "right" else w[C - 1 - j]
@@ -621,8 +599,8 @@ def classical_to_lr(tm: ClassicalTM, L: MarkovShift,
         for t in range(tm.tape_size):
             for j in range(1, C):
                 for buf in _product(cell_syms, repeat=j):
-                    heads.append(("right", d, enc_sym(t, "left"), j, buf))
-                    heads.append(("left", d, enc_sym(t, "right"), j, buf))
+                    heads.append(("right", d, encL.encode_symbol(t, bits), j, buf))
+                    heads.append(("left", d, encR.encode_symbol(t, bits), j, buf))
     machine = LRTuringMachine(L.alphabet, tuple(dict.fromkeys(heads)), L, R,
                               tau_L, tau_C, tau_R, ups, vel, name="compiled-tm")
     return LRCompiledMachine(machine, tm, bits, encL, encR)

@@ -16,7 +16,7 @@ from defectca.diffusive import (
     union_shift,
     verify_resolving_system,
 )
-from defectca.errors import DefectcaError
+from defectca.errors import ConvergenceError, DefectcaError
 from defectca.rules import LocalRule, from_linear, from_wolfram_number, identity_rule
 from defectca.shifts import (
     Alphabet,
@@ -33,6 +33,23 @@ PHI = (1 + math.sqrt(5)) / 2
 
 def golden_mean():
     return build_markov_shift(A2, [(0, 0), (0, 1), (1, 0)])
+
+
+def chorded_cycle(n=400, chord=(0, 200)):
+    # the Perron gap of A + I is so small that power iteration needs far
+    # more than POWER_MAX_ITER steps
+    alpha = Alphabet(tuple(str(i) for i in range(n)))
+    return build_markov_shift(alpha, [(i, (i + 1) % n) for i in range(n)] + [chord])
+
+
+class TestPerronConvergence:
+    def test_entropy_raises(self):
+        with pytest.raises(ConvergenceError):
+            entropy(chorded_cycle())
+
+    def test_parry_measure_raises(self):
+        with pytest.raises(ConvergenceError):
+            parry_measure(chorded_cycle())
 
 
 class TestParry:

@@ -204,6 +204,21 @@ class TestCLI:
         assert report["resolving_system"] is True
         assert report["entropy"] == 1.0
 
+    def test_verify_sft_background(self, workdir):
+        # the README's ECA#184 spec: the resolving checks must read the rule
+        # in the SFT's block presentation
+        cfg = {"mode": "verify", "rule": {"wolfram": 184},
+               "shift": {"alphabet": ["0", "1"], "radius": 3,
+                         "admissible": ["000", "111", "101", "010"]}}
+        path = os.path.join(workdir, "ver-sft.json")
+        _write(path, cfg)
+        out = os.path.join(workdir, "ver-sft-out")
+        assert run_experiment("verify", path, out) == 0
+        report = dio.read_json(os.path.join(out, "verify.json"))
+        assert report["invariant"] is True
+        assert report["entropy"] == 0.0
+        assert "resolving_system" in report
+
     def test_json_errors(self, workdir, capsys):
         path = os.path.join(workdir, "bad.json")
         _write(path, {"mode": "simulate"})

@@ -255,48 +255,3 @@ class TestCoderShiftIntertwining:
         cfg = periodic_config(A2, (0, 1), (1, 0, 0), (1,), origin=-1)
         back = power_decode_config(coder, power_encode_config(coder, cfg))
         assert back.window(-10, 10) == cfg.window(-10, 10)
-
-
-class TestSampledBackground:
-    def make_config(self, seed):
-        import numpy as np
-        from defectca.diffusive import parry_measure
-        from defectca.lattice import Configuration, SampledBackground
-        sea = full_shift(A2)
-        m = parry_measure(sea)
-
-        def draw_next(rng, prev):
-            row = m.forward_row(prev)
-            u = rng.random()
-            acc = 0.0
-            for sym, p in row:
-                acc += p
-                if u < acc:
-                    return sym
-            return row[-1][0]
-
-        left = SampledBackground("left", -1, 0,
-                                 draw_next, np.random.default_rng([seed, 0]))
-        right = SampledBackground("right", 2, 1,
-                                  draw_next, np.random.default_rng([seed, 1]))
-        return Configuration(A2, left, (1, 1), right, 0)
-
-    def test_memoized_cells_never_change(self):
-        cfg = self.make_config(5)
-        first = cfg.window(-6, 8)
-        assert cfg.window(-6, 8) == first
-        assert cfg.window(-10, 12)[4:18] == first
-
-    def test_same_seed_bit_identical(self):
-        a = self.make_config(9)
-        b = self.make_config(9)
-        assert a.window(-20, 20) == b.window(-20, 20)
-
-    def test_apply_consumes_fresh_symbols(self):
-        rule = from_wolfram_number(110)
-        cfg = self.make_config(3)
-        out = apply_rule(rule, cfg)
-        # the new core grew by the radius on each side
-        assert (out.origin, out.end) == (cfg.origin - 1, cfg.end + 1)
-        for z in range(out.origin, out.end):
-            assert out.cell(z) == rule(cfg.window(z - 1, z + 2))

@@ -118,6 +118,9 @@ def run_simulate(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
     seed_cfg = dio.load_config(cfg.resolve("seed_config", base), rule.alphabet)
     steps = int(cfg.params.get("steps", 120))
     width = int(cfg.params.get("width", 300))
+    for key, val in (("steps", steps), ("width", width)):
+        if val < 1:
+            raise DefectcaError(f"config field {key!r} must be >= 1, got {val}")
     lo, hi = -width // 2, width - width // 2
     rows, masks = dio.spacetime_rows(rule, seed_cfg, steps, lo, hi,
                                      shift=None)

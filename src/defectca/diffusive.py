@@ -258,8 +258,7 @@ def _one_step(rule: LocalRule, union: MarkovShift, state: State,
     The image is computed on -2..3 and the new frame start is read off the
     unique bad-transition run.
     """
-    cells = (l3, *state, r3)
-    img = [rule(cells[j:j + 3]) for j in range(6)]
+    img = rule.image_word((l3, *state, r3))
     try:
         run = defect_run(img, union.edges, -2)
     except MultipleDefectsError:
@@ -512,11 +511,13 @@ class _NoiseSource:
         return options_probs[-1][0]
 
 
+# Share of samples allowed to vanish or split before sample_walks gives up.
+MAX_EXCLUDED_FRAC = 0.001
+
+
 def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
                  T: int, n: int, seed: int, *, W: int = 1,
-                 kernel: Optional[WalkKernel] = None,
-                 record_every: int = 1,
-                 max_excluded_frac: float = 0.001
+                 kernel: Optional[WalkKernel] = None
                  ) -> tuple[list[list[int]], WalkStatistics]:
     """Track n independent defect walks of T steps each.
 
@@ -524,7 +525,8 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
     leftward, forward kernel rightward); the middle cells are drawn from
     ``delta``, a probability dict over width-W words.  Returns the recorded
     trajectories and aggregate statistics; samples whose defect vanishes or
-    splits are excluded, and exceeding ``max_excluded_frac`` aborts the run.
+    splits are excluded, and exceeding :data:`MAX_EXCLUDED_FRAC` aborts the
+    run.
     """
     if W not in (0, 1):
         raise NotImplementedError("sampler is implemented for width 0 and 1 seeds")
@@ -533,7 +535,6 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
         raise DefectcaError("not a resolving system: " + "; ".join(report.witnesses))
     lam, rho = report.lam, report.rho
     union = union_shift(L, R)
-    table = rule.dense_table() if rule.alphabet.size ** 3 <= 4096 else rule._memo
     fwd = {s: rho.forward_row(s) for s in R.usable}
     bwd = {s: lam.backward_row(s) for s in L.usable}
     lam0 = sorted(lam.initial.items())
@@ -598,7 +599,6 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
         prev_state = None
         prev_pair = None
         ok = True
-        get = table.get
         for t in range(T):
             # extend so the post-image window always covers the trim target
             while z - lo < margin + 4:
@@ -607,16 +607,9 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
             while hi - z < margin + 6:
                 cells.append(noise.choose(fwd[cells[-1]]))
                 hi += 1
-            img = []
-            for j in range(1, len(cells) - 1):
-                key = (cells[j - 1], cells[j], cells[j + 1])
-                out = get(key)
-                if out is None:
-                    out = rule(key)
-                img.append(out)
+            cells = rule.image_word(cells)
             lo += 1
             hi -= 1
-            cells = img
             try:
                 run = defect_run(cells, edges, lo)
             except MultipleDefectsError:
@@ -626,7 +619,7 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
                 break
             z = frame_of(run)[0]
             zs.append(z)
-            state = tuple(cells[z - 2 - lo: z + 4 - lo])
+            state = cells[z - 2 - lo: z + 4 - lo]
             if prev_state is not None:
                 row = counts.setdefault(prev_state, {})
                 row[state] = row.get(state, 0) + 1
@@ -640,17 +633,17 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
             # trim the window around the new frame
             new_lo = z - margin - 2
             new_hi = z + margin + 4
-            cells = cells[new_lo - lo: new_hi - lo]
+            cells = list(cells[new_lo - lo: new_hi - lo])
             lo, hi = new_lo, new_hi
         if not ok:
             excluded += 1
-            if excluded > max(1, max_excluded_frac * n):
+            if excluded > max(1, MAX_EXCLUDED_FRAC * n):
                 raise DefectcaError(
                     f"{excluded} of {i + 1} samples vanished or split; "
                     "the system is not behaving as a persistent walk")
             continue
         drifts.append((zs[-1] - zs[0]) / T)
-        trajectories.append(zs[::record_every])
+        trajectories.append(zs)
     kept = len(trajectories)
     drift = float(np.mean(drifts)) if drifts else float("nan")
     var = float(np.var([(tr[-1] - tr[0]) for tr in trajectories]) / T) if kept else float("nan")
@@ -758,7 +751,7 @@ def markov_property_test(stats: WalkStatistics, kernel: WalkKernel, *,
     """Compare empirical next-state frequencies against the exact kernel.
 
     Rows with at least ``visit_floor`` visits must match within total
-    variation ``tv_tol``; thinner rows fall back to 3-sigma binomial bounds
+    variation ``tv_tol``; thinner rows fall back to 4.5-sigma binomial bounds
     per entry and are marked inconclusive below 50 visits.  Also checks
     order-1 sufficiency: conditioning on the previous two states gives the
     same rows.
@@ -783,33 +776,25 @@ def markov_property_test(stats: WalkStatistics, kernel: WalkKernel, *,
 # ---------------------------------------------------------------------------
 
 def subsampled_walk(rule: LocalRule, L: MarkovShift, R: MarkovShift,
-                   fixed_side: str, p: int, q: int, delta: dict, T: int,
-                   n: int, seed: int, *, W: int = 0
+                   fixed_side: str, delta: dict, T: int, n: int, seed: int,
+                   *, W: int = 0
                    ) -> list[tuple[float, list[list[int]], WalkStatistics]]:
-    """Random walks with one frozen side, observed every p-th step.
+    """Random walks with one frozen side.
 
-    The frozen side must satisfy Phi^p = id and sigma^q = id pointwise; it
+    The frozen side must satisfy Phi = id and sigma = id pointwise; it
     decomposes into fixed points, and each contributes one walk component
-    weighted by its share.  With p = q = 1 this delegates directly to
-    :func:`sample_walks`.
+    weighted by its share, sampled by :func:`sample_walks`.
     """
     if fixed_side not in ("left", "right"):
         raise ValueError("fixed_side must be 'left' or 'right'")
-    if p != 1 or q != 1:
-        raise NotImplementedError("subsampling beyond p = q = 1 needs a "
-                                  "power recode of the caller's system")
     fixed = L if fixed_side == "left" else R
     comps = transitive_components(fixed)
     for comp in comps:
-        word = sorted(comp.usable)
-        if any(len(comp.followers(s)) != 1 for s in comp.usable):
-            raise DefectcaError("frozen side is not sigma^q-fixed")
         for s in comp.usable:
-            nxt = comp.followers(s)[0]
-            if nxt != s:
-                raise DefectcaError("frozen side is not sigma-fixed at q=1")
+            if comp.followers(s) != (s,):
+                raise DefectcaError("frozen side is not sigma-fixed")
             if rule((s, s, s)) != s:
-                raise DefectcaError("frozen side is not rule-fixed at p=1")
+                raise DefectcaError("frozen side is not rule-fixed")
     weight = 1.0 / len(comps)
     out = []
     for j, comp in enumerate(comps):

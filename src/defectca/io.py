@@ -12,7 +12,7 @@ import json
 from typing import Optional, Sequence
 
 from .errors import DefectcaError
-from .lattice import Configuration, PeriodicBackground
+from .lattice import Configuration, PeriodicBackground, apply_rule
 from .rules import LocalRule, from_linear, from_wolfram_number, rule_from_table
 from .shifts import SFT, Alphabet, MarkovShift, Word, build_markov_shift, build_sft
 from .tracking import DefectTrajectory, bad_transitions
@@ -183,10 +183,9 @@ def spacetime_rows(rule: LocalRule, config: Configuration, steps: int,
     """Evolve a configuration and collect a window per step.
 
     When a background shift is given, the mask flags cells adjacent to an
-    inadmissible transition (the defect cells); otherwise it stays empty.
+    inadmissible transition (the defect cells); otherwise it holds all-False
+    rows.
     """
-    from .lattice import apply_rule
-
     rows = []
     masks = []
     cur = config

@@ -25,13 +25,9 @@ class PeriodicBackground:
         return self.word[(z + self.phase) % len(self.word)]
 
     def image(self, rule: LocalRule) -> "PeriodicBackground":
-        n = len(self.word)
-        r = rule.radius
-        new = tuple(
-            rule(tuple(self.word[(k + d) % n] for d in range(-r, r + 1)))
-            for k in range(n)
-        )
-        return PeriodicBackground(new, self.phase)
+        n, r = len(self.word), rule.radius
+        ext = tuple(self.word[(k - r) % n] for k in range(n + 2 * r))
+        return PeriodicBackground(rule.image_word(ext), self.phase)
 
     def shifted(self, k: int) -> "PeriodicBackground":
         return PeriodicBackground(self.word, (self.phase + k) % len(self.word))
@@ -69,27 +65,6 @@ class Configuration:
         return Configuration(self.alphabet, self.left.shifted(k), self.core,
                              self.right.shifted(k), self.origin - k)
 
-    def with_window(self, lo: int, hi: int) -> "Configuration":
-        """Re-root the core onto [lo, hi), preserving every cell value.
-
-        Core cells outside [lo, hi) are dropped only when they match their
-        background; mismatching cells stay, widening the window as needed.
-        """
-        new_lo = lo
-        if self.origin < lo:
-            z = self.origin
-            while z < lo and self.core[z - self.origin] == self.left.cell(z):
-                z += 1
-            new_lo = min(z, lo)
-        new_hi = hi
-        if self.end > hi:
-            z = self.end - 1
-            while z >= hi and self.core[z - self.origin] == self.right.cell(z):
-                z -= 1
-            new_hi = max(z + 1, hi)
-        return Configuration(self.alphabet, self.left,
-                             self.window(new_lo, new_hi), self.right, new_lo)
-
 
 def periodic_config(alphabet: Alphabet, left_word: Sequence[int], core: Sequence[int],
                     right_word: Sequence[int], origin: int = 0,
@@ -102,16 +77,21 @@ def periodic_config(alphabet: Alphabet, left_word: Sequence[int], core: Sequence
 def apply_rule(rule: LocalRule, config: Configuration) -> Configuration:
     """One synchronous update of the whole configuration.
 
-    The core grows by the rule radius on each side.  Backgrounds are
-    replaced by their image words (same period and anchoring).
+    Backgrounds are replaced by their image words (same period and
+    anchoring).  The new core is the image of the old core's light cone,
+    trimmed to the cells that differ from the new backgrounds, so its
+    length stays bounded while the defect does.
     """
     r = rule.radius
-    lo, hi = config.origin - r, config.end + r
-    src = config.window(lo - r, hi + r)
-    k = 2 * r + 1
-    new_core = tuple(rule(src[j:j + k]) for j in range(hi - lo))
-    return Configuration(config.alphabet, config.left.image(rule), new_core,
-                         config.right.image(rule), lo)
+    lo = config.origin - r
+    core = rule.image_word(config.window(lo - r, config.end + 2 * r))
+    left, right = config.left.image(rule), config.right.image(rule)
+    i, j = 0, len(core)
+    while i < j and core[i] == left.cell(lo + i):
+        i += 1
+    while j > i and core[j - 1] == right.cell(lo + j - 1):
+        j -= 1
+    return Configuration(config.alphabet, left, core[i:j], right, lo + i)
 
 
 def encode_config(coder: BlockCoder, config: Configuration) -> Configuration:

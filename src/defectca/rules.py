@@ -63,9 +63,11 @@ class LocalRule:
 
     def image_word(self, word: Sequence[int]) -> Word:
         """Apply the rule along a word; output is shorter by 2r."""
-        w = tuple(word)
-        k = 2 * self.radius + 1
-        return tuple(self(w[j:j + k]) for j in range(len(w) - k + 1))
+        cols = [word[d:] for d in range(2 * self.radius + 1)]
+        out = tuple(map(self._memo.get, zip(*cols)))
+        if None in out:  # a neighbourhood not yet memoised
+            out = tuple(self(key) for key in zip(*cols))
+        return out
 
     def dense_table(self) -> dict[Word, int]:
         k = 2 * self.radius + 1
@@ -204,6 +206,7 @@ def find_travelling_wave_backgrounds(rule: LocalRule, p: int, v: int,
     """
     if p < 1 or max_period < 1:
         raise ValueError("p and max_period must be >= 1")
+    from .lattice import PeriodicBackground
     seen: set[Word] = set()
     orbits: list[list[Word]] = []
     for n in range(1, max_period + 1):
@@ -213,13 +216,10 @@ def find_travelling_wave_backgrounds(rule: LocalRule, p: int, v: int,
             rots = [tuple(w[(i + k) % n] for i in range(n)) for k in range(n)]
             if len(set(rots)) != n:
                 continue  # not primitive: counted at its primitive period
-            cur = w
+            cur = PeriodicBackground(w)
             for _ in range(p):
-                cur = tuple(rule(tuple(cur[(i + d) % n] for d in range(-rule.radius,
-                                                                       rule.radius + 1)))
-                            for i in range(n))
-            target = tuple(w[(i + p * v) % n] for i in range(n))
-            if cur == target:
+                cur = cur.image(rule)
+            if cur.word == rots[p * v % n]:
                 orbit = sorted(set(rots))
                 seen.update(rots)
                 orbits.append(orbit)

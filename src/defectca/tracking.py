@@ -1,9 +1,9 @@
 """Locating and tracking a single defect against a Markov background.
 
 A defect is a maximal run of inadmissible transitions.  Tracking iterates
-the rule, relocates the run, and keeps the core window trimmed to a margin
-around it; the run's endpoints move at most one cell per step, so the
-defect cannot escape the window.
+the rule and relocates the run; :func:`~defectca.lattice.apply_rule` keeps
+the core trimmed to the cells that differ from the backgrounds, so each
+step costs work in proportion to the defect, not to the elapsed time.
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ def track(rule: LocalRule, shift: MarkovShift, config: Configuration, T: int,
     when the cap is exceeded, ``vanished`` when the configuration becomes
     fully admissible, ``split`` when separate runs appear.
     """
-    margin = 2 * rule.radius + 2
     records: list[DefectRecord] = []
     configs: list[Configuration] = []
     cur = config
@@ -146,7 +145,6 @@ def track(rule: LocalRule, shift: MarkovShift, config: Configuration, T: int,
         if t == T:
             break
         cur = apply_rule(rule, cur)
-        cur = cur.with_window(rec.z - rec.L - margin, rec.z + rec.R + 1 + margin)
     W = max(r.width for r in records)
     return DefectTrajectory(tuple(records), Verdict("particle", width=W),
                             tuple(configs) if keep_configs else None)

@@ -339,7 +339,7 @@ class TestMarkovProperty:
 class TestSubsampledWalk:
     def test_wall_walk_with_frozen_side(self):
         walks = subsampled_walk(zoo.wall_rule(), zoo.wall_left_shift(),
-                               zoo.wall_right_shift(), "left", 1, 1, {},
+                               zoo.wall_right_shift(), "left", {},
                                1500, 20, 21, W=0)
         assert len(walks) == 1
         weight, trajs, stats = walks[0]
@@ -351,7 +351,7 @@ class TestSubsampledWalk:
                                       zoo.wall_right_shift(), {}, 200, 5, 21,
                                       W=0)
         walks = subsampled_walk(zoo.wall_rule(), zoo.wall_left_shift(),
-                               zoo.wall_right_shift(), "left", 1, 1, {},
+                               zoo.wall_right_shift(), "left", {},
                                200, 5, 21, W=0)
         assert walks[0][1] == direct
 
@@ -369,7 +369,7 @@ class TestSubsampledWalk:
         rule = LocalRule(alpha, 1, fn, name="two-walls")
         L = build_markov_shift(alpha, [(0, 0), (1, 1)])
         R = full_shift(alpha, (2, 3))
-        walks = subsampled_walk(rule, L, R, "left", 1, 1, {}, 800, 10, 31, W=0)
+        walks = subsampled_walk(rule, L, R, "left", {}, 800, 10, 31, W=0)
         assert len(walks) == 2
         assert [w for w, _, _ in walks] == [0.5, 0.5]
         for _, _, stats in walks:

@@ -129,6 +129,19 @@ class TestCLI:
         with open(os.path.join(out1, "spacetime.pbm"), "rb") as fh:
             assert fh.read().startswith(b"P1")
 
+    @pytest.mark.parametrize("field,value", [("steps", 0), ("steps", -5),
+                                             ("width", 0)])
+    def test_simulate_rejects_nonpositive_sizes(self, workdir, field, value):
+        cfg = {"mode": "simulate", "rule": {"wolfram": 184},
+               "shift": dio.save_shift(zoo.eca184_background()),
+               "seed_config": {"left": {"word": "01", "phase": 1},
+                               "core": "", "right": {"word": "01"}},
+               "steps": 40, "width": 80, field: value}
+        path = os.path.join(workdir, "sim-bad.json")
+        _write(path, cfg)
+        with pytest.raises(DefectcaError, match=f"'{field}'"):
+            run_experiment("simulate", path, os.path.join(workdir, "z"))
+
     def test_classify_184(self, workdir):
         cfg = {"mode": "classify", "rule": {"wolfram": 184},
                "shift": dio.save_shift(zoo.eca184_background()),

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from defectca import zoo
 from defectca.lattice import (
     Configuration,
     PeriodicBackground,
@@ -12,6 +13,7 @@ from defectca.lattice import (
     periodic_config,
 )
 from defectca.rules import (
+    LocalRule,
     check_invariance,
     find_travelling_wave_backgrounds,
     from_linear,
@@ -64,6 +66,20 @@ class TestWolfram:
             from_wolfram_number(300)
 
 
+def _stepper_case(case):
+    """(rule, seed) pairs: the README's ECA#184 dislocation in the source and
+    block presentations, and a radius-2 rule over a period-1 background."""
+    rule = from_wolfram_number(184)
+    cfg = periodic_config(A2, (0, 1), (), (0, 1), left_phase=1)
+    if case == "source":
+        return rule, cfg
+    if case == "block":
+        sys = normalize(rule, zoo.eca184_background())
+        return sys.rule, encode_config(sys.coder, cfg)
+    flip_shift2 = LocalRule(A2, 2, lambda w: 1 - w[4], name="flip-shift2")
+    return flip_shift2, periodic_config(A2, (0,), (1, 1, 0, 1), (0,))
+
+
 class TestApply:
     def test_identity_rule_fixes_configs(self):
         cfg = periodic_config(A2, (0,), (0, 1, 1), (1,))
@@ -92,6 +108,17 @@ class TestApply:
             a = apply_rule(rule, cfg.shifted(k))
             b = apply_rule(rule, cfg).shifted(k)
             assert a.window(-30, 30) == b.window(-30, 30)
+
+    @pytest.mark.parametrize("case", ["source", "block", "radius2"])
+    def test_core_stays_bounded_and_exact(self, case):
+        rule, cur = _stepper_case(case)
+        r = rule.radius
+        for _ in range(2000):
+            nxt = apply_rule(rule, cur)
+            assert len(nxt.core) <= 8  # bounded independently of the step
+            for z in range(cur.origin - 2 * r - 2, cur.end + 2 * r + 2):
+                assert nxt.cell(z) == rule(cur.window(z - r, z + r + 1))
+            cur = nxt
 
 
 class TestInvariance:

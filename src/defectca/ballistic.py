@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
-from .errors import DefectcaError
+from .errors import DefectcaError, MultipleDefectsError
 from .lattice import Configuration, PeriodicBackground, encode_config, periodic_config
 from .rules import LocalRule, RecodedSystem, normalize, phi_orbit_components
-from .shifts import MarkovShift, Word
+from .shifts import MarkovShift, Word, build_markov_shift, map_cycles, transitive_components
 from .tracking import DefectAutomaton, locate_defect, track
-from .errors import MultipleDefectsError
 
 
 @dataclass(frozen=True)
@@ -84,21 +84,11 @@ def build_periodic_code(component: MarkovShift,
     phi = {s: rule((pred[s], s, sigma[s])) for s in syms}
     if sorted(phi.values()) != list(syms):
         raise DefectcaError("rule does not permute the component's symbols")
-    # joint transitivity: sigma- and phi-edges must connect all symbols
-    parent = {s: s for s in syms}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in syms:
-        for t in (sigma[s], phi[s]):
-            ra, rb = find(s), find(t)
-            if ra != rb:
-                parent[ra] = rb
-    if len({find(s) for s in syms}) != 1:
+    # joint transitivity: sigma- and phi-edges must connect all symbols.
+    # Both maps permute the symbols, so connected means strongly connected.
+    joint = build_markov_shift(component.alphabet,
+                               [(s, t) for s in syms for t in (sigma[s], phi[s])])
+    if len(transitive_components(joint)) != 1:
         raise DefectcaError("component is not (shift, rule)-transitive")
     return PeriodicComponentCode(component, syms, sigma, phi)
 
@@ -168,34 +158,7 @@ class ParticleType:
 
 def enumerate_particle_types(system: KinematicSystem) -> tuple[list[ParticleType], dict]:
     """All xi-cycles, plus a map from each transient state to its cycle index."""
-    color: dict = {}
-    cycles: list[tuple] = []
-    cycle_of: dict = {}
-    for start in system.states:
-        if start in color:
-            continue
-        path = []
-        pos = {}
-        s = start
-        while s not in color and s not in pos:
-            pos[s] = len(path)
-            path.append(s)
-            s = system.xi[s]
-        if s in pos:  # new cycle discovered
-            cyc = tuple(path[pos[s]:])
-            k = min(range(len(cyc)), key=lambda i: cyc[i])
-            cyc = cyc[k:] + cyc[:k]
-            idx = len(cycles)
-            cycles.append(cyc)
-            for q in cyc:
-                cycle_of[q] = idx
-            for q in path[:pos[s]]:
-                cycle_of[q] = idx
-        else:
-            for q in path:
-                cycle_of[q] = cycle_of[s]
-        for q in path:
-            color[q] = True
+    cycles, cycle_of = map_cycles(system.states, system.xi.get)
     types = []
     for cyc in cycles:
         total = sum(system.vel[s] for s in cyc)
@@ -204,8 +167,8 @@ def enumerate_particle_types(system: KinematicSystem) -> tuple[list[ParticleType
             raise DefectcaError(f"orbit velocity {vbar} outside [-1, 1]; "
                                 "the extracted automaton is inconsistent")
         types.append(ParticleType(cyc, len(cyc), vbar))
-    transients = {s: cycle_of[s] for s in system.states
-                  if all(s not in t.orbit for t in types)}
+    on_cycle = {s for cyc in cycles for s in cyc}
+    transients = {s: cycle_of[s] for s in system.states if s not in on_cycle}
     return types, transients
 
 
@@ -260,32 +223,6 @@ class ClassifiedType:
     orbit: tuple
 
 
-def _component_word(group: MarkovShift, coder, start: int) -> Word:
-    """Decode one sigma-cycle of a block component to a source periodic word."""
-    cyc = [start]
-    cur = group.followers(start)[0]
-    while cur != start:
-        cyc.append(cur)
-        cur = group.followers(cur)[0]
-    return tuple(coder.unpack(b)[0] for b in cyc)
-
-
-def _group_cycles(group: MarkovShift) -> list[int]:
-    """One representative vertex per sigma-cycle of a periodic group."""
-    todo = set(group.usable)
-    reps = []
-    while todo:
-        s = min(todo)
-        reps.append(s)
-        cur = s
-        while True:
-            todo.discard(cur)
-            cur = group.followers(cur)[0]
-            if cur == s:
-                break
-    return reps
-
-
 def classify_junctions(rule: LocalRule, background, *, max_core: int = 2,
                        T: int = 64, width_cap: int = 16) -> list[ClassifiedType]:
     """Enumerate persistent particle types over all periodic-component
@@ -296,21 +233,20 @@ def classify_junctions(rule: LocalRule, background, *, max_core: int = 2,
     cells, tracks each single-defect seed, and collects the eventual state
     cycles of the particles.
     """
-    from itertools import product as iproduct
-
     sys = normalize(rule, background)
-    groups = [g for g in phi_orbit_components(sys.rule, sys.shift)
-              if all(len(g.followers(v)) == 1 for v in g.usable)]
+    groups = []
+    for g in phi_orbit_components(sys.rule, sys.shift):
+        if all(len(g.followers(v)) == 1 for v in g.usable):
+            # each sigma-cycle of a block component, decoded to a source word
+            cycles, _ = map_cycles(sorted(g.usable), lambda v: g.followers(v)[0])
+            words = [tuple(sys.coder.unpack(b)[0] for b in cyc) for cyc in cycles]
+            groups.append((g, words))
     found: dict = {}
-    for Lg, Rg in iproduct(groups, repeat=2):
-        lreps = _group_cycles(Lg)
-        rreps = _group_cycles(Rg)
-        lwords = [_component_word(Lg, sys.coder, s) for s in lreps]
-        rwords = [_component_word(Rg, sys.coder, s) for s in rreps]
-        for lw, rw in iproduct(lwords, rwords):
-            for lp, rp in iproduct(range(len(lw)), range(len(rw))):
+    for (Lg, lwords), (Rg, rwords) in product(groups, repeat=2):
+        for lw, rw in product(lwords, rwords):
+            for lp, rp in product(range(len(lw)), range(len(rw))):
                 for clen in range(max_core + 1):
-                    for core in iproduct(range(rule.alphabet.size), repeat=clen):
+                    for core in product(range(rule.alphabet.size), repeat=clen):
                         cfg = periodic_config(rule.alphabet, lw, core, rw,
                                               left_phase=lp, right_phase=rp)
                         enc = encode_config(sys.coder, cfg)

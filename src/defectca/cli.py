@@ -107,6 +107,13 @@ def _background(cfg: ExperimentConfig, base: str, key: str = "shift"):
     return dio.load_shift(cfg.resolve(key, base))
 
 
+def _positive_int(cfg: ExperimentConfig, key: str, default: int) -> int:
+    val = int(cfg.params.get(key, default))
+    if val < 1:
+        raise DefectcaError(f"config field {key!r} must be >= 1, got {val}")
+    return val
+
+
 # ---------------------------------------------------------------------------
 # Modes
 # ---------------------------------------------------------------------------
@@ -116,11 +123,8 @@ def run_simulate(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
     background = _background(cfg, base)
     sys_rec = normalize(rule, background)
     seed_cfg = dio.load_config(cfg.resolve("seed_config", base), rule.alphabet)
-    steps = int(cfg.params.get("steps", 120))
-    width = int(cfg.params.get("width", 300))
-    for key, val in (("steps", steps), ("width", width)):
-        if val < 1:
-            raise DefectcaError(f"config field {key!r} must be >= 1, got {val}")
+    steps = _positive_int(cfg, "steps", 120)
+    width = _positive_int(cfg, "width", 300)
     lo, hi = -width // 2, width - width // 2
     rows, masks = dio.spacetime_rows(rule, seed_cfg, steps, lo, hi,
                                      shift=None)
@@ -172,8 +176,8 @@ def run_walk(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
     if not isinstance(L, MarkovShift) or not isinstance(R, MarkovShift):
         raise DefectcaError("walk backgrounds must be Markov shifts")
     W = int(cfg.params.get("W", 1))
-    steps = int(cfg.params.get("steps", 1000))
-    samples = int(cfg.params.get("samples", 50))
+    steps = _positive_int(cfg, "steps", 1000)
+    samples = _positive_int(cfg, "samples", 50)
     if "delta" in cfg.params:
         raw = cfg.resolve("delta", base)
         delta = {tuple(rule.alphabet.word_from_text(k) if isinstance(k, str)

@@ -21,13 +21,15 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DefectcaError, MultipleDefectsError
-from .rules import LocalRule, is_left_resolving, is_right_resolving, check_invariance
+from .rules import (LocalRule, check_invariance, is_left_resolving, is_right_resolving,
+                    power_recode_rule)
 from .shifts import (
+    Alphabet,
     MarkovShift,
     Word,
     build_markov_shift,
     higher_power,
-    power_iteration,
+    perron,
     regularity,
     transitive_components,
 )
@@ -96,8 +98,8 @@ class MarkovMeasure:
 def parry_measure(shift: MarkovShift) -> MarkovMeasure:
     """The Markov measure of maximal entropy on an irreducible shift.
 
-    Built from the Perron eigendata of the adjacency matrix (found by
-    :func:`~defectca.shifts.power_iteration`); on right-regular
+    Built from the Perron eigendata of the adjacency matrix and its
+    transpose (:func:`~defectca.shifts.perron`); on right-regular
     shifts the rows come out uniform on follower sets, and on left-regular
     shifts the backward rows are uniform on predecessor sets.
     """
@@ -112,10 +114,8 @@ def parry_measure(shift: MarkovShift) -> MarkovMeasure:
     for a in syms:
         for b in shift.followers(a):
             A[idx[a], idx[b]] = 1.0
-    B = A + np.eye(n)
-    _, right = power_iteration(B)
-    lam, left = power_iteration(B.T)
-    lam -= 1.0
+    _, right = perron(A)
+    lam, left = perron(A.T)
     kernel = {}
     for a in syms:
         for b in shift.followers(a):
@@ -342,7 +342,6 @@ def build_walk_kernel(rule: LocalRule, L: MarkovShift, R: MarkovShift, W: int,
     if not report.passed:
         raise DefectcaError("not a resolving system: " + "; ".join(report.witnesses))
     if W >= 2:
-        from .rules import power_recode_rule
         rule_w = power_recode_rule(rule, W)
         L_w, coder = higher_power(L, W)
         R_w, _ = higher_power(R, W)
@@ -424,7 +423,6 @@ def _recurrent_classes(kernel: WalkKernel) -> list[tuple]:
 
 
 def _IndexAlphabet(n: int):
-    from .shifts import Alphabet
     return Alphabet(tuple(f"s{i}" for i in range(n)))
 
 
@@ -548,51 +546,33 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
     pair_counts: dict = {}
     excluded = 0
     drifts = []
+    # The seed junction is the innermost left-background cell, W middle
+    # cells and the innermost right-background cell.  W=1 draws the middle,
+    # then the right, then the left cell; W=0 draws the left, then the right.
+    if W == 1:
+        draws = ((1, [(w[0], p) for w, p in delta_items]), (2, rho0), (0, lam0))
+    else:
+        draws = ((0, lam0), (1, rho0))
     for i in range(n):
         noise = _NoiseSource(seed, i)
         # initial window: frame at [0, 1].  The walk measure lives on
-        # defect-carrying junctions, so the middle draw is rejection-
+        # defect-carrying junctions, so the junction draw is rejection-
         # conditioned on actually breaking admissibility.
-        if W == 1:
-            for _ in range(10_000):
-                d0 = noise.choose([(w[0], p) for w, p in delta_items])
-                d1 = noise.choose(rho0)
-                l1 = noise.choose(lam0)
-                if (l1, d0) not in edges or (d0, d1) not in edges:
-                    break
-            else:
-                raise DefectcaError("the middle distribution never breaks "
-                                    "admissibility; no defect to track")
+        for _ in range(10_000):
+            cells = [0] * (W + 2)
+            for j, law in draws:
+                cells[j] = noise.choose(law)
+            if any(pair not in edges for pair in zip(cells, cells[1:])):
+                break
         else:
-            for _ in range(10_000):
-                d0 = noise.choose(lam0)
-                d1 = noise.choose(rho0)
-                if (d0, d1) not in edges:
-                    break
-            else:
-                raise DefectcaError("no inadmissible junction found; the two "
-                                    "backgrounds glue seamlessly")
+            raise DefectcaError("no seeded junction breaks admissibility; "
+                                "no defect to track")
         lo = -margin - 2
-        left = []
-        cur = l1 if W == 1 else d0
-        if W == 1:
-            left.append(cur)
-            for _ in range(-lo - 1):
-                cur = noise.choose(bwd[cur])
-                left.append(cur)
-            cells = list(reversed(left)) + [d0]
-        else:
-            left.append(d0)
-            for _ in range(-lo):
-                cur = noise.choose(bwd[cur])
-                left.append(cur)
-            cells = list(reversed(left[1:])) + [d0]
-        cells.append(d1)
-        cur = d1
+        for _ in range(-W - lo):
+            cells.insert(0, noise.choose(bwd[cells[0]]))
         hi = margin + 4
         for _ in range(hi - 2):
-            cur = noise.choose(fwd[cur])
-            cells.append(cur)
+            cells.append(noise.choose(fwd[cells[-1]]))
         # cells now covers [lo, hi)
         z = 0
         zs = [0]

@@ -7,6 +7,7 @@ coordinates, so shifting is phase arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -145,11 +146,10 @@ def power_encode_config(coder: BlockCoder, config: Configuration) -> Configurati
     if not isinstance(config.left, PeriodicBackground) or \
        not isinstance(config.right, PeriodicBackground):
         raise TypeError("configuration recoding needs periodic backgrounds")
-    import math as _math
 
     def block_bg(bg: PeriodicBackground, anchor: int) -> PeriodicBackground:
         n = len(bg.word)
-        m = _math.lcm(n, W) // W
+        m = math.lcm(n, W) // W
         word = tuple(coder.pack(tuple(bg.cell(W * (anchor + j) + ph + i)
                                       for i in range(W)))
                      for j in range(m))

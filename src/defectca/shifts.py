@@ -15,16 +15,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, EmptySubshiftError, NoChoicePointError
 
 Word = tuple[int, ...]
-
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -60,10 +57,6 @@ class Alphabet:
 
 def binary_alphabet() -> Alphabet:
     return Alphabet(("0", "1"))
-
-
-def make_alphabet(labels: Iterable[str]) -> Alphabet:
-    return Alphabet(tuple(labels))
 
 
 def check_word(alphabet: Alphabet, word: Sequence[int]) -> Word:
@@ -215,12 +208,6 @@ def build_sft(alphabet: Alphabet, q: int, words: Iterable[Sequence[int]]) -> SFT
     if not adm:
         raise EmptySubshiftError("empty subshift")
     return SFT(alphabet, q, frozenset(adm))
-
-
-def sft_from_forbidden(alphabet: Alphabet, q: int, forbidden: Iterable[Sequence[int]]) -> SFT:
-    bad = {tuple(w) for w in forbidden}
-    words = [w for w in product(range(alphabet.size), repeat=q) if w not in bad]
-    return build_sft(alphabet, q, words)
 
 
 def periodic_orbit_sft(alphabet: Alphabet, word: Sequence[int]) -> SFT:
@@ -490,23 +477,22 @@ def is_cycle_union(shift: MarkovShift) -> bool:
                for v in shift.usable)
 
 
-def power_iteration(M: np.ndarray) -> tuple[float, np.ndarray]:
-    """Dominant eigenvalue and eigenvector (max-entry 1) of a nonnegative matrix.
+def perron(M: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron root and eigenvector (max entry 1) of an irreducible nonnegative matrix.
 
-    The caller makes ``M`` aperiodic, e.g. by adding the identity to an
-    adjacency matrix, which shifts the Perron root by one and keeps its
-    eigenvectors.  Raises :class:`ConvergenceError` when the iteration
-    has not converged within ``POWER_MAX_ITER`` steps.
+    One dense eigen-solve.  The Perron root is the eigenvalue of largest
+    real part: the other eigenvalues of largest modulus are the root times
+    nontrivial roots of unity.  Raises :class:`ConvergenceError` when the
+    eigen-solve does not converge.
     """
-    v = np.ones(M.shape[0])
-    for _ in range(POWER_MAX_ITER):
-        w = M @ v
-        lam = float(w @ v) / float(v @ v)
-        if float(np.max(np.abs(w - lam * v))) <= POWER_TOL * max(1.0, lam):
-            return lam, v
-        v = w / float(np.linalg.norm(w, ord=np.inf))
-    raise ConvergenceError(f"power iteration on a {M.shape[0]}-vertex matrix "
-                           f"did not converge in {POWER_MAX_ITER} steps")
+    try:
+        vals, vecs = np.linalg.eig(M)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigen-solve of a {M.shape[0]}-vertex matrix "
+                               f"did not converge: {exc}") from exc
+    k = int(np.argmax(vals.real))
+    v = np.abs(vecs[:, k].real)
+    return float(vals[k].real), v / float(v.max())
 
 
 def entropy(shift: MarkovShift) -> float:
@@ -514,7 +500,7 @@ def entropy(shift: MarkovShift) -> float:
 
     Exactly 0.0 when no vertex lies on two distinct cycles (combinatorial
     check, no numerics); otherwise log2 of the adjacency spectral radius,
-    computed per strongly connected component by :func:`power_iteration`.
+    the largest :func:`perron` root over the strongly connected components.
     """
     if choice_point(shift) is None:
         return 0.0
@@ -528,8 +514,42 @@ def entropy(shift: MarkovShift) -> float:
             for w in shift.followers(v):
                 if w in idx:
                     A[idx[v], idx[w]] = 1.0
-        rad = max(rad, power_iteration(A + np.eye(len(comp)))[0] - 1.0)
+        rad = max(rad, perron(A)[0])
     return math.log2(rad)
+
+
+def map_cycles(nodes: Iterable, succ: Callable) -> tuple[list[tuple], dict]:
+    """The cycles of a partial self-map, and the cycle each node runs into.
+
+    Follows ``succ`` from each of ``nodes`` in turn; ``succ`` returns None
+    where the map is undefined.  Each cycle is rotated to start at its least
+    node, and cycles are listed in the order the scan meets them.  The dict
+    maps every visited node whose forward orbit enters a cycle to that
+    cycle's index.
+    """
+    cycles: list[tuple] = []
+    cycle_of: dict = {}
+    seen: set = set()
+    for start in nodes:
+        path: list = []
+        pos: dict = {}
+        cur = start
+        while cur is not None and cur not in seen and cur not in pos:
+            pos[cur] = len(path)
+            path.append(cur)
+            cur = succ(cur)
+        seen.update(path)
+        if cur is None:
+            continue
+        if cur in pos:
+            cyc = path[pos[cur]:]
+            k = min(range(len(cyc)), key=cyc.__getitem__)
+            cycle_of[cur] = len(cycles)
+            cycles.append(tuple(cyc[k:] + cyc[:k]))
+        if cur in cycle_of:
+            for q in path:
+                cycle_of[q] = cycle_of[cur]
+    return cycles, cycle_of
 
 
 def simple_cycles_at(shift: MarkovShift, v: int, limit: Optional[int] = None) -> list[Word]:

@@ -10,9 +10,12 @@ what makes the regime Turing-complete.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Callable, Optional, Sequence
 
+from .diffusive import _one_step, union_shift
 from .errors import DefectcaError, InvalidMachineError
 from .lattice import Configuration, PeriodicBackground
 from .rules import LocalRule, power_recode_rule
@@ -20,10 +23,14 @@ from .shifts import (
     Alphabet,
     MarkovShift,
     Word,
+    build_markov_shift,
     entropy,
     equal_length_cycles,
+    full_shift,
     higher_power,
+    map_cycles,
 )
+from .tracking import frame_of, locate_defect
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +163,35 @@ def run_lrtm(machine: LRTuringMachine, state: MachineState, steps: int,
     return state
 
 
+def tapes_to_config(alphabet: Alphabet, state: MachineState,
+                    head_cells: Sequence[int]) -> Configuration:
+    """The configuration of a machine state whose head occupies the cells
+    ``head_cells`` from ``state.z`` on; the near tape cells form the core."""
+    lt, rt = state.left, state.right
+    origin = state.z - len(lt.near)
+    end = state.z + len(head_cells) + len(rt.near)
+    left = PeriodicBackground(lt.bg, (lt.offset - origin) % len(lt.bg))
+    right = PeriodicBackground(rt.bg, (rt.offset - end) % len(rt.bg))
+    return Configuration(alphabet, left, lt.near + tuple(head_cells) + rt.near,
+                         right, origin)
+
+
+def config_to_tapes(config: Configuration, z: int, width: int,
+                    head) -> MachineState:
+    """Invert :func:`tapes_to_config` for a head of ``width`` cells at ``z``.
+
+    The core cells on either side of the head become the near tape cells.
+    """
+    lo = min(config.origin, z)
+    hi = max(config.end, z + width)
+    lbg, rbg = config.left, config.right
+    left = HalfTape("left", lbg.word, (lo + lbg.phase) % len(lbg.word),
+                    config.window(lo, z))
+    right = HalfTape("right", rbg.word, (hi + rbg.phase) % len(rbg.word),
+                     config.window(z + width, hi))
+    return MachineState(left, head, right, z)
+
+
 # ---------------------------------------------------------------------------
 # CA -> machine (pointwise-fixed backgrounds)
 # ---------------------------------------------------------------------------
@@ -178,36 +214,14 @@ class CAConjugacy:
     union: MarkovShift
 
     def encode(self, state: MachineState) -> Configuration:
-        d0, d1 = state.head
-        core = tuple(reversed([state.left.read(n)
-                               for n in range(1, len(state.left.near) + 1)])) \
-            + (d0, d1) + state.right.near
-        z = state.z
-        origin = z - len(state.left.near)
-        left = PeriodicBackground(state.left.bg,
-                                  (state.left.offset - origin) % len(state.left.bg))
-        rbase = z + 2 + len(state.right.near)
-        right = PeriodicBackground(
-            state.right.bg,
-            (state.right.offset - rbase) % len(state.right.bg))
-        return Configuration(self.rule.alphabet, left, core, right, origin)
+        return tapes_to_config(self.rule.alphabet, state, state.head)
 
     def decode(self, config: Configuration) -> MachineState:
-        from .tracking import frame_of, locate_defect
         interval = locate_defect(config, self.union)
         if interval is None:
             raise DefectcaError("no defect to carry the head")
         z = frame_of(interval)[0]
-        head = (config.cell(z), config.cell(z + 1))
-        lo = min(config.origin, z)
-        hi = max(config.end, z + 2)
-        lnear = config.window(lo, z)
-        rnear = config.window(z + 2, hi)
-        lbg, rbg = config.left, config.right
-        left = HalfTape("left", lbg.word, (lo + lbg.phase) % len(lbg.word), lnear)
-        right = HalfTape("right", rbg.word, (hi + rbg.phase) % len(rbg.word),
-                         rnear)
-        return MachineState(left, head, right, z)
+        return config_to_tapes(config, z, 2, (config.cell(z), config.cell(z + 1)))
 
 
 def ca_to_turing(rule: LocalRule, L: MarkovShift, R: MarkovShift,
@@ -224,11 +238,9 @@ def ca_to_turing(rule: LocalRule, L: MarkovShift, R: MarkovShift,
         Rh, _ = higher_power(R, W_hat)
     else:
         phi, Lh, Rh = rule, L, R
-    from .diffusive import union_shift
     union = union_shift(Lh, Rh)
 
     def vel(l1, d, r1):
-        from .diffusive import _one_step
         vs = set()
         for l2 in Lh.predecessors(l1):
             for r2 in Rh.followers(r1):
@@ -291,19 +303,7 @@ class TuringCAEmbedding:
         return self.machine.head_domain[s - self.head_base]
 
     def encode(self, state: MachineState) -> Configuration:
-        core = (tuple(reversed([state.left.read(n)
-                                for n in range(1, len(state.left.near) + 1)]))
-                + (self.head_symbol(state.head),)
-                + state.right.near)
-        origin = state.z - len(state.left.near)
-        nl = len(state.left.bg)
-        nr = len(state.right.bg)
-        left = PeriodicBackground(
-            state.left.bg, (state.left.offset - origin) % nl)
-        rbase = state.z + 1 + len(state.right.near)
-        right = PeriodicBackground(
-            state.right.bg, (state.right.offset - rbase) % nr)
-        return Configuration(self.alphabet, left, core, right, origin)
+        return tapes_to_config(self.alphabet, state, (self.head_symbol(state.head),))
 
     def decode(self, config: Configuration) -> MachineState:
         heads = [z for z in range(config.origin, config.end)
@@ -311,16 +311,7 @@ class TuringCAEmbedding:
         if len(heads) != 1:
             raise DefectcaError(f"configuration holds {len(heads)} head markers")
         z = heads[0]
-        d = self.head_state(config.cell(z))
-        lnear = config.window(config.origin, z)
-        rnear = config.window(z + 1, config.end)
-        lbg = config.left
-        rbg = config.right
-        left = HalfTape("left", lbg.word, (config.origin + lbg.phase) % len(lbg.word),
-                        lnear)
-        right = HalfTape("right", rbg.word,
-                         (config.end + rbg.phase) % len(rbg.word), rnear)
-        return MachineState(left, d, right, z)
+        return config_to_tapes(config, z, 1, self.head_state(config.cell(z)))
 
 
 def turing_to_ca(machine: LRTuringMachine) -> tuple[LocalRule, TuringCAEmbedding]:
@@ -532,8 +523,7 @@ def classical_to_lr(tm: ClassicalTM, L: MarkovShift,
     encL = build_cycle_encoder(L)
     encR = build_cycle_encoder(R)
     if encL.P != encR.P:
-        import math as _math
-        P = _math.lcm(encL.P, encR.P)
+        P = math.lcm(encL.P, encR.P)
         encL = CycleEncoder(L, P, encL.w0 * (P // encL.P), encL.w1 * (P // encL.P))
         encR = CycleEncoder(R, P, encR.w0 * (P // encR.P), encR.w1 * (P // encR.P))
     bits = max(1, (tm.tape_size - 1).bit_length())
@@ -592,13 +582,12 @@ def classical_to_lr(tm: ClassicalTM, L: MarkovShift,
     def tau_R(head, r1, r2):
         return r1
 
-    from itertools import product as _product
     cell_syms = sorted(L.usable | R.usable)
     heads = [("idle", d, t) for d in tm.head_domain for t in range(tm.tape_size)]
     for d in tm.head_domain:
         for t in range(tm.tape_size):
             for j in range(1, C):
-                for buf in _product(cell_syms, repeat=j):
+                for buf in product(cell_syms, repeat=j):
                     heads.append(("right", d, encL.encode_symbol(t, bits), j, buf))
                     heads.append(("left", d, encR.encode_symbol(t, bits), j, buf))
     machine = LRTuringMachine(L.alphabet, tuple(dict.fromkeys(heads)), L, R,
@@ -663,21 +652,7 @@ def runaway_cycles(apda: APDA) -> list[list]:
         return (apda.upsilon[(t, d)], act[1])
 
     nodes = [(d, t) for d in apda.head_domain for t in range(apda.stack_size)]
-    found: dict[tuple, list] = {}
-    for start in nodes:
-        path = []
-        pos = {}
-        cur = start
-        while cur is not None and cur not in pos:
-            pos[cur] = len(path)
-            path.append(cur)
-            cur = succ(cur)
-        if cur is not None and cur in pos:  # push-only cycle
-            cyc = path[pos[cur]:]
-            k = min(range(len(cyc)), key=lambda i: cyc[i])
-            cyc = cyc[k:] + cyc[:k]
-            found[tuple(cyc)] = cyc
-    return sorted(found.values())
+    return sorted(list(c) for c in map_cycles(nodes, succ)[0])
 
 
 def detect_runaway_cycle(apda: APDA) -> Optional[list]:
@@ -691,7 +666,6 @@ def apda_to_lr(apda: APDA, null_label: str = "_") -> tuple[LRTuringMachine, int]
     the right tape; returns the machine and the null symbol index."""
     labels = (null_label,) + tuple(f"t{t}" for t in range(apda.stack_size))
     alpha = Alphabet(labels)
-    from .shifts import build_markov_shift, full_shift
     L = build_markov_shift(alpha, [(0, 0)])
     R = full_shift(alpha, range(1, apda.stack_size + 1))
 

@@ -16,7 +16,7 @@ from defectca.diffusive import (
     union_shift,
     verify_resolving_system,
 )
-from defectca.errors import ConvergenceError, DefectcaError
+from defectca.errors import DefectcaError
 from defectca.rules import LocalRule, from_linear, from_wolfram_number, identity_rule
 from defectca.shifts import (
     Alphabet,
@@ -36,20 +36,32 @@ def golden_mean():
 
 
 def chorded_cycle(n=400, chord=(0, 200)):
-    # the Perron gap of A + I is so small that power iteration needs far
-    # more than POWER_MAX_ITER steps
+    # a long cycle with one chord: the Perron root sits barely above 1 and
+    # close to the other eigenvalues, which stalled a power iteration
     alpha = Alphabet(tuple(str(i) for i in range(n)))
     return build_markov_shift(alpha, [(i, (i + 1) % n) for i in range(n)] + [chord])
 
 
 class TestPerronConvergence:
-    def test_entropy_raises(self):
-        with pytest.raises(ConvergenceError):
-            entropy(chorded_cycle())
+    def test_entropy_matches_characteristic_root(self):
+        # the two first-return loops at vertex 0 have lengths 400 and 201,
+        # so the Perron root solves lam^-400 + lam^-201 = 1
+        lo, hi = 1.0, 2.0
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if mid ** -400 + mid ** -201 > 1:
+                lo = mid
+            else:
+                hi = mid
+        assert abs(entropy(chorded_cycle()) - math.log2(lo)) < 1e-12
 
-    def test_parry_measure_raises(self):
-        with pytest.raises(ConvergenceError):
-            parry_measure(chorded_cycle())
+    def test_parry_measure_stationary(self):
+        s = chorded_cycle()
+        m = parry_measure(s)
+        assert m.stationary
+        for a in s.usable:
+            row = sum(m.kernel[(a, b)] for b in s.followers(a))
+            assert row == pytest.approx(1.0, abs=1e-12)
 
 
 class TestParry:

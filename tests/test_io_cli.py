@@ -142,6 +142,34 @@ class TestCLI:
         with pytest.raises(DefectcaError, match=f"'{field}'"):
             run_experiment("simulate", path, os.path.join(workdir, "z"))
 
+    @pytest.mark.parametrize("via", ["config", "flags"])
+    @pytest.mark.parametrize("field,value", [("steps", 0), ("steps", -3),
+                                             ("samples", 0)])
+    def test_walk_rejects_nonpositive_sizes(self, workdir, capsys, via,
+                                            field, value):
+        rule_path = os.path.join(workdir, "rule.json")
+        _write(rule_path, dio.save_rule(zoo.diffusive_rule()))
+        shift_path = os.path.join(workdir, "sea.json")
+        _write(shift_path, dio.save_shift(zoo.diffusive_background()))
+        sizes = {"steps": 40, "samples": 3, field: value}
+        if via == "config":
+            path = os.path.join(workdir, "walk-bad.json")
+            _write(path, {"mode": "walk", "rule": "rule.json",
+                          "left_shift": "sea.json", "right_shift": "sea.json",
+                          "delta": {"0*": 0.5, "1*": 0.5}, **sizes})
+            args = ["--config", path]
+        else:
+            args = ["--rule", rule_path, "--left-shift", shift_path,
+                    "--right-shift", shift_path,
+                    "--steps", str(sizes["steps"]),
+                    "--samples", str(sizes["samples"])]
+        code = main(["--json-errors", "walk", *args,
+                     "--out", os.path.join(workdir, "w")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "DefectcaError"
+        assert f"'{field}'" in payload["message"]
+
     def test_classify_184(self, workdir):
         cfg = {"mode": "classify", "rule": {"wolfram": 184},
                "shift": dio.save_shift(zoo.eca184_background()),

@@ -17,6 +17,7 @@ from defectca.shifts import (
     higher_block,
     higher_power,
     is_cycle_union,
+    map_cycles,
     markov_presentation,
     pack_word,
     period_of,
@@ -252,6 +253,16 @@ class TestComponentsAndPeriod:
     def test_period_requires_single_component(self):
         with pytest.raises(ValueError):
             period_of(build_markov_shift(A2, [(0, 0), (1, 1)]))
+
+
+class TestMapCycles:
+    def test_partial_map_tails_and_rotation(self):
+        # 5 -> 3 -> 4 -> undefined; 0 -> (1 2); 8 joins (1 2) late; (6 7)
+        # is met at 7 and rotated to start at its least node
+        succ = {0: 1, 1: 2, 2: 1, 3: 4, 5: 3, 6: 7, 7: 6, 8: 2}.get
+        cycles, cycle_of = map_cycles([5, 0, 7, 8, 4], succ)
+        assert cycles == [(1, 2), (6, 7)]
+        assert cycle_of == {0: 0, 1: 0, 2: 0, 6: 1, 7: 1, 8: 0}
 
 
 class TestPeriodicOrbitSft:

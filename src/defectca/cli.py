@@ -126,16 +126,14 @@ def run_simulate(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
     steps = _positive_int(cfg, "steps", 120)
     width = _positive_int(cfg, "width", 300)
     lo, hi = -width // 2, width - width // 2
-    rows, masks = dio.spacetime_rows(rule, seed_cfg, steps, lo, hi,
-                                     shift=None)
     enc = encode_config(sys_rec.coder, seed_cfg)
-    _, block_masks = dio.spacetime_rows(sys_rec.rule, enc, steps, lo, hi,
-                                        shift=sys_rec.shift)
-    image, _ = dio.render_spacetime(rows, rule.alphabet)
-    _, mask = dio.render_spacetime(rows, rule.alphabet, highlight=block_masks)
+    block_rows, masks = dio.spacetime_rows(sys_rec.rule, enc, steps, lo, hi,
+                                           shift=sys_rec.shift)
+    # block cell z holds the source window [z, z+P): its first symbol is cell z
+    rows = [tuple(sys_rec.coder.unpack(b)[0] for b in row) for row in block_rows]
+    image, mask = dio.render_spacetime(rows, rule.alphabet, highlight=masks)
     em.write_bytes("spacetime.pbm", image)
-    if mask:
-        em.write_bytes("defects.pbm", mask)
+    em.write_bytes("defects.pbm", mask)
     traj = track(sys_rec.rule, sys_rec.shift, enc, steps,
                  width_cap=int(cfg.params.get("width_cap", 64)))
     em.write_text("trajectory.csv",

@@ -1,13 +1,15 @@
 """The diffusive regime: Parry measures, resolving systems, exact random-walk
 transition kernels, and Monte Carlo defect-walk sampling.
 
-After reducing the defect to a two-cell frame, the next frame contents are
-the rule images of the visible six-cell state, except for the one or two
-cells that depend on fresh background noise; over a resolving system that
-noise lands uniformly, with mass 1/(P_L*F_R), 1/P_L^2 or 1/F_R^2 according
-to the step direction, so the frame performs a finite-state Markov chain
-with an exactly computable kernel.  Kernels are exact rationals; floats
-appear only in eigendata and empirical statistics.
+After reducing the defect to a two-cell frame with two visible cells on
+each side, a step that moves the frame by v in {-1, 0, 1} makes the next
+six-cell state from the four rule images of the inner cells plus 1-v fresh
+cells on the left and 1+v on the right; over a resolving system that noise
+lands uniformly, with mass 1/(P_L^(1-v) F_R^(1+v)), so the frame performs a
+finite-state Markov chain with an exactly computable kernel.  The kernel and
+the sampler model seeds of width W = 0 or 1, the widths that fit the frame.
+Kernels are exact rationals; floats appear only in eigendata and empirical
+statistics.
 """
 
 from __future__ import annotations
@@ -21,14 +23,12 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DefectcaError, MultipleDefectsError
-from .rules import (LocalRule, check_invariance, is_left_resolving, is_right_resolving,
-                    power_recode_rule)
+from .rules import LocalRule, check_invariance, is_left_resolving, is_right_resolving
 from .shifts import (
     Alphabet,
     MarkovShift,
     Word,
     build_markov_shift,
-    higher_power,
     perron,
     regularity,
     transitive_components,
@@ -246,9 +246,6 @@ class WalkKernel:
     vel: dict
     rows: dict  # state -> {state: Fraction}
 
-    def row(self, s: State) -> dict:
-        return self.rows[s]
-
 
 def _one_step(rule: LocalRule, union: MarkovShift, state: State,
               l3: int, r3: int) -> int | str:
@@ -268,13 +265,17 @@ def _one_step(rule: LocalRule, union: MarkovShift, state: State,
     return frame_of(run)[0]
 
 
+def _frame_moves(rule: LocalRule, L: MarkovShift, R: MarkovShift,
+                 union: MarkovShift, state: State) -> set:
+    """The :func:`_one_step` outcomes of ``state`` over every outer noise pair."""
+    return {_one_step(rule, union, state, l3, r3)
+            for l3 in L.predecessors(state[0]) for r3 in R.followers(state[5])}
+
+
 def _velocity_of_state(rule: LocalRule, L: MarkovShift, R: MarkovShift,
                        union: MarkovShift, state: State) -> Optional[int]:
     """The frame displacement, verified independent of the outer noise."""
-    vs = set()
-    for l3 in L.predecessors(state[0]):
-        for r3 in R.followers(state[5]):
-            vs.add(_one_step(rule, union, state, l3, r3))
+    vs = _frame_moves(rule, L, R, union, state)
     if len(vs) != 1:
         raise DefectcaError(f"frame displacement at {state} depends on noise: {vs}")
     v = vs.pop()
@@ -285,76 +286,64 @@ def _velocity_of_state(rule: LocalRule, L: MarkovShift, R: MarkovShift,
     return v
 
 
-def _phi_left_set(rule: LocalRule, L: MarkovShift, l2: int, l1: int) -> list[int]:
-    return sorted({rule((a, l2, l1)) for a in L.predecessors(l2)})
+def _fresh_cells(n: int, edge: int, neighbours, fresh_images) -> list[tuple]:
+    """The ``n`` (0, 1 or 2) fresh cells beyond ``edge``, innermost first.
 
-
-def _phi_right_set(rule: LocalRule, R: MarkovShift, r1: int, r2: int) -> list[int]:
-    return sorted({rule((r1, r2, d)) for d in R.followers(r2)})
+    One fresh cell is any background neighbour of ``edge``; of two, the
+    inner one is the image of one fresh background cell (``fresh_images()``)
+    and the outer one any background neighbour of it.
+    """
+    if n == 0:
+        return [()]
+    if n == 1:
+        return [(c,) for c in neighbours(edge)]
+    return [(c, o) for c in sorted(fresh_images()) for o in neighbours(c)]
 
 
 def _successors(rule: LocalRule, L: MarkovShift, R: MarkovShift, v: int,
                 s: State, P_L: int, F_R: int) -> dict[State, Fraction]:
-    l2, l1, d0, d1, r1, r2 = s
-    phi = rule
-    out: dict[State, Fraction] = {}
-    if v == 0:
-        l1n = phi((l2, l1, d0))
-        d0n = phi((l1, d0, d1))
-        d1n = phi((d0, d1, r1))
-        r1n = phi((d1, r1, r2))
-        mass = Fraction(1, P_L * F_R)
-        for l2n in L.predecessors(l1n):
-            for r2n in R.followers(r1n):
-                out[(l2n, l1n, d0n, d1n, r1n, r2n)] = mass
-    elif v == -1:
-        d0n = phi((l2, l1, d0))
-        d1n = phi((l1, d0, d1))
-        r1n = phi((d0, d1, r1))
-        r2n = phi((d1, r1, r2))
-        mass = Fraction(1, P_L * P_L)
-        for l1n in _phi_left_set(rule, L, l2, l1):
-            for l2n in L.predecessors(l1n):
-                out[(l2n, l1n, d0n, d1n, r1n, r2n)] = mass
-    else:
-        l2n = phi((l2, l1, d0))
-        l1n = phi((l1, d0, d1))
-        d0n = phi((d0, d1, r1))
-        d1n = phi((d1, r1, r2))
-        mass = Fraction(1, F_R * F_R)
-        for r1n in _phi_right_set(rule, R, r1, r2):
-            for r2n in R.followers(r1n):
-                out[(l2n, l1n, d0n, d1n, r1n, r2n)] = mass
-    if sum(out.values()) != 1:
+    """The next states of ``s`` when its frame moves by ``v``, with their mass.
+
+    A next state is the four images l1' d0' d1' r1' of ``s`` with 1-v fresh
+    cells on the left and 1+v on the right; a resolving system spreads the
+    fresh left cells uniformly over P_L choices each and the right ones over
+    F_R.
+    """
+    img = rule.image_word(s)
+    lefts = _fresh_cells(1 - v, img[0], L.predecessors,
+                         lambda: {rule((a, *s[:2])) for a in L.predecessors(s[0])})
+    rights = _fresh_cells(1 + v, img[-1], R.followers,
+                          lambda: {rule((*s[4:], b)) for b in R.followers(s[5])})
+    mass = Fraction(1, P_L ** (1 - v) * F_R ** (1 + v))
+    out = {(*left[::-1], *img, *right): mass for left in lefts for right in rights}
+    if mass * len(out) != 1:
         raise DefectcaError(f"kernel row at {s} does not sum to 1")
     return out
+
+
+def _check_width(W: int) -> None:
+    if W not in (0, 1):
+        raise DefectcaError(f"seed width 'W' must be 0 or 1, got {W}: the "
+                            "two-cell frame models seeds of width 0 and 1 only")
 
 
 def build_walk_kernel(rule: LocalRule, L: MarkovShift, R: MarkovShift, W: int,
                       delta_support: Optional[Iterable] = None) -> WalkKernel:
     """The exact kernel on reachable six-cell states, in rational arithmetic.
 
-    ``W`` is the seeded defect width; widths above one are power-recoded so
-    the frame spans two cells internally.  ``delta_support`` restricts the
-    initial middle cells (defaults to every alphabet word of length W).
+    ``W`` is the seeded defect width, 0 or 1: at W=0 the frame starts on the
+    junction of the two backgrounds, at W=1 its left cell is a middle cell,
+    restricted by ``delta_support`` (defaults to every symbol).
     """
+    _check_width(W)
     report = verify_resolving_system(rule, L, R)
     if not report.passed:
         raise DefectcaError("not a resolving system: " + "; ".join(report.witnesses))
-    if W >= 2:
-        rule_w = power_recode_rule(rule, W)
-        L_w, coder = higher_power(L, W)
-        R_w, _ = higher_power(R, W)
-        if delta_support is None:
-            d0s = list(range(rule_w.alphabet.size))
-        else:
-            d0s = sorted({coder.pack(w) for w in delta_support})
-        return _assemble_kernel(rule_w, L_w, R_w, W, d0s)
+    d0s = None
     if W == 1:
         d0s = (sorted(range(rule.alphabet.size)) if delta_support is None
                else sorted({w[0] for w in delta_support}))
-        return _assemble_kernel(rule, L, R, W, d0s)
-    return _assemble_kernel(rule, L, R, 0, None)
+    return _assemble_kernel(rule, L, R, W, d0s)
 
 
 def _assemble_kernel(rule: LocalRule, L: MarkovShift, R: MarkovShift, W: int,
@@ -362,21 +351,12 @@ def _assemble_kernel(rule: LocalRule, L: MarkovShift, R: MarkovShift, W: int,
     union = union_shift(L, R)
     P_L = regularity(L).P_S
     F_R = regularity(R).F_S
-    seeds = []
-    if W == 0:
-        for l2, l1 in L.edges:
-            for d0 in L.followers(l1):
-                for d1 in sorted(R.usable):
-                    for r1 in R.followers(d1):
-                        for r2 in R.followers(r1):
-                            seeds.append((l2, l1, d0, d1, r1, r2))
-    else:
-        for l2, l1 in L.edges:
-            for d0 in d0s:
-                for d1 in sorted(R.usable):
-                    for r1 in R.followers(d1):
-                        for r2 in R.followers(r1):
-                            seeds.append((l2, l1, d0, d1, r1, r2))
+    seeds = [(l2, l1, d0, d1, r1, r2)
+             for l2, l1 in L.edges
+             for d0 in (L.followers(l1) if W == 0 else d0s)
+             for d1 in sorted(R.usable)
+             for r1 in R.followers(d1)
+             for r2 in R.followers(r1)]
     vel: dict = {}
     rows: dict = {}
     work = list(dict.fromkeys(seeds))
@@ -521,13 +501,13 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
 
     Backgrounds are sampled lazily from the Parry measures (backward kernel
     leftward, forward kernel rightward); the middle cells are drawn from
-    ``delta``, a probability dict over width-W words.  Returns the recorded
-    trajectories and aggregate statistics; samples whose defect vanishes or
-    splits are excluded, and exceeding :data:`MAX_EXCLUDED_FRAC` aborts the
-    run.
+    ``delta``, a probability dict over width-W words (W is 0 or 1).  Returns
+    the recorded trajectories and aggregate statistics; samples whose defect
+    vanishes or splits are excluded, and exceeding :data:`MAX_EXCLUDED_FRAC`
+    aborts the run.  A frame that moves by more than one cell in a step is
+    not a width-2 walk and raises :class:`DefectcaError`.
     """
-    if W not in (0, 1):
-        raise NotImplementedError("sampler is implemented for width 0 and 1 seeds")
+    _check_width(W)
     report = verify_resolving_system(rule, L, R)
     if not report.passed:
         raise DefectcaError("not a resolving system: " + "; ".join(report.witnesses))
@@ -598,6 +578,9 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
                 ok = False
                 break
             z = frame_of(run)[0]
+            if abs(z - zs[-1]) > 1:
+                raise DefectcaError(f"frame moved by {z - zs[-1]} at step {t} of "
+                                    f"sample {i}; not a width-2 walk")
             zs.append(z)
             state = cells[z - 2 - lo: z + 4 - lo]
             if prev_state is not None:

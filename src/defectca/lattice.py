@@ -98,15 +98,11 @@ def apply_rule(rule: LocalRule, config: Configuration) -> Configuration:
 def encode_config(coder: BlockCoder, config: Configuration) -> Configuration:
     """Recode a configuration into the overlapping block presentation.
 
-    Block cell z holds the source window [z, z+P); backgrounds must be
-    periodic.
+    Block cell z holds the source window [z, z+P).
     """
     if coder.kind != "block":
         raise ValueError("only block coders encode configurations")
     P = coder.P
-    if not isinstance(config.left, PeriodicBackground) or \
-       not isinstance(config.right, PeriodicBackground):
-        raise TypeError("configuration recoding needs periodic backgrounds")
 
     def block_bg(bg: PeriodicBackground) -> PeriodicBackground:
         n = len(bg.word)
@@ -143,9 +139,6 @@ def power_encode_config(coder: BlockCoder, config: Configuration) -> Configurati
     if coder.kind != "power":
         raise ValueError("need a power coder")
     W, ph = coder.P, coder.phase
-    if not isinstance(config.left, PeriodicBackground) or \
-       not isinstance(config.right, PeriodicBackground):
-        raise TypeError("configuration recoding needs periodic backgrounds")
 
     def block_bg(bg: PeriodicBackground, anchor: int) -> PeriodicBackground:
         n = len(bg.word)

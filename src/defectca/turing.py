@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Optional, Sequence
 
-from .diffusive import _one_step, union_shift
+from .diffusive import _frame_moves, union_shift
 from .errors import DefectcaError, InvalidMachineError
 from .lattice import Configuration, PeriodicBackground
 from .rules import LocalRule, power_recode_rule
@@ -232,22 +232,16 @@ def ca_to_turing(rule: LocalRule, L: MarkovShift, R: MarkovShift,
     _check_pointwise_fixed(rule, L)
     _check_pointwise_fixed(rule, R)
     W_hat = max(W, rule.radius, 1)
-    if W_hat > 1:
-        phi = power_recode_rule(rule, W_hat)
-        Lh, _ = higher_power(L, W_hat)
-        Rh, _ = higher_power(R, W_hat)
-    else:
-        phi, Lh, Rh = rule, L, R
+    phi = power_recode_rule(rule, W_hat)
+    Lh, _ = higher_power(L, W_hat)
+    Rh, _ = higher_power(R, W_hat)
     union = union_shift(Lh, Rh)
 
     def vel(l1, d, r1):
         vs = set()
         for l2 in Lh.predecessors(l1):
             for r2 in Rh.followers(r1):
-                for l3 in Lh.predecessors(l2):
-                    for r3 in Rh.followers(r2):
-                        vs.add(_one_step(phi, union,
-                                         (l2, l1, d[0], d[1], r1, r2), l3, r3))
+                vs |= _frame_moves(phi, Lh, Rh, union, (l2, l1, *d, r1, r2))
         if len(vs) != 1:
             raise DefectcaError(f"velocity at ({l1},{d},{r1}) is not local")
         v = vs.pop()
@@ -257,11 +251,7 @@ def ca_to_turing(rule: LocalRule, L: MarkovShift, R: MarkovShift,
 
     def ups(l2, l1, d, r1, r2):
         v = vel(l1, d, r1)
-        if v == 0:
-            return (phi((l1, d[0], d[1])), phi((d[0], d[1], r1)))
-        if v == -1:
-            return (phi((l2, l1, d[0])), phi((l1, d[0], d[1])))
-        return (phi((d[0], d[1], r1)), phi((d[1], r1, r2)))
+        return phi.image_word((l2, l1, *d, r1, r2))[1 + v:3 + v]
 
     def tau_L(l2, l1, d):
         return phi((l2, l1, d[0]))
@@ -271,9 +261,7 @@ def ca_to_turing(rule: LocalRule, L: MarkovShift, R: MarkovShift,
 
     def tau_C(l1, d, r1):
         v = vel(l1, d, r1)
-        if v == 1:
-            return phi((l1, d[0], d[1]))
-        return phi((d[0], d[1], r1))
+        return phi((l1, *d) if v == 1 else (*d, r1))
 
     size = phi.alphabet.size
     domain = tuple((a, b) for a in range(size) for b in range(size))

@@ -47,10 +47,6 @@ def gstar_shift() -> MarkovShift:
     return build_markov_shift(binary_alphabet(), [(0, 1), (1, 0)])
 
 
-def g01_shift() -> MarkovShift:
-    return build_markov_shift(binary_alphabet(), [(0, 0), (1, 1)])
-
-
 # ---------------------------------------------------------------------------
 # The diffusive example: a marked random walker over a mod-2 linear sea
 # ---------------------------------------------------------------------------

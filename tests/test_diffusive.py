@@ -219,6 +219,12 @@ class TestWalkKernel:
             else:
                 assert sorted(k.rows[s].values()) == [Fraction(1, 4)] * 4
 
+    @pytest.mark.parametrize("W", [-1, 2])
+    def test_unsupported_width_rejected(self, W):
+        sea = zoo.diffusive_background()
+        with pytest.raises(DefectcaError, match="'W' must be 0 or 1"):
+            build_walk_kernel(zoo.diffusive_rule(), sea, sea, W)
+
 
 class TestStationary:
     def test_diffusive_single_class_zero_drift(self):
@@ -304,6 +310,21 @@ class TestSampleWalks:
                 p1 = row.get(t, 0) / n1
                 p2 = row2.get(t, 0) / n2
                 assert abs(p1 - p2) < 6 * math.sqrt(0.25 / min(n1, n2)) + 0.02
+
+    @pytest.mark.parametrize("delta", [{(2,): 1.0},
+                                       {(s,): 1 / 3 for s in range(3)}])
+    def test_frame_jump_raises(self, delta):
+        # a wall-walker seed whose frame jumps two cells left in one step;
+        # the kernel reports the same jump for the state (0, 0, 2, 2, 2, 2)
+        with pytest.raises(DefectcaError, match="frame moved by -2 .*not a width-2 walk"):
+            sample_walks(zoo.wall_rule(), zoo.wall_left_shift(),
+                         zoo.wall_right_shift(), delta, 200, 5, 0, W=1)
+
+    @pytest.mark.parametrize("W", [-1, 2])
+    def test_unsupported_width_rejected(self, W):
+        sea = zoo.diffusive_background()
+        with pytest.raises(DefectcaError, match="'W' must be 0 or 1"):
+            sample_walks(zoo.diffusive_rule(), sea, sea, {}, 10, 1, 0, W=W)
 
 
 class TestMarkovProperty:

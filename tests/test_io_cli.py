@@ -106,6 +106,20 @@ def _write(path, obj):
         json.dump(obj, fh)
 
 
+# Manifest digests pin the determinism promise across versions: the same
+# config and seed must write byte-identical files.
+SIMULATE_DIGESTS = {
+    "defects.pbm": "8b9660749d102e59456b842019bc61928e514b6dbe57599315daf533d539483d",
+    "spacetime.pbm": "fd26d41f7e26c1af71ecde9a605b7f7a47a30db1b8140aa788db78991ef8d13b",
+    "summary.json": "ab1dda0e0b741529cfae69114a4909bac2be1989698383ff817423e41e012472",
+    "trajectory.csv": "e1e444b606894d99f2d47009a8ed7b7bfc1cdf6e0124901121ea3eff08bcd9e3",
+}
+WALK_DIGESTS = {
+    "displacement-hist.csv": "46f0fc42cf5b5df651da71689ee2f73c891293691446f3a0baadaf65df4f9100",
+    "walk-stats.json": "a84befef28580b775f2ffa099ff08dda67f9de5c2be676e5926c480ab74f93a6",
+}
+
+
 class TestCLI:
     def test_simulate_and_determinism(self, workdir):
         cfg = {
@@ -125,6 +139,7 @@ class TestCLI:
         m1 = dio.read_json(os.path.join(out1, "manifest.json"))
         m2 = dio.read_json(os.path.join(out2, "manifest.json"))
         assert m1["files"] == m2["files"]
+        assert m1["files"] == SIMULATE_DIGESTS
         assert "spacetime.pbm" in m1["files"]
         with open(os.path.join(out1, "spacetime.pbm"), "rb") as fh:
             assert fh.read().startswith(b"P1")
@@ -201,6 +216,25 @@ class TestCLI:
         assert stats["samples"] == 5
         assert stats["theoretical_drifts"] == [{"num": 0, "den": 1}]
         assert os.path.exists(os.path.join(out, "displacement-hist.csv"))
+        manifest = dio.read_json(os.path.join(out, "manifest.json"))
+        assert manifest["files"] == WALK_DIGESTS
+
+    @pytest.mark.parametrize("W", [-1, 2])
+    def test_walk_rejects_unsupported_width(self, workdir, capsys, W):
+        rule_path = os.path.join(workdir, "rule.json")
+        _write(rule_path, dio.save_rule(zoo.diffusive_rule()))
+        shift_path = os.path.join(workdir, "sea.json")
+        _write(shift_path, dio.save_shift(zoo.diffusive_background()))
+        path = os.path.join(workdir, "walk-width.json")
+        _write(path, {"mode": "walk", "rule": "rule.json",
+                      "left_shift": "sea.json", "right_shift": "sea.json",
+                      "W": W, "steps": 40, "samples": 3})
+        code = main(["--json-errors", "walk", "--config", path,
+                     "--out", os.path.join(workdir, "w")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "DefectcaError"
+        assert "'W'" in payload["message"]
 
     def test_compile_and_run_tm(self, workdir):
         tm_spec = {

@@ -19,7 +19,7 @@ from typing import Optional
 from .errors import DefectcaError, MultipleDefectsError
 from .lattice import Configuration, PeriodicBackground, encode_config, periodic_config
 from .rules import LocalRule, RecodedSystem, normalize, phi_orbit_components
-from .shifts import MarkovShift, Word, build_markov_shift, map_cycles, transitive_components
+from .shifts import MarkovShift, Word, map_cycles, strongly_connected
 from .tracking import DefectAutomaton, locate_defect, track
 
 
@@ -86,9 +86,7 @@ def build_periodic_code(component: MarkovShift,
         raise DefectcaError("rule does not permute the component's symbols")
     # joint transitivity: sigma- and phi-edges must connect all symbols.
     # Both maps permute the symbols, so connected means strongly connected.
-    joint = build_markov_shift(component.alphabet,
-                               [(s, t) for s in syms for t in (sigma[s], phi[s])])
-    if len(transitive_components(joint)) != 1:
+    if len(strongly_connected(syms, lambda s: (sigma[s], phi[s]))) != 1:
         raise DefectcaError("component is not (shift, rule)-transitive")
     return PeriodicComponentCode(component, syms, sigma, phi)
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import io as dio
+from .ballistic import classify_junctions
 from .diffusive import (
     build_walk_kernel,
     markov_property_test,
@@ -47,8 +48,9 @@ class ExperimentConfig:
         cfg_mode = spec.get("mode", mode)
         if cfg_mode != mode:
             raise DefectcaError(f"config is for mode {cfg_mode!r}, not {mode!r}")
-        s = seed if seed is not None else int(spec.get("seed", 0))
-        return ExperimentConfig(mode, spec, s)
+        cfg = ExperimentConfig(mode, spec)
+        cfg.seed = seed if seed is not None else _int(cfg, "seed", 0)
+        return cfg
 
     def resolve(self, key: str, base: str):
         """Inline value, or {"file": path} / "path.json" relative to the config."""
@@ -98,19 +100,25 @@ class _Emitter:
 def _jsonable(x):
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
-    if isinstance(x, frozenset):
-        return sorted(x)
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
 def _background(cfg: ExperimentConfig, base: str, key: str = "shift"):
-    return dio.load_shift(cfg.resolve(key, base))
+    spec = cfg.resolve(key, base)
+    if not isinstance(spec, dict) or "alphabet" not in spec:
+        raise DefectcaError(f"config field {key!r} is not a shift spec with "
+                            "an 'alphabet'")
+    return dio.load_shift(spec)
 
 
-def _positive_int(cfg: ExperimentConfig, key: str, default: int) -> int:
-    val = int(cfg.params.get(key, default))
-    if val < 1:
-        raise DefectcaError(f"config field {key!r} must be >= 1, got {val}")
+def _int(cfg: ExperimentConfig, key: str, default: int,
+         least: Optional[int] = None) -> int:
+    """The integer config field ``key``, at least ``least`` when given."""
+    val = cfg.params.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise DefectcaError(f"config field {key!r} must be an integer, got {val!r}")
+    if least is not None and val < least:
+        raise DefectcaError(f"config field {key!r} must be >= {least}, got {val}")
     return val
 
 
@@ -123,8 +131,8 @@ def run_simulate(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
     background = _background(cfg, base)
     sys_rec = normalize(rule, background)
     seed_cfg = dio.load_config(cfg.resolve("seed_config", base), rule.alphabet)
-    steps = _positive_int(cfg, "steps", 120)
-    width = _positive_int(cfg, "width", 300)
+    steps = _int(cfg, "steps", 120, least=1)
+    width = _int(cfg, "width", 300, least=1)
     lo, hi = -width // 2, width - width // 2
     enc = encode_config(sys_rec.coder, seed_cfg)
     block_rows, masks = dio.spacetime_rows(sys_rec.rule, enc, steps, lo, hi,
@@ -135,7 +143,7 @@ def run_simulate(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
     em.write_bytes("spacetime.pbm", image)
     em.write_bytes("defects.pbm", mask)
     traj = track(sys_rec.rule, sys_rec.shift, enc, steps,
-                 width_cap=int(cfg.params.get("width_cap", 64)))
+                 width_cap=_int(cfg, "width_cap", 64))
     em.write_text("trajectory.csv",
                   dio.trajectory_csv(traj, sys_rec.rule.alphabet))
     em.write_json("summary.json", dio.trajectory_summary(traj))
@@ -143,14 +151,12 @@ def run_simulate(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
 
 
 def run_classify(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
-    from .ballistic import classify_junctions
-
     rule = dio.load_rule(cfg.resolve("rule", base))
     background = _background(cfg, base)
     types = classify_junctions(rule, background,
-                               max_core=int(cfg.params.get("max_core", 0)),
-                               T=int(cfg.params.get("steps", 64)),
-                               width_cap=int(cfg.params.get("width_cap", 16)))
+                               max_core=_int(cfg, "max_core", 0),
+                               T=_int(cfg, "steps", 64),
+                               width_cap=_int(cfg, "width_cap", 16))
     report = {"types": [{
         "left_component": sorted(t.left_vertices),
         "right_component": sorted(t.right_vertices),
@@ -169,13 +175,13 @@ def run_classify(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
 
 def run_walk(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
     rule = dio.load_rule(cfg.resolve("rule", base))
-    L = dio.load_shift(cfg.resolve("left_shift", base))
-    R = dio.load_shift(cfg.resolve("right_shift", base))
+    L = _background(cfg, base, "left_shift")
+    R = _background(cfg, base, "right_shift")
     if not isinstance(L, MarkovShift) or not isinstance(R, MarkovShift):
         raise DefectcaError("walk backgrounds must be Markov shifts")
-    W = int(cfg.params.get("W", 1))
-    steps = _positive_int(cfg, "steps", 1000)
-    samples = _positive_int(cfg, "samples", 50)
+    W = _int(cfg, "W", 1)
+    steps = _int(cfg, "steps", 1000, least=1)
+    samples = _int(cfg, "samples", 50, least=1)
     if "delta" in cfg.params:
         raw = cfg.resolve("delta", base)
         delta = {tuple(rule.alphabet.word_from_text(k) if isinstance(k, str)
@@ -234,8 +240,8 @@ def _load_tm(spec: dict) -> ClassicalTM:
 def run_compile_tm(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
     tm_spec = cfg.resolve("tm", base)
     tm = _load_tm(tm_spec)
-    L = dio.load_shift(cfg.resolve("left_shift", base))
-    R = dio.load_shift(cfg.resolve("right_shift", base))
+    L = _background(cfg, base, "left_shift")
+    R = _background(cfg, base, "right_shift")
     comp = classical_to_lr(tm, L, R)
     rule, emb = turing_to_ca(comp.machine)
     em.write_json("ca.json", {
@@ -257,15 +263,15 @@ def run_compile_tm(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
 
 def run_run_tm(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
     tm = _load_tm(cfg.resolve("tm", base))
-    L = dio.load_shift(cfg.resolve("left_shift", base))
-    R = dio.load_shift(cfg.resolve("right_shift", base))
+    L = _background(cfg, base, "left_shift")
+    R = _background(cfg, base, "right_shift")
     comp = classical_to_lr(tm, L, R)
     rule, emb = turing_to_ca(comp.machine)
     tape0 = {int(k): int(v) for k, v in cfg.params.get("tape", {}).items()}
     d0 = cfg.params.get("head", tm.head_domain[0])
-    z0 = int(cfg.params.get("position", 0))
-    macros = int(cfg.params.get("macro_steps", 50))
-    window = int(cfg.params.get("window", 8))
+    z0 = _int(cfg, "position", 0)
+    macros = _int(cfg, "macro_steps", 50)
+    window = _int(cfg, "window", 8)
 
     state = comp.initial_state(tape0, d0, z0, window=window + macros)
     ca = emb.encode(state)
@@ -315,7 +321,7 @@ def run_verify(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
         out["resolving_system"] = res.passed
         out["resolving_witnesses"] = list(res.witnesses)
     if "right_shift" in cfg.params:
-        other = dio.load_shift(cfg.resolve("right_shift", base))
+        other = _background(cfg, base, "right_shift")
         out["regime"] = regime_of(shift, other)
     em.write_json("verify.json", out)
     return 0

@@ -25,15 +25,15 @@ import numpy as np
 from .errors import DefectcaError, MultipleDefectsError
 from .rules import LocalRule, check_invariance, is_left_resolving, is_right_resolving
 from .shifts import (
-    Alphabet,
     MarkovShift,
     Word,
     build_markov_shift,
     perron,
     regularity,
+    strongly_connected,
     transitive_components,
 )
-from .tracking import defect_run, frame_of
+from .tracking import bad_transitions, defect_run, frame_of
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +321,16 @@ def _successors(rule: LocalRule, L: MarkovShift, R: MarkovShift, v: int,
     return out
 
 
-def _check_width(W: int) -> None:
+def _check_seed(W: int, delta) -> None:
     if W not in (0, 1):
         raise DefectcaError(f"seed width 'W' must be 0 or 1, got {W}: the "
                             "two-cell frame models seeds of width 0 and 1 only")
+    if W == 0 and delta:
+        raise DefectcaError("'delta' must be empty at W=0: a width-0 seed "
+                            "has no middle cell to draw")
+
+
+_NO_DEFECT = "no seeded junction breaks admissibility; no defect to track"
 
 
 def build_walk_kernel(rule: LocalRule, L: MarkovShift, R: MarkovShift, W: int,
@@ -333,9 +339,11 @@ def build_walk_kernel(rule: LocalRule, L: MarkovShift, R: MarkovShift, W: int,
 
     ``W`` is the seeded defect width, 0 or 1: at W=0 the frame starts on the
     junction of the two backgrounds, at W=1 its left cell is a middle cell,
-    restricted by ``delta_support`` (defaults to every symbol).
+    restricted by ``delta_support`` (defaults to every symbol), which must
+    be empty at W=0.  Raises :class:`DefectcaError` when no seed junction
+    carries a defect.
     """
-    _check_width(W)
+    _check_seed(W, delta_support)
     report = verify_resolving_system(rule, L, R)
     if not report.passed:
         raise DefectcaError("not a resolving system: " + "; ".join(report.witnesses))
@@ -357,6 +365,9 @@ def _assemble_kernel(rule: LocalRule, L: MarkovShift, R: MarkovShift, W: int,
              for d1 in sorted(R.usable)
              for r1 in R.followers(d1)
              for r2 in R.followers(r1)]
+    # the seed junction: W middle cells between the innermost background cells
+    if not any(bad_transitions(s[2 - W:4], union.edges) for s in seeds):
+        raise DefectcaError(_NO_DEFECT)
     vel: dict = {}
     rows: dict = {}
     work = list(dict.fromkeys(seeds))
@@ -389,21 +400,11 @@ class RecurrentClassStats:
 
 
 def _recurrent_classes(kernel: WalkKernel) -> list[tuple]:
-    index = {s: i for i, s in enumerate(kernel.states)}
-    edges = [(index[s], index[t]) for s in kernel.states
-             for t in kernel.rows[s] if t in index]
-    shiftlike = build_markov_shift(_IndexAlphabet(len(kernel.states)), edges)
-    comps = transitive_components(shiftlike)
-    classes = []
-    for comp in comps:
-        states = tuple(kernel.states[i] for i in sorted(comp.usable))
-        if all(t in states for s in states for t in kernel.rows[s]):
-            classes.append(states)
-    return classes
-
-
-def _IndexAlphabet(n: int):
-    return Alphabet(tuple(f"s{i}" for i in range(n)))
+    """The closed strongly connected classes, in kernel state order."""
+    rows = kernel.rows
+    comps = strongly_connected(kernel.states,
+                               lambda s: [t for t in rows[s] if t in rows])
+    return [tuple(c) for c in comps if all(t in c for s in c for t in rows[s])]
 
 
 def _stationary_exact(states: tuple, rows: dict) -> dict:
@@ -501,13 +502,14 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
 
     Backgrounds are sampled lazily from the Parry measures (backward kernel
     leftward, forward kernel rightward); the middle cells are drawn from
-    ``delta``, a probability dict over width-W words (W is 0 or 1).  Returns
-    the recorded trajectories and aggregate statistics; samples whose defect
-    vanishes or splits are excluded, and exceeding :data:`MAX_EXCLUDED_FRAC`
-    aborts the run.  A frame that moves by more than one cell in a step is
-    not a width-2 walk and raises :class:`DefectcaError`.
+    ``delta``, a probability dict over width-W words (W is 0 or 1; at W=0
+    it must be empty).  Returns the recorded trajectories and aggregate
+    statistics; samples whose defect vanishes or splits are excluded, and
+    exceeding :data:`MAX_EXCLUDED_FRAC` aborts the run.  A frame that moves
+    by more than one cell in a step is not a width-2 walk and raises
+    :class:`DefectcaError`.
     """
-    _check_width(W)
+    _check_seed(W, delta)
     report = verify_resolving_system(rule, L, R)
     if not report.passed:
         raise DefectcaError("not a resolving system: " + "; ".join(report.witnesses))
@@ -542,11 +544,10 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
             cells = [0] * (W + 2)
             for j, law in draws:
                 cells[j] = noise.choose(law)
-            if any(pair not in edges for pair in zip(cells, cells[1:])):
+            if bad_transitions(cells, edges):
                 break
         else:
-            raise DefectcaError("no seeded junction breaks admissibility; "
-                                "no defect to track")
+            raise DefectcaError(_NO_DEFECT)
         lo = -margin - 2
         for _ in range(-W - lo):
             cells.insert(0, noise.choose(bwd[cells[0]]))

@@ -24,6 +24,7 @@ from .shifts import (
     markov_to_sft,
     pack_word,
     sft_to_markov,
+    strongly_connected,
     transitive_components,
     unpack_word,
 )
@@ -323,31 +324,16 @@ def phi_orbit_components(rule: LocalRule, shift: MarkovShift) -> list[MarkovShif
     if rule.radius != 1:
         raise ValueError("radius must be 1 (recode first)")
     comps = transitive_components(shift)
-    owner = {}
-    for i, comp in enumerate(comps):
-        for v in comp.usable:
-            owner[v] = i
-    parent = list(range(len(comps)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    owner = {v: i for i, comp in enumerate(comps) for v in comp.usable}
+    # the component map, symmetrised: its weak components are the orbits
+    adj: list[set[int]] = [set() for _ in comps]
     for i, comp in enumerate(comps):
         # probe: image of any admissible 3-word's center
         v = min(comp.usable)
-        pre = comp.predecessors(v)[0]
-        post = comp.followers(v)[0]
-        img = rule((pre, v, post))
+        img = rule((comp.predecessors(v)[0], v, comp.followers(v)[0]))
         if img not in owner:
             raise DefectcaError(f"rule image of component {i} leaves the shift")
-        a, b = find(i), find(owner[img])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    groups: dict[int, set[int]] = {}
-    for i, comp in enumerate(comps):
-        groups.setdefault(find(i), set()).update(comp.usable)
-    return [shift.restrict(vs) for _, vs in sorted(groups.items())]
+        adj[i].add(owner[img])
+        adj[owner[img]].add(i)
+    return [shift.restrict(v for i in group for v in comps[i].usable)
+            for group in strongly_connected(range(len(comps)), adj.__getitem__)]

@@ -387,19 +387,27 @@ def higher_power(shift: MarkovShift, W: int, phase: int = 0) -> tuple[MarkovShif
 # Structure: components, cycles, entropy, regularity
 # ---------------------------------------------------------------------------
 
-def _strongly_connected_components(shift: MarkovShift) -> list[list[int]]:
-    """Tarjan SCCs over usable vertices, returned sorted by smallest member."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on: set[int] = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
+def strongly_connected(nodes: Iterable, succ: Callable) -> list[list]:
+    """Tarjan's strongly connected components of the digraph ``succ``.
+
+    ``succ(v)`` lists the successors of node ``v``; they must be among
+    ``nodes``.  Each component lists its nodes in ``nodes`` order, and the
+    components come in the order of their first node.  Tarjan, *Depth-first
+    search and linear graph algorithms* (SIAM J. Comput. 1, 1972), with an
+    explicit stack.
+    """
+    rank = {v: i for i, v in enumerate(nodes)}
+    index: dict = {}
+    low: dict = {}
+    on: set = set()
+    stack: list = []
+    sccs: list[list] = []
     counter = 0
 
-    for root in sorted(shift.usable):
+    for root in rank:
         if root in index:
             continue
-        work = [(root, iter(shift.followers(root)))]
+        work = [(root, iter(succ(root)))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -413,7 +421,7 @@ def _strongly_connected_components(shift: MarkovShift) -> list[list[int]]:
                     counter += 1
                     stack.append(w)
                     on.add(w)
-                    work.append((w, iter(shift.followers(w))))
+                    work.append((w, iter(succ(w))))
                     advanced = True
                     break
                 if w in on:
@@ -432,14 +440,14 @@ def _strongly_connected_components(shift: MarkovShift) -> list[list[int]]:
                     comp.append(w)
                     if w == v:
                         break
-                sccs.append(sorted(comp))
-    return sorted(sccs, key=min)
+                sccs.append(sorted(comp, key=rank.__getitem__))
+    return sorted(sccs, key=lambda comp: rank[comp[0]])
 
 
 def _cyclic_sccs(shift: MarkovShift) -> list[list[int]]:
     """SCCs that contain at least one cycle."""
     out = []
-    for comp in _strongly_connected_components(shift):
+    for comp in strongly_connected(sorted(shift.usable), shift.followers):
         if len(comp) > 1 or shift.has_edge(comp[0], comp[0]):
             out.append(comp)
     return out

@@ -6,12 +6,17 @@ rule with pointwise-fixed backgrounds is one such machine (the defect is the
 head); conversely every such machine embeds into a radius-2 rule.  With
 positive-entropy backgrounds the tape can carry cycle-encoded bits, which is
 what makes the regime Turing-complete.
+
+One step follows the slot rule.  Number the three cells left of, at and
+right of the head 0, 1, 2.  After a step of velocity v the head sits in slot
+1+v, and every other slot holds its tape rule's write: slot 0 holds
+tau_L(l2,l1,d), slot 1 tau_C(l1,d,r1) and slot 2 tau_R(d,r1,r2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional, Sequence
 
@@ -30,7 +35,7 @@ from .shifts import (
     higher_power,
     map_cycles,
 )
-from .tracking import frame_of, locate_defect
+from .tracking import bad_transitions, frame_of, locate_defect
 
 
 # ---------------------------------------------------------------------------
@@ -61,16 +66,17 @@ class HalfTape:
             return self.bg[(self.offset - (n - k)) % len(self.bg)]
         return self.bg[(self.offset + (n - k) - 1) % len(self.bg)]
 
-    def push(self, sym: int) -> "HalfTape":
-        near = self.near + (sym,) if self.side == "left" else (sym,) + self.near
-        return replace(self, near=near)
+    def push(self, *cells: int) -> "HalfTape":
+        """Put ``cells``, in left-to-right order, next to the head."""
+        near = self.near + cells if self.side == "left" else cells + self.near
+        return HalfTape(self.side, self.bg, self.offset, near)
 
     def pop(self) -> "HalfTape":
         if self.near:
             near = self.near[:-1] if self.side == "left" else self.near[1:]
-            return replace(self, near=near)
+            return HalfTape(self.side, self.bg, self.offset, near)
         off = self.offset - 1 if self.side == "left" else self.offset + 1
-        return replace(self, offset=off)
+        return HalfTape(self.side, self.bg, off, self.near)
 
     def read_out(self, count: int) -> Word:
         return tuple(self.read(n) for n in range(1, count + 1))
@@ -112,42 +118,37 @@ class LRTuringMachine:
 
 
 def step_lrtm(machine: LRTuringMachine, state: MachineState) -> MachineState:
-    """One velocity-cased step; raises :class:`InvalidMachineError` when a
-    tape rule writes a symbol that breaks background admissibility."""
+    """One step by the slot rule; raises :class:`InvalidMachineError` when a
+    tape rule writes a symbol that breaks background admissibility.
+
+    The two cells beside the head become a and b: a is tau_C at v=-1 and
+    tau_L otherwise, b is tau_C at v=1 and tau_R otherwise.  The head lands
+    in slot 1+v, so ``(a, b)[:1+v]`` joins the left tape and the rest the
+    right tape.
+    """
     l1, l2 = state.left.read(1), state.left.read(2)
     r1, r2 = state.right.read(1), state.right.read(2)
     d = state.head
     v = machine.velocity(l1, d, r1)
     d_next = machine.upsilon(l2, l1, d, r1, r2)
-    L2, R2 = machine.left_shift.edges, machine.right_shift.edges
-    if v == 0:
-        l1n = machine.tau_L(l2, l1, d)
-        r1n = machine.tau_R(d, r1, r2)
-        if (l2, l1n) not in L2:
-            raise InvalidMachineError(f"left write ({l2},{l1n}) inadmissible")
-        if (r1n, r2) not in R2:
-            raise InvalidMachineError(f"right write ({r1n},{r2}) inadmissible")
-        left = state.left.pop().push(l1n)
-        right = state.right.pop().push(r1n)
-    elif v == -1:
-        r0n = machine.tau_C(l1, d, r1)
-        r1n = machine.tau_R(d, r1, r2)
-        if (r0n, r1n) not in R2 or (r1n, r2) not in R2:
-            raise InvalidMachineError(
-                f"right writes ({r0n},{r1n},{r2}) inadmissible")
-        left = state.left.pop()
-        right = state.right.pop().push(r1n).push(r0n)
-    elif v == 1:
-        l1n = machine.tau_L(l2, l1, d)
-        l0n = machine.tau_C(l1, d, r1)
-        if (l2, l1n) not in L2 or (l1n, l0n) not in L2:
-            raise InvalidMachineError(
-                f"left writes ({l2},{l1n},{l0n}) inadmissible")
-        left = state.left.pop().push(l1n).push(l0n)
-        right = state.right.pop()
-    else:
+    if v not in (-1, 0, 1):
         raise InvalidMachineError(f"velocity {v} outside {{-1,0,1}}")
-    return MachineState(left, d_next, right, state.z + v)
+    a = machine.tau_C(l1, d, r1) if v == -1 else machine.tau_L(l2, l1, d)
+    b = machine.tau_C(l1, d, r1) if v == 1 else machine.tau_R(d, r1, r2)
+    k = 1 + v
+    _check_writes("left", machine.left_shift.edges, (l2, a, b)[:k + 1])
+    _check_writes("right", machine.right_shift.edges, (a, b, r2)[k:])
+    return MachineState(state.left.pop().push(*(a, b)[:k]), d_next,
+                        state.right.pop().push(*(a, b)[k:]), state.z + v)
+
+
+def _check_writes(side: str, edges, cells: tuple) -> None:
+    """Raise unless the written ``cells`` and the kept outer cell beside them
+    form an admissible word of the ``side`` background."""
+    if bad_transitions(cells, edges):
+        raise InvalidMachineError(
+            f"{side} write{'s' if len(cells) > 2 else ''} "
+            f"({','.join(map(str, cells))}) inadmissible")
 
 
 def run_lrtm(machine: LRTuringMachine, state: MachineState, steps: int,
@@ -316,35 +317,23 @@ def turing_to_ca(machine: LRTuringMachine) -> tuple[LocalRule, TuringCAEmbedding
     m = machine
 
     def fn(w):
-        m2, m1, c, p1, p2 = w
         heads = [i for i, s in enumerate(w) if s >= base]
-        if len(heads) != 1:
-            return c
+        if len(heads) != 1 or heads[0] in (0, 4):
+            return w[2]
         pos = heads[0]
-        if pos in (0, 4):
-            return c
-        if pos == 2:
-            d = emb.head_state(c)
-            if m1 >= base or p1 >= base:
-                return c
-            v = m.velocity(m1, d, p1)
-            if v == 0:
-                return emb.head_symbol(m.upsilon(m2, m1, d, p1, p2))
-            return m.tau_C(m1, d, p1)
-        if pos == 1:
-            d = emb.head_state(m1)
-            r1, r2 = c, p1
-            v = m.velocity(m2, d, r1)
-            if v == 1:
-                return emb.head_symbol(m.upsilon(m2, m2, d, r1, r2))
-            return m.tau_R(d, r1, r2)
-        # pos == 3: head immediately right; this cell is l1
-        d = emb.head_state(p1)
-        l2, l1, r1 = m1, c, p2
+        # the cells around the marker; past the window edge the nearest
+        # cell stands in, which only the velocity-restricted upsilon reads
+        l2, l1, h, r1, r2 = (w[min(max(i, 0), 4)] for i in range(pos - 2, pos + 3))
+        d = emb.head_state(h)
         v = m.velocity(l1, d, r1)
-        if v == -1:
-            return emb.head_symbol(m.upsilon(l2, l1, d, r1, r1))
-        return m.tau_L(l2, l1, d)
+        slot = 3 - pos
+        if slot == 1 + v:
+            return emb.head_symbol(m.upsilon(l2, l1, d, r1, r2))
+        if slot == 0:
+            return m.tau_L(l2, l1, d)
+        if slot == 1:
+            return m.tau_C(l1, d, r1)
+        return m.tau_R(d, r1, r2)
 
     rule = LocalRule(alpha, 2, fn, name=f"ca[{machine.name or 'machine'}]")
     return rule, emb
@@ -457,7 +446,6 @@ class LRCompiledMachine:
 
     def initial_state(self, tape: dict, d, z: int, window: int,
                       blank: int = 0) -> MachineState:
-        C = self.cells_per_symbol
         lcells: list[int] = []
         for k in range(z - window, z):
             lcells.extend(self.enc_left.encode_symbol(tape.get(k, blank), self.bits))
@@ -526,42 +514,34 @@ def classical_to_lr(tm: ClassicalTM, L: MarkovShift,
             return launch(head[1], head[2])[2]
         return 1 if kind == "right" else -1
 
+    def transfer(head):
+        """The transfer a head is in; an idle head that launches is one at
+        j = 0, and an idle head that stays yields its next idle head."""
+        if head[0] != "idle":
+            return head
+        t0p, dp, v = launch(head[1], head[2])
+        if v == 0:
+            return ("idle", dp, t0p)
+        if v == 1:
+            return ("right", dp, encL.encode_symbol(t0p, bits), 0, ())
+        return ("left", dp, encR.encode_symbol(t0p, bits), 0, ())
+
     def ups(l2, l1, head, r1, r2):
+        head = transfer(head)
         kind = head[0]
         if kind == "idle":
-            t0p, dp, v = launch(head[1], head[2])
-            if v == 0:
-                return ("idle", dp, t0p)
-            if v == 1:
-                buf = (r1,)
-                if C == 1:
-                    return ("idle", dp, encR.decode_symbol(buf, tm.tape_size))
-                return ("right", dp, encL.encode_symbol(t0p, bits), 1, buf)
-            buf = (l1,)
-            if C == 1:
-                return ("idle", dp, encL.decode_symbol(buf, tm.tape_size))
-            return ("left", dp, encR.encode_symbol(t0p, bits), 1, buf)
+            return head
         _, dp, w, j, buf = head
-        if kind == "right":
-            buf = buf + (r1,)
-            if j + 1 == C:
-                return ("idle", dp, encR.decode_symbol(buf, tm.tape_size))
-            return ("right", dp, w, j + 1, buf)
-        buf = (l1,) + buf
+        buf, enc = (buf + (r1,), encR) if kind == "right" else ((l1,) + buf, encL)
         if j + 1 == C:
-            return ("idle", dp, encL.decode_symbol(buf, tm.tape_size))
-        return ("left", dp, w, j + 1, buf)
+            return ("idle", dp, enc.decode_symbol(buf, tm.tape_size))
+        return (kind, dp, w, j + 1, buf)
 
     def tau_C(l1, head, r1):
-        kind = head[0]
-        if kind == "idle":
-            t0p, _, v = launch(head[1], head[2])
-            if v == 1:
-                return encL.encode_symbol(t0p, bits)[0]
-            if v == -1:
-                return encR.encode_symbol(t0p, bits)[C - 1]
+        head = transfer(head)
+        if head[0] == "idle":
             return l1
-        _, _, w, j, _ = head
+        kind, _, w, j, _ = head
         return w[j] if kind == "right" else w[C - 1 - j]
 
     def tau_L(l2, l1, head):
@@ -598,8 +578,7 @@ class APDA:
 
     def velocity(self, t: int, d) -> int:
         act = self.stack_rule[(t, d)]
-        return {-1: -1, 0: 0, 1: 1}[
-            -1 if act[0] == "push" else (1 if act[0] == "pop" else 0)]
+        return -1 if act[0] == "push" else (1 if act[0] == "pop" else 0)
 
 
 def run_apda(apda: APDA, d, stack: Sequence[int], steps: int):

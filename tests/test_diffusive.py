@@ -225,6 +225,20 @@ class TestWalkKernel:
         with pytest.raises(DefectcaError, match="'W' must be 0 or 1"):
             build_walk_kernel(zoo.diffusive_rule(), sea, sea, W)
 
+    def test_defect_free_seeds_rejected(self):
+        # at W=0 the marked walker's seed junction is two sea cells, which
+        # never break admissibility, so no seed carries a defect
+        sea = zoo.diffusive_background()
+        with pytest.raises(DefectcaError, match="no seeded junction breaks"):
+            build_walk_kernel(zoo.diffusive_rule(), sea, sea, 0)
+
+    def test_delta_rejected_at_width_zero(self):
+        args = (zoo.wall_rule(), zoo.wall_left_shift(), zoo.wall_right_shift())
+        with pytest.raises(DefectcaError, match="'delta'"):
+            build_walk_kernel(*args, 0, delta_support=[(2,)])
+        with pytest.raises(DefectcaError, match="'delta'"):
+            sample_walks(*args, {(2,): 1.0}, 10, 1, 0, W=0)
+
 
 class TestStationary:
     def test_diffusive_single_class_zero_drift(self):

@@ -157,6 +157,24 @@ class TestCLI:
         with pytest.raises(DefectcaError, match=f"'{field}'"):
             run_experiment("simulate", path, os.path.join(workdir, "z"))
 
+    @pytest.mark.parametrize("field,value", [("steps", "abc"), ("steps", 2.7),
+                                             ("width_cap", True),
+                                             ("shift", {"edges": [[0, 0]]})])
+    def test_simulate_names_malformed_field(self, workdir, capsys, field, value):
+        cfg = {"mode": "simulate", "rule": {"wolfram": 184},
+               "shift": dio.save_shift(zoo.eca184_background()),
+               "seed_config": {"left": {"word": "01", "phase": 1},
+                               "core": "", "right": {"word": "01"}},
+               "steps": 40, "width": 80, field: value}
+        path = os.path.join(workdir, "sim-bad.json")
+        _write(path, cfg)
+        code = main(["--json-errors", "simulate", "--config", path,
+                     "--out", os.path.join(workdir, "z")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "DefectcaError"
+        assert f"'{field}'" in payload["message"]
+
     @pytest.mark.parametrize("via", ["config", "flags"])
     @pytest.mark.parametrize("field,value", [("steps", 0), ("steps", -3),
                                              ("samples", 0)])

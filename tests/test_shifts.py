@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from defectca.errors import EmptySubshiftError, NoChoicePointError
+from defectca.rules import from_wolfram_number, phi_orbit_components
 from defectca.shifts import (
     Alphabet,
     binary_alphabet,
@@ -24,6 +26,7 @@ from defectca.shifts import (
     periodic_orbit_sft,
     regularity,
     sft_to_markov,
+    strongly_connected,
     transitive_components,
     unpack_word,
 )
@@ -264,6 +267,45 @@ class TestMapCycles:
         assert cycles == [(1, 2), (6, 7)]
         assert cycle_of == {0: 0, 1: 0, 2: 0, 6: 1, 7: 1, 8: 0}
 
+
+
+def _reach(succ, v):
+    seen, todo = {v}, [v]
+    while todo:
+        for w in succ(todo.pop()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+class TestStronglyConnected:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_mutual_reachability(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 9)
+        # tuple nodes on odd seeds; some nodes get no edges at all
+        nodes = [(i, "v") if seed % 2 else i for i in range(n)]
+        rng.shuffle(nodes)
+        adj = {v: [] for v in nodes}
+        for _ in range(rng.randint(0, 2 * n)):
+            adj[rng.choice(nodes)].append(rng.choice(nodes))
+        comps = strongly_connected(nodes, adj.__getitem__)
+        reach = {v: _reach(adj.__getitem__, v) for v in nodes}
+        want = {frozenset(w for w in nodes if w in reach[v] and v in reach[w])
+                for v in nodes}
+        assert {frozenset(c) for c in comps} == want
+        assert sum(map(len, comps)) == n
+        rank = nodes.index
+        for c in comps:
+            assert c == sorted(c, key=rank)
+        assert [c[0] for c in comps] == sorted((c[0] for c in comps), key=rank)
+
+    def test_rule_orbit_joins_components_one_way(self):
+        # rule 0 sends 1^oo into 0^oo and nothing back: one orbit group
+        groups = phi_orbit_components(from_wolfram_number(0),
+                                      build_markov_shift(A2, [(0, 0), (1, 1)]))
+        assert [g.usable for g in groups] == [frozenset({0, 1})]
 
 class TestPeriodicOrbitSft:
     def test_ether_orbit(self):

@@ -1,9 +1,10 @@
 import random
+from itertools import product
 
 import pytest
 
 from defectca.errors import DefectcaError, InvalidMachineError
-from defectca.lattice import power_decode_config, power_encode_config
+from defectca.lattice import apply_rule, power_decode_config, power_encode_config
 from defectca.rules import from_wolfram_number, identity_rule
 from defectca.shifts import (
     Alphabet,
@@ -212,6 +213,63 @@ class TestTuringToCA:
             assert decoded.left.read_out(4) == s.left.read_out(4)
             assert decoded.right.read_out(4) == s.right.read_out(4)
 
+
+
+def _random_machine(rng):
+    """A random machine over binary full shifts with 3 head states; its
+    update reads only the cells its velocity allows."""
+    heads = (0, 1, 2)
+    full = full_shift(A2)
+    triples = list(product((0, 1), repeat=3))
+
+    def table(values):
+        keys = [(x, d, y) for x, _, y in triples for d in heads]
+        return {k: rng.choice(values) for k in keys}
+
+    vel, tl, tc, tr = table((-1, 0, 1)), table((0, 1)), table((0, 1)), table((0, 1))
+    ups = {v: table(heads) for v in (-1, 0, 1)}
+
+    def upsilon(l2, l1, d, r1, r2):
+        v = vel[(l1, d, r1)]
+        key = {-1: (l2, d, l1), 0: (l1, d, r1), 1: (r1, d, r2)}[v]
+        return ups[v][key]
+
+    return LRTuringMachine(
+        A2, heads, full, full,
+        tau_L=lambda l2, l1, d: tl[(l2, d, l1)],
+        tau_C=lambda l1, d, r1: tc[(l1, d, r1)],
+        tau_R=lambda d, r1, r2: tr[(r1, d, r2)],
+        upsilon=upsilon,
+        velocity=lambda l1, d, r1: vel[(l1, d, r1)],
+        name="random")
+
+
+class TestSlotRuleOracle:
+    def test_random_machines_step_like_their_ca(self):
+        # step_lrtm and the embedded radius-2 rule are two writings of one
+        # step; every tape rule reads all its cells, so passing a wrong
+        # neighbour to any of them shows up as a mismatch
+        rng = random.Random(20260806)
+        seen = set()
+        for _ in range(40):
+            m = _random_machine(rng)
+            rule, emb = turing_to_ca(m)
+
+            def word(lo, hi):
+                return tuple(rng.randrange(2) for _ in range(rng.randint(lo, hi)))
+
+            s = MachineState(left_tape(word(1, 3), word(0, 4)), rng.choice(m.head_domain),
+                             right_tape(word(1, 3), word(0, 4)), 0)
+            cfg = emb.encode(s)
+            for _ in range(25):
+                seen.add(m.velocity(s.left.read(1), s.head, s.right.read(1)))
+                s = step_lrtm(m, s)
+                cfg = apply_rule(rule, cfg)
+                got = emb.decode(cfg)
+                assert (got.z, got.head) == (s.z, s.head)
+                assert got.left.read_out(8) == s.left.read_out(8)
+                assert got.right.read_out(8) == s.right.read_out(8)
+        assert seen == {-1, 0, 1}
 
 class TestCycleEncoder:
     def test_full_shift_blocks(self):

@@ -1,8 +1,10 @@
 """Command-line front end: simulate, classify, walk, compile-tm, run-tm, verify.
 
 Every mode takes a JSON experiment config (inline values or paths to JSON
-files), writes its artifacts under --out, and finishes with a manifest
-listing the content hash of every emitted file, so identical seeds yield
+files), read through :class:`defectca.io.Field` so a bad value fails with
+an error naming its field; ``walk`` also takes its inputs as flags.  Each
+run writes its artifacts under --out and finishes with a manifest listing
+the content hash of every emitted file, so identical seeds yield
 byte-identical runs.
 """
 
@@ -13,7 +15,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -31,46 +32,7 @@ from .rules import (check_invariance, is_left_resolving, is_right_resolving,
                     normalize, recode_rule)
 from .shifts import MarkovShift, entropy, regularity, sft_to_markov, transitive_components
 from .tracking import track
-from .turing import ClassicalTM, classical_to_lr, regime_of, turing_to_ca
-
-
-@dataclass
-class ExperimentConfig:
-    """A parsed experiment: mode, resolved inputs, mode parameters."""
-
-    mode: str
-    params: dict
-    seed: int = 0
-
-    @staticmethod
-    def load(path: str, mode: str, seed: Optional[int]) -> "ExperimentConfig":
-        spec = dio.read_json(path)
-        cfg_mode = spec.get("mode", mode)
-        if cfg_mode != mode:
-            raise DefectcaError(f"config is for mode {cfg_mode!r}, not {mode!r}")
-        cfg = ExperimentConfig(mode, spec)
-        cfg.seed = seed if seed is not None else _int(cfg, "seed", 0)
-        return cfg
-
-    def resolve(self, key: str, base: str):
-        """Inline value, or {"file": path} / "path.json" relative to the config."""
-        if key not in self.params:
-            raise DefectcaError(f"config for mode {self.mode!r} is missing "
-                                f"the field {key!r}")
-        val = self.params[key]
-        if isinstance(val, str):
-            path = os.path.join(base, val)
-            if not os.path.exists(path):
-                raise DefectcaError(f"config field {key!r} references a "
-                                    f"missing file: {val}")
-            return dio.read_json(path)
-        if isinstance(val, dict) and set(val) == {"file"}:
-            path = os.path.join(base, val["file"])
-            if not os.path.exists(path):
-                raise DefectcaError(f"config field {key!r} references a "
-                                    f"missing file: {val['file']}")
-            return dio.read_json(path)
-        return val
+from .turing import classical_to_lr, regime_of, turing_to_ca
 
 
 class _Emitter:
@@ -92,8 +54,8 @@ class _Emitter:
         self.write_text(name, json.dumps(obj, indent=2, sort_keys=True,
                                          default=_jsonable) + "\n")
 
-    def manifest(self, cfg: ExperimentConfig) -> None:
-        body = {"mode": cfg.mode, "seed": cfg.seed, "files": dict(self.files)}
+    def manifest(self, mode: str, seed: int) -> None:
+        body = {"mode": mode, "seed": seed, "files": dict(self.files)}
         self.write_json("manifest.json", body)
 
 
@@ -103,36 +65,26 @@ def _jsonable(x):
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
-def _background(cfg: ExperimentConfig, base: str, key: str = "shift"):
-    spec = cfg.resolve(key, base)
-    if not isinstance(spec, dict) or "alphabet" not in spec:
-        raise DefectcaError(f"config field {key!r} is not a shift spec with "
-                            "an 'alphabet'")
-    return dio.load_shift(spec)
+def _shift(cfg: dio.Field, key: str = "shift"):
+    return dio.load_shift(cfg[key].file())
 
 
-def _int(cfg: ExperimentConfig, key: str, default: int,
-         least: Optional[int] = None) -> int:
-    """The integer config field ``key``, at least ``least`` when given."""
-    val = cfg.params.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise DefectcaError(f"config field {key!r} must be an integer, got {val!r}")
-    if least is not None and val < least:
-        raise DefectcaError(f"config field {key!r} must be >= {least}, got {val}")
-    return val
+def _markov(shift):
+    """A shift's Markov presentation, with its block coder for an SFT."""
+    return (shift, None) if isinstance(shift, MarkovShift) \
+        else sft_to_markov(shift)
 
 
 # ---------------------------------------------------------------------------
 # Modes
 # ---------------------------------------------------------------------------
 
-def run_simulate(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
-    rule = dio.load_rule(cfg.resolve("rule", base))
-    background = _background(cfg, base)
-    sys_rec = normalize(rule, background)
-    seed_cfg = dio.load_config(cfg.resolve("seed_config", base), rule.alphabet)
-    steps = _int(cfg, "steps", 120, least=1)
-    width = _int(cfg, "width", 300, least=1)
+def run_simulate(cfg: dio.Field, seed: int, em: _Emitter) -> int:
+    rule = dio.load_rule(cfg["rule"].file())
+    sys_rec = normalize(rule, _shift(cfg))
+    seed_cfg = dio.load_config(cfg["seed_config"].file(), rule.alphabet)
+    steps = cfg.get("steps", 120).int(least=1)
+    width = cfg.get("width", 300).int(least=1)
     lo, hi = -width // 2, width - width // 2
     enc = encode_config(sys_rec.coder, seed_cfg)
     block_rows, masks = dio.spacetime_rows(sys_rec.rule, enc, steps, lo, hi,
@@ -143,20 +95,18 @@ def run_simulate(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
     em.write_bytes("spacetime.pbm", image)
     em.write_bytes("defects.pbm", mask)
     traj = track(sys_rec.rule, sys_rec.shift, enc, steps,
-                 width_cap=_int(cfg, "width_cap", 64))
+                 width_cap=cfg.get("width_cap", 64).int())
     em.write_text("trajectory.csv",
                   dio.trajectory_csv(traj, sys_rec.rule.alphabet))
     em.write_json("summary.json", dio.trajectory_summary(traj))
     return 0
 
 
-def run_classify(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
-    rule = dio.load_rule(cfg.resolve("rule", base))
-    background = _background(cfg, base)
-    types = classify_junctions(rule, background,
-                               max_core=_int(cfg, "max_core", 0),
-                               T=_int(cfg, "steps", 64),
-                               width_cap=_int(cfg, "width_cap", 16))
+def run_classify(cfg: dio.Field, seed: int, em: _Emitter) -> int:
+    types = classify_junctions(dio.load_rule(cfg["rule"].file()), _shift(cfg),
+                               max_core=cfg.get("max_core", 0).int(),
+                               T=cfg.get("steps", 64).int(),
+                               width_cap=cfg.get("width_cap", 16).int())
     report = {"types": [{
         "left_component": sorted(t.left_vertices),
         "right_component": sorted(t.right_vertices),
@@ -173,19 +123,18 @@ def run_classify(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
     return 0
 
 
-def run_walk(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
-    rule = dio.load_rule(cfg.resolve("rule", base))
-    L = _background(cfg, base, "left_shift")
-    R = _background(cfg, base, "right_shift")
-    if not isinstance(L, MarkovShift) or not isinstance(R, MarkovShift):
-        raise DefectcaError("walk backgrounds must be Markov shifts")
-    W = _int(cfg, "W", 1)
-    steps = _int(cfg, "steps", 1000, least=1)
-    samples = _int(cfg, "samples", 50, least=1)
-    if "delta" in cfg.params:
-        raw = cfg.resolve("delta", base)
-        delta = {tuple(rule.alphabet.word_from_text(k) if isinstance(k, str)
-                       else tuple(k)): float(v) for k, v in raw.items()}
+def run_walk(cfg: dio.Field, seed: int, em: _Emitter) -> int:
+    rule = dio.load_rule(cfg["rule"].file())
+    L, R = _shift(cfg, "left_shift"), _shift(cfg, "right_shift")
+    for key, shift in (("left_shift", L), ("right_shift", R)):
+        if not isinstance(shift, MarkovShift):
+            raise cfg[key].error("must be a Markov shift")
+    W = cfg.get("W", 1).int()
+    steps = cfg.get("steps", 1000).int(least=1)
+    samples = cfg.get("samples", 50).int(least=1)
+    if "delta" in cfg:
+        delta = {dio.Field(k, v.path).word(rule.alphabet): v.number()
+                 for k, v in cfg["delta"].file().items()}
     elif W == 1:
         syms = range(rule.alphabet.size)
         delta = {(s,): 1.0 / rule.alphabet.size for s in syms}
@@ -193,7 +142,7 @@ def run_walk(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
         delta = {}
     kernel = build_walk_kernel(rule, L, R, W,
                                delta_support=list(delta) or None)
-    trajs, stats = sample_walks(rule, L, R, delta, steps, samples, cfg.seed,
+    trajs, stats = sample_walks(rule, L, R, delta, steps, samples, seed,
                                 W=W, kernel=kernel)
     report = markov_property_test(stats, kernel)
     em.write_json("walk-stats.json", {
@@ -208,7 +157,7 @@ def run_walk(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
         "markov_max_tv": report.max_tv,
         "markov_passed": report.passed,
     })
-    if cfg.params.get("per_sample_csv", False):
+    if cfg.get("per_sample_csv", False).bool():
         for i, tr in enumerate(trajs):
             em.write_text(f"walk-{i:04d}.csv",
                           "t,z\n" + "\n".join(f"{t},{z}"
@@ -222,32 +171,21 @@ def run_walk(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
     return 0
 
 
-def _load_tm(spec: dict) -> ClassicalTM:
-    states = tuple(spec["states"])
-    tape_size = int(spec["tape_size"])
-    tau, ups, vel = {}, {}, {}
-    for state, read, write, move, nxt in spec["rules"]:
-        key = (int(read), state)
-        tau[key] = int(write)
-        vel[key] = int(move)
-        ups[key] = nxt
-    want = len(states) * tape_size
-    if len(tau) != want:
-        raise DefectcaError(f"TM table is partial: {len(tau)} of {want} rules")
-    return ClassicalTM(tape_size, states, tau, ups, vel)
+def _compile_tm(cfg: dio.Field):
+    """The config's machine spec, its compilation over the tape
+    backgrounds, and the CA that runs it with the CA's embedding."""
+    spec = cfg["tm"].file()
+    comp = classical_to_lr(dio.load_tm(spec), _shift(cfg, "left_shift"),
+                           _shift(cfg, "right_shift"))
+    return (spec.value, comp) + turing_to_ca(comp.machine)
 
 
-def run_compile_tm(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
-    tm_spec = cfg.resolve("tm", base)
-    tm = _load_tm(tm_spec)
-    L = _background(cfg, base, "left_shift")
-    R = _background(cfg, base, "right_shift")
-    comp = classical_to_lr(tm, L, R)
-    rule, emb = turing_to_ca(comp.machine)
+def run_compile_tm(cfg: dio.Field, seed: int, em: _Emitter) -> int:
+    tm_spec, comp, rule, _ = _compile_tm(cfg)
     em.write_json("ca.json", {
         "compiled_tm": tm_spec,
-        "left_shift": dio.save_shift(L),
-        "right_shift": dio.save_shift(R),
+        "left_shift": dio.save_shift(comp.machine.left_shift),
+        "right_shift": dio.save_shift(comp.machine.right_shift),
         "cells_per_symbol": comp.cells_per_symbol,
         "bits_per_symbol": comp.bits,
         "left_blocks": ["".join(map(str, comp.enc_left.w0)),
@@ -261,18 +199,14 @@ def run_compile_tm(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
     return 0
 
 
-def run_run_tm(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
-    tm = _load_tm(cfg.resolve("tm", base))
-    L = _background(cfg, base, "left_shift")
-    R = _background(cfg, base, "right_shift")
-    comp = classical_to_lr(tm, L, R)
-    rule, emb = turing_to_ca(comp.machine)
-    tape0 = {int(k): int(v) for k, v in cfg.params.get("tape", {}).items()}
-    d0 = cfg.params.get("head", tm.head_domain[0])
-    z0 = _int(cfg, "position", 0)
-    macros = _int(cfg, "macro_steps", 50)
-    window = _int(cfg, "window", 8)
-
+def run_run_tm(cfg: dio.Field, seed: int, em: _Emitter) -> int:
+    _, comp, rule, emb = _compile_tm(cfg)
+    tm = comp.tm
+    tape0 = dio.load_tape(cfg.get("tape", {}), tm.tape_size)
+    d0 = cfg.get("head", tm.head_domain[0]).choice(tm.head_domain)
+    z0 = cfg.get("position", 0).int()
+    macros = cfg.get("macro_steps", 50).int()
+    window = cfg.get("window", 8).int()
     state = comp.initial_state(tape0, d0, z0, window=window + macros)
     ca = emb.encode(state)
     ctape, cd, cz = dict(tape0), d0, z0
@@ -299,12 +233,11 @@ def run_run_tm(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
     return 0 if not mismatches else 1
 
 
-def run_verify(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
-    rule = dio.load_rule(cfg.resolve("rule", base))
-    background = _background(cfg, base)
+def run_verify(cfg: dio.Field, seed: int, em: _Emitter) -> int:
+    rule = dio.load_rule(cfg["rule"].file())
+    background = _shift(cfg)
     # the resolving checks read the rule in the shift's block presentation
-    shift, coder = (background, None) if isinstance(background, MarkovShift) \
-        else sft_to_markov(background)
+    shift, coder = _markov(background)
     rep = regularity(shift)
     out = {
         "entropy": entropy(shift),
@@ -320,9 +253,8 @@ def run_verify(cfg: ExperimentConfig, base: str, em: _Emitter) -> int:
         res = verify_resolving_system(block_rule, shift, shift)
         out["resolving_system"] = res.passed
         out["resolving_witnesses"] = list(res.witnesses)
-    if "right_shift" in cfg.params:
-        other = _background(cfg, base, "right_shift")
-        out["regime"] = regime_of(shift, other)
+    if "right_shift" in cfg:
+        out["regime"] = regime_of(shift, _markov(_shift(cfg, "right_shift"))[0])
     em.write_json("verify.json", out)
     return 0
 
@@ -337,14 +269,22 @@ MODES = {
 }
 
 
+def run(mode: str, cfg: dio.Field, out_dir: str,
+        seed: Optional[int] = None) -> int:
+    """Run one mode on a config and write its artifacts and manifest;
+    ``seed`` overrides the config's."""
+    cfg.get("mode", mode).choice([mode])
+    if seed is None:
+        seed = cfg.get("seed", 0).int()
+    em = _Emitter(out_dir)
+    code = MODES[mode](cfg, seed, em)
+    em.manifest(mode, seed)
+    return code
+
+
 def run_experiment(mode: str, config_path: str, out_dir: str,
                    seed: Optional[int] = None) -> int:
-    cfg = ExperimentConfig.load(config_path, mode, seed)
-    em = _Emitter(out_dir)
-    base = os.path.dirname(os.path.abspath(config_path))
-    code = MODES[mode](cfg, base, em)
-    em.manifest(cfg)
-    return code
+    return run(mode, dio.Field.read(config_path), out_dir, seed)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -368,24 +308,19 @@ def main(argv: Optional[list[str]] = None) -> int:
             p.add_argument("--delta")
     args = parser.parse_args(argv)
     try:
-        if args.command == "walk" and args.config is None:
+        if args.config is not None:
+            cfg = dio.Field.read(args.config)
+        else:
+            # walk from flags: their paths are relative to the working directory
             if not (args.rule and args.left_shift and args.right_shift):
                 raise DefectcaError(
                     "walk needs --config or --rule/--left-shift/--right-shift")
-            params = {"rule": args.rule, "left_shift": args.left_shift,
-                      "right_shift": args.right_shift}
-            if args.steps is not None:
-                params["steps"] = args.steps
-            if args.samples is not None:
-                params["samples"] = args.samples
-            if args.delta is not None:
-                params["delta"] = args.delta
-            cfg = ExperimentConfig("walk", params, args.seed or 0)
-            em = _Emitter(args.out)
-            code = run_walk(cfg, os.getcwd(), em)
-            em.manifest(cfg)
-            return code
-        return run_experiment(args.command, args.config, args.out, args.seed)
+            flags = {"rule": args.rule, "left_shift": args.left_shift,
+                     "right_shift": args.right_shift, "steps": args.steps,
+                     "samples": args.samples, "delta": args.delta}
+            cfg = dio.Field({k: v for k, v in flags.items() if v is not None},
+                            base=os.getcwd())
+        return run(args.command, cfg, args.out, args.seed)
     except Exception as exc:  # noqa: BLE001 - single reporting point
         if args.json_errors:
             print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))

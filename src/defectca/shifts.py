@@ -41,6 +41,8 @@ class Alphabet:
         return len(self.labels)
 
     def index(self, label: str) -> int:
+        if label not in self.labels:
+            raise ValueError(f"{label!r} is not a label of {list(self.labels)}")
         return self.labels.index(label)
 
     def word_to_text(self, word: Sequence[int]) -> str:
@@ -560,13 +562,11 @@ def map_cycles(nodes: Iterable, succ: Callable) -> tuple[list[tuple], dict]:
     return cycles, cycle_of
 
 
-def simple_cycles_at(shift: MarkovShift, v: int, limit: Optional[int] = None) -> list[Word]:
+def simple_cycles_at(shift: MarkovShift, v: int) -> list[Word]:
     """Simple cycles through ``v`` (no repeated intermediate vertex), sorted."""
     out: list[Word] = []
 
     def walk(path: list[int], seen: set[int]):
-        if limit is not None and len(out) >= limit and len(path) > 1:
-            return
         for w in shift.followers(path[-1]):
             if w == v:
                 out.append(tuple(path))

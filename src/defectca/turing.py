@@ -628,10 +628,10 @@ def detect_runaway_cycle(apda: APDA) -> Optional[list]:
     return cycles[0] if cycles else None
 
 
-def apda_to_lr(apda: APDA, null_label: str = "_") -> tuple[LRTuringMachine, int]:
+def apda_to_lr(apda: APDA) -> tuple[LRTuringMachine, int]:
     """Realize an APDA as a machine with a frozen left side and the stack on
     the right tape; returns the machine and the null symbol index."""
-    labels = (null_label,) + tuple(f"t{t}" for t in range(apda.stack_size))
+    labels = ("_",) + tuple(f"t{t}" for t in range(apda.stack_size))
     alpha = Alphabet(labels)
     L = build_markov_shift(alpha, [(0, 0)])
     R = full_shift(alpha, range(1, apda.stack_size + 1))

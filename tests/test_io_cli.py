@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -118,6 +120,38 @@ WALK_DIGESTS = {
     "displacement-hist.csv": "46f0fc42cf5b5df651da71689ee2f73c891293691446f3a0baadaf65df4f9100",
     "walk-stats.json": "a84befef28580b775f2ffa099ff08dda67f9de5c2be676e5926c480ab74f93a6",
 }
+CLASSIFY_DIGESTS = {
+    "classify.json": "5ab3c832c3c51ac34933103a80db1c0dae67073e22f57e9e09b34c7fa252b87d",
+}
+COMPILE_TM_DIGESTS = {
+    "ca.json": "75d4e47d15895b35232ab4fa0045378aa00d1689e3be748084677699fb71f8cc",
+}
+RUN_TM_DIGESTS = {
+    "run-tm.json": "a6b626d857bebab3f325c2caf1c7c99a89ecb569f0f7caa4e092b62db5128d21",
+}
+VERIFY_DIGESTS = {
+    "verify.json": "934c81a2325ea346f4c4207c1a9eeacef8fc3ec0643eff21e221d6c7ddb8494a",
+}
+VERIFY_SFT_DIGESTS = {
+    "verify.json": "387a192d2f1b69845f47bb79cdb87e1dcaa97099ef125cd8bdcba59ace36b588",
+}
+
+
+def _manifest_files(out):
+    return dio.read_json(os.path.join(out, "manifest.json"))["files"]
+
+
+TM_SPEC = {
+    "states": ["start", "carry", "halt"], "tape_size": 2,
+    "rules": [
+        ["start", 0, 0, 0, "carry"], ["start", 1, 1, 0, "carry"],
+        ["carry", 1, 0, -1, "carry"], ["carry", 0, 1, 0, "halt"],
+        ["halt", 0, 0, 0, "halt"], ["halt", 1, 1, 0, "halt"],
+    ],
+}
+FULL_SHIFT = {"alphabet": ["0", "1"], "edges": [[0, 0], [0, 1], [1, 0], [1, 1]]}
+ECA184_SFT = {"alphabet": ["0", "1"], "radius": 3,
+              "admissible": ["000", "111", "101", "010"]}
 
 
 class TestCLI:
@@ -211,6 +245,7 @@ class TestCLI:
         _write(path, cfg)
         out = os.path.join(workdir, "out")
         assert run_experiment("classify", path, out) == 0
+        assert _manifest_files(out) == CLASSIFY_DIGESTS
         report = dio.read_json(os.path.join(out, "classify.json"))
         assert len(report["types"]) == 7
         vels = sorted(t["velocity"]["num"] / t["velocity"]["den"]
@@ -255,21 +290,14 @@ class TestCLI:
         assert "'W'" in payload["message"]
 
     def test_compile_and_run_tm(self, workdir):
-        tm_spec = {
-            "states": ["start", "carry", "halt"], "tape_size": 2,
-            "rules": [
-                ["start", 0, 0, 0, "carry"], ["start", 1, 1, 0, "carry"],
-                ["carry", 1, 0, -1, "carry"], ["carry", 0, 1, 0, "halt"],
-                ["halt", 0, 0, 0, "halt"], ["halt", 1, 1, 0, "halt"],
-            ],
-        }
-        full = {"alphabet": ["0", "1"], "edges": [[0, 0], [0, 1], [1, 0], [1, 1]]}
+        tm_spec, full = TM_SPEC, FULL_SHIFT
         cfg = {"mode": "compile-tm", "tm": tm_spec, "left_shift": full,
                "right_shift": full}
         path = os.path.join(workdir, "ctm.json")
         _write(path, cfg)
         out = os.path.join(workdir, "ctm-out")
         assert run_experiment("compile-tm", path, out) == 0
+        assert _manifest_files(out) == COMPILE_TM_DIGESTS
         ca = dio.read_json(os.path.join(out, "ca.json"))
         assert ca["cells_per_symbol"] == 2
         assert ca["left_blocks"] == ["00", "01"]
@@ -283,6 +311,7 @@ class TestCLI:
         _write(rpath, run_cfg)
         rout = os.path.join(workdir, "rtm-out")
         assert run_experiment("run-tm", rpath, rout) == 0
+        assert _manifest_files(rout) == RUN_TM_DIGESTS
         result = dio.read_json(os.path.join(rout, "run-tm.json"))
         assert result["bisimulation"] is True
 
@@ -293,6 +322,7 @@ class TestCLI:
         _write(path, cfg)
         out = os.path.join(workdir, "ver-out")
         assert run_experiment("verify", path, out) == 0
+        assert _manifest_files(out) == VERIFY_DIGESTS
         report = dio.read_json(os.path.join(out, "verify.json"))
         assert report["resolving_system"] is True
         assert report["entropy"] == 1.0
@@ -301,16 +331,27 @@ class TestCLI:
         # the README's ECA#184 spec: the resolving checks must read the rule
         # in the SFT's block presentation
         cfg = {"mode": "verify", "rule": {"wolfram": 184},
-               "shift": {"alphabet": ["0", "1"], "radius": 3,
-                         "admissible": ["000", "111", "101", "010"]}}
+               "shift": ECA184_SFT}
         path = os.path.join(workdir, "ver-sft.json")
         _write(path, cfg)
         out = os.path.join(workdir, "ver-sft-out")
         assert run_experiment("verify", path, out) == 0
+        assert _manifest_files(out) == VERIFY_SFT_DIGESTS
         report = dio.read_json(os.path.join(out, "verify.json"))
         assert report["invariant"] is True
         assert report["entropy"] == 0.0
         assert "resolving_system" in report
+
+    def test_verify_sft_right_shift(self, workdir):
+        # the regime reads both sides in their Markov presentations
+        cfg = {"mode": "verify", "rule": {"wolfram": 184},
+               "shift": ECA184_SFT, "right_shift": ECA184_SFT}
+        path = os.path.join(workdir, "ver-sft2.json")
+        _write(path, cfg)
+        out = os.path.join(workdir, "ver-sft2-out")
+        assert run_experiment("verify", path, out) == 0
+        report = dio.read_json(os.path.join(out, "verify.json"))
+        assert report["regime"] == "ballistic"
 
     def test_json_errors(self, workdir, capsys):
         path = os.path.join(workdir, "bad.json")
@@ -328,3 +369,143 @@ class TestCLI:
         code = main(["simulate", "--config", path,
                      "--out", os.path.join(workdir, "y")])
         assert code == 2
+
+
+def _valid_config(mode, workdir):
+    """A fresh config that runs, for ``mode``; walk reads its inputs from
+    files."""
+    if mode == "simulate":
+        cfg = {"mode": "simulate", "rule": {"wolfram": 184},
+               "shift": ECA184_SFT,
+               "seed_config": {"left": {"word": "01", "phase": 1},
+                               "core": "", "right": {"word": "01"}},
+               "steps": 10, "width": 20}
+    elif mode == "run-tm":
+        cfg = {"mode": "run-tm", "tm": TM_SPEC,
+               "left_shift": FULL_SHIFT, "right_shift": FULL_SHIFT,
+               "tape": {"0": 1}, "head": "start", "macro_steps": 2,
+               "window": 2}
+    else:
+        _write(os.path.join(workdir, "rule.json"),
+               dio.save_rule(zoo.diffusive_rule()))
+        _write(os.path.join(workdir, "sea.json"),
+               dio.save_shift(zoo.diffusive_background()))
+        cfg = {"mode": "walk", "rule": "rule.json", "left_shift": "sea.json",
+               "right_shift": "sea.json", "delta": {"0*": 0.5, "1*": 0.5},
+               "steps": 20, "samples": 2}
+    return json.loads(json.dumps(cfg))
+
+
+def _drop(key):
+    return lambda spec: {k: v for k, v in spec.items() if k != key}
+
+
+def _set(path, value):
+    """Set the nested field at ``path`` (a tuple of keys and indices)."""
+    def edit(cfg):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return cfg
+    return edit
+
+
+ECA184_TABLE = dio.save_rule(from_wolfram_number(184))
+
+MALFORMED = [
+    # (id, mode, edit of a valid config, the quoted path its error names)
+    ("rule-table-no-radius", "simulate",
+     _set(("rule",), _drop("radius")(ECA184_TABLE)), "rule"),
+    ("rule-wolfram-300", "simulate", _set(("rule",), {"wolfram": 300}),
+     "rule.wolfram"),
+    ("rule-linear-no-coeffs", "simulate",
+     _set(("rule",), {"linear": {"n": 2}}), "rule.linear"),
+    ("rule-linear-two-coeffs", "simulate",
+     _set(("rule",), {"linear": {"n": 2, "coeffs": [1, 1]}}),
+     "rule.linear.coeffs"),
+    ("shift-edge-outside", "simulate",
+     _set(("shift",), {"alphabet": ["0", "1"], "edges": [[0, 5]]}),
+     "shift.edges"),
+    ("shift-duplicate-labels", "simulate",
+     _set(("shift",), {"alphabet": ["0", "0"], "edges": [[0, 0]]}),
+     "shift.alphabet"),
+    ("shift-bad-admissible", "simulate",
+     _set(("shift", "admissible"), ["002"]), "shift.admissible[0]"),
+    ("seed-no-right", "simulate",
+     _set(("seed_config",), {"left": {"word": "01"}}), "seed_config"),
+    ("seed-left-text", "simulate", _set(("seed_config", "left", "word"), "02"),
+     "seed_config.left.word"),
+    ("seed-left-list", "simulate",
+     _set(("seed_config", "left", "word"), [0, 7]), "seed_config.left.word"),
+    ("seed-core-text", "simulate", _set(("seed_config", "core"), "2"),
+     "seed_config.core"),
+    ("seed-core-list", "simulate", _set(("seed_config", "core"), [0, 5]),
+     "seed_config.core"),
+    ("seed-right-empty", "simulate",
+     _set(("seed_config", "right", "word"), ""), "seed_config.right.word"),
+    ("seed-origin", "simulate", _set(("seed_config", "origin"), "x"),
+     "seed_config.origin"),
+    ("tape-key", "run-tm", _set(("tape",), {"a": 1}), "tape.a"),
+    ("tape-symbol", "run-tm", _set(("tape",), {"0": 7}), "tape.0"),
+    ("tape-list", "run-tm", _set(("tape",), [1]), "tape"),
+    ("head", "run-tm", _set(("head",), "nope"), "head"),
+    ("tm-no-tape-size", "run-tm", lambda c: _set(("tm",), _drop("tape_size")(
+        c["tm"]))(c), "tm"),
+    ("tm-short-rule", "run-tm", _set(("tm", "rules", 0), ["start", 0, 0, 0]),
+     "tm.rules[0]"),
+    ("delta-label", "walk", _set(("delta",), {"2*": 0.5}), "delta.2*"),
+    ("delta-list", "walk", _set(("delta",), [1]), "delta"),
+    ("delta-mass", "walk", _set(("delta",), {"0*": "x"}), "delta.0*"),
+    ("per-sample-csv", "walk", _set(("per_sample_csv",), "yes"),
+     "per_sample_csv"),
+]
+
+
+@pytest.mark.parametrize("mode,edit,path", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_config_names_field(workdir, capsys, mode, edit, path):
+    cfg_path = os.path.join(workdir, "bad.json")
+    _write(cfg_path, edit(_valid_config(mode, workdir)))
+    code = main(["--json-errors", mode, "--config", cfg_path,
+                 "--out", os.path.join(workdir, "out")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "DefectcaError"
+    assert f"config field '{path}'" in payload["message"]
+
+
+def test_config_must_be_an_object(workdir, capsys):
+    cfg_path = os.path.join(workdir, "list.json")
+    _write(cfg_path, [{"mode": "verify"}])
+    code = main(["--json-errors", "verify", "--config", cfg_path,
+                 "--out", os.path.join(workdir, "out")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "DefectcaError"
+    assert repr(cfg_path) in payload["message"]
+
+
+def test_exit_status(workdir):
+    """``python -m defectca`` exits 0 on success and 2 on a config error."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def cli(config):
+        proc = subprocess.run(
+            [sys.executable, "-m", "defectca", "--json-errors", "verify",
+             "--config", config, "--out", os.path.join(workdir, "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout
+
+    good = os.path.join(workdir, "ver.json")
+    _write(good, {"mode": "verify", "rule": {"wolfram": 184},
+                  "shift": FULL_SHIFT})
+    assert cli(good)[0] == 0
+    broken = os.path.join(workdir, "broken.json")
+    with open(broken, "w") as fh:
+        fh.write('{"mode": "verify",')
+    for config in (os.path.join(workdir, "missing.json"), broken):
+        code, out = cli(config)
+        assert code == 2
+        assert json.loads(out)["error"] == "DefectcaError"

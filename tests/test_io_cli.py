@@ -396,27 +396,29 @@ def _valid_config(mode, workdir):
     return json.loads(json.dumps(cfg))
 
 
-def _drop(key):
-    return lambda spec: {k: v for k, v in spec.items() if k != key}
-
-
-def _set(path, value):
-    """Set the nested field at ``path`` (a tuple of keys and indices)."""
+def _set(path, value=None):
+    """Set the nested field at ``path`` (a tuple of keys and indices), or
+    delete it when ``value`` is None."""
     def edit(cfg):
         node = cfg
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = value
+        if value is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
         return cfg
     return edit
 
 
-ECA184_TABLE = dio.save_rule(from_wolfram_number(184))
+ECA184_TABLE_NO_RADIUS = {k: v for k, v in
+                          dio.save_rule(from_wolfram_number(184)).items()
+                          if k != "radius"}
 
 MALFORMED = [
     # (id, mode, edit of a valid config, the quoted path its error names)
     ("rule-table-no-radius", "simulate",
-     _set(("rule",), _drop("radius")(ECA184_TABLE)), "rule"),
+     _set(("rule",), ECA184_TABLE_NO_RADIUS), "rule"),
     ("rule-wolfram-300", "simulate", _set(("rule",), {"wolfram": 300}),
      "rule.wolfram"),
     ("rule-linear-no-coeffs", "simulate",
@@ -432,8 +434,8 @@ MALFORMED = [
      "shift.alphabet"),
     ("shift-bad-admissible", "simulate",
      _set(("shift", "admissible"), ["002"]), "shift.admissible[0]"),
-    ("seed-no-right", "simulate",
-     _set(("seed_config",), {"left": {"word": "01"}}), "seed_config"),
+    ("seed-no-right", "simulate", _set(("seed_config", "right")),
+     "seed_config"),
     ("seed-left-text", "simulate", _set(("seed_config", "left", "word"), "02"),
      "seed_config.left.word"),
     ("seed-left-list", "simulate",
@@ -450,8 +452,7 @@ MALFORMED = [
     ("tape-symbol", "run-tm", _set(("tape",), {"0": 7}), "tape.0"),
     ("tape-list", "run-tm", _set(("tape",), [1]), "tape"),
     ("head", "run-tm", _set(("head",), "nope"), "head"),
-    ("tm-no-tape-size", "run-tm", lambda c: _set(("tm",), _drop("tape_size")(
-        c["tm"]))(c), "tm"),
+    ("tm-no-tape-size", "run-tm", _set(("tm", "tape_size")), "tm"),
     ("tm-short-rule", "run-tm", _set(("tm", "rules", 0), ["start", 0, 0, 0]),
      "tm.rules[0]"),
     ("delta-label", "walk", _set(("delta",), {"2*": 0.5}), "delta.2*"),

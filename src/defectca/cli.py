@@ -15,12 +15,14 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 from typing import Optional
 
 from . import io as dio
 from .ballistic import classify_junctions
 from .diffusive import (
+    _delta_problem,
     build_walk_kernel,
     markov_property_test,
     sample_walks,
@@ -95,7 +97,7 @@ def run_simulate(cfg: dio.Field, seed: int, em: _Emitter) -> int:
     em.write_bytes("spacetime.pbm", image)
     em.write_bytes("defects.pbm", mask)
     traj = track(sys_rec.rule, sys_rec.shift, enc, steps,
-                 width_cap=cfg.get("width_cap", 64).int())
+                 width_cap=cfg.get("width_cap", 64).int(least=0))
     em.write_text("trajectory.csv",
                   dio.trajectory_csv(traj, sys_rec.rule.alphabet))
     em.write_json("summary.json", dio.trajectory_summary(traj))
@@ -104,9 +106,9 @@ def run_simulate(cfg: dio.Field, seed: int, em: _Emitter) -> int:
 
 def run_classify(cfg: dio.Field, seed: int, em: _Emitter) -> int:
     types = classify_junctions(dio.load_rule(cfg["rule"].file()), _shift(cfg),
-                               max_core=cfg.get("max_core", 0).int(),
-                               T=cfg.get("steps", 64).int(),
-                               width_cap=cfg.get("width_cap", 16).int())
+                               max_core=cfg.get("max_core", 0).int(least=0),
+                               T=cfg.get("steps", 64).int(least=1),
+                               width_cap=cfg.get("width_cap", 16).int(least=0))
     report = {"types": [{
         "left_component": sorted(t.left_vertices),
         "right_component": sorted(t.right_vertices),
@@ -133,8 +135,12 @@ def run_walk(cfg: dio.Field, seed: int, em: _Emitter) -> int:
     steps = cfg.get("steps", 1000).int(least=1)
     samples = cfg.get("samples", 50).int(least=1)
     if "delta" in cfg:
+        field = cfg["delta"].file()
         delta = {dio.Field(k, v.path).word(rule.alphabet): v.number()
-                 for k, v in cfg["delta"].file().items()}
+                 for k, v in field.items()}
+        why = W in (0, 1) and _delta_problem(W, delta)
+        if why:
+            raise field.error(why)
     elif W == 1:
         syms = range(rule.alphabet.size)
         delta = {(s,): 1.0 / rule.alphabet.size for s in syms}
@@ -205,8 +211,8 @@ def run_run_tm(cfg: dio.Field, seed: int, em: _Emitter) -> int:
     tape0 = dio.load_tape(cfg.get("tape", {}), tm.tape_size)
     d0 = cfg.get("head", tm.head_domain[0]).choice(tm.head_domain)
     z0 = cfg.get("position", 0).int()
-    macros = cfg.get("macro_steps", 50).int()
-    window = cfg.get("window", 8).int()
+    macros = cfg.get("macro_steps", 50).int(least=1)
+    window = cfg.get("window", 8).int(least=0)
     state = comp.initial_state(tape0, d0, z0, window=window + macros)
     ca = emb.encode(state)
     ctape, cd, cz = dict(tape0), d0, z0
@@ -322,11 +328,16 @@ def main(argv: Optional[list[str]] = None) -> int:
                             base=os.getcwd())
         return run(args.command, cfg, args.out, args.seed)
     except Exception as exc:  # noqa: BLE001 - single reporting point
+        # a DefectcaError is bad input (exit 2); anything else is a fault in
+        # defectca (exit 3) and is reported with its traceback
+        report = {"error": type(exc).__name__, "message": str(exc)}
+        if not isinstance(exc, DefectcaError):
+            report["traceback"] = traceback.format_exc()
         if args.json_errors:
-            print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+            print(json.dumps(report))
         else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+            print(report.get("traceback", "") + f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, DefectcaError) else 3
 
 
 if __name__ == "__main__":

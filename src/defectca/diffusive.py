@@ -8,6 +8,10 @@ cells on the left and 1+v on the right; over a resolving system that noise
 lands uniformly, with mass 1/(P_L^(1-v) F_R^(1+v)), so the frame performs a
 finite-state Markov chain with an exactly computable kernel.  The kernel and
 the sampler model seeds of width W = 0 or 1, the widths that fit the frame.
+The sampler checks the kernel cell by cell: each sample keeps a fixed 18-cell
+window [z-8, z+10) around its frame start z and draws two fresh cells on the
+left, then two on the right, per step.  The window's margin fixes the order
+of the random draws, so changing it changes every sampled trajectory.
 Kernels are exact rationals; floats appear only in eigendata and empirical
 statistics.
 """
@@ -15,9 +19,10 @@ statistics.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product, repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -247,28 +252,21 @@ class WalkKernel:
     rows: dict  # state -> {state: Fraction}
 
 
-def _one_step(rule: LocalRule, union: MarkovShift, state: State,
-              l3: int, r3: int) -> int | str:
-    """The frame's next start for one noise choice, or "vanished" / "split".
-
-    ``state`` holds cells z-2..z+3 with the frame at [z, z+1] and z = 0 here.
-    The image is computed on -2..3 and the new frame start is read off the
-    unique bad-transition run.
-    """
-    img = rule.image_word((l3, *state, r3))
+def _frame_start(img: Word, edges, origin: int) -> int | str:
+    """The frame start read off the one defect run of ``img``, whose first
+    cell sits at ``origin``, or "vanished" / "split"."""
     try:
-        run = defect_run(img, union.edges, -2)
+        run = defect_run(img, edges, origin)
     except MultipleDefectsError:
         return "split"
-    if run is None:
-        return "vanished"
-    return frame_of(run)[0]
+    return "vanished" if run is None else frame_of(run)[0]
 
 
 def _frame_moves(rule: LocalRule, L: MarkovShift, R: MarkovShift,
                  union: MarkovShift, state: State) -> set:
-    """The :func:`_one_step` outcomes of ``state`` over every outer noise pair."""
-    return {_one_step(rule, union, state, l3, r3)
+    """The next frame starts of ``state`` (cells -2..3, frame at [0, 1])
+    over every outer noise pair."""
+    return {_frame_start(rule.image_word((l3, *state, r3)), union.edges, -2)
             for l3 in L.predecessors(state[0]) for r3 in R.followers(state[5])}
 
 
@@ -321,13 +319,36 @@ def _successors(rule: LocalRule, L: MarkovShift, R: MarkovShift, v: int,
     return out
 
 
-def _check_seed(W: int, delta) -> None:
+def _delta_problem(W: int, delta) -> Optional[str]:
+    """Why ``delta`` is no law on the middle words of a width-W seed, or
+    None.  ``delta`` holds words, or maps them to masses; W is 0 or 1."""
+    if W == 0:
+        return ("must be empty at W=0: a width-0 seed has no middle cell to "
+                "draw") if delta else None
+    bad = [w for w in delta if len(w) != W]
+    if bad:
+        return f"keys must be words of length W={W}, got {bad[0]}"
+    if isinstance(delta, dict):
+        masses = list(delta.values())
+        if not (all(p >= 0 for p in masses) and abs(sum(masses) - 1) <= 1e-9):
+            return f"masses must be non-negative and sum to 1, got {masses}"
+    return None
+
+
+def _check_walk(rule: LocalRule, L: MarkovShift, R: MarkovShift, W: int,
+                delta) -> ResolvingSystemReport:
+    """The one check of walk inputs: the seed width, ``delta`` and the
+    resolving system, whose report carries the two Parry measures."""
     if W not in (0, 1):
         raise DefectcaError(f"seed width 'W' must be 0 or 1, got {W}: the "
                             "two-cell frame models seeds of width 0 and 1 only")
-    if W == 0 and delta:
-        raise DefectcaError("'delta' must be empty at W=0: a width-0 seed "
-                            "has no middle cell to draw")
+    why = _delta_problem(W, delta)
+    if why:
+        raise DefectcaError(f"'delta' {why}")
+    report = verify_resolving_system(rule, L, R)
+    if not report.passed:
+        raise DefectcaError("not a resolving system: " + "; ".join(report.witnesses))
+    return report
 
 
 _NO_DEFECT = "no seeded junction breaks admissibility; no defect to track"
@@ -343,19 +364,10 @@ def build_walk_kernel(rule: LocalRule, L: MarkovShift, R: MarkovShift, W: int,
     be empty at W=0.  Raises :class:`DefectcaError` when no seed junction
     carries a defect.
     """
-    _check_seed(W, delta_support)
-    report = verify_resolving_system(rule, L, R)
-    if not report.passed:
-        raise DefectcaError("not a resolving system: " + "; ".join(report.witnesses))
-    d0s = None
-    if W == 1:
-        d0s = (sorted(range(rule.alphabet.size)) if delta_support is None
-               else sorted({w[0] for w in delta_support}))
-    return _assemble_kernel(rule, L, R, W, d0s)
-
-
-def _assemble_kernel(rule: LocalRule, L: MarkovShift, R: MarkovShift, W: int,
-                     d0s) -> WalkKernel:
+    support = None if delta_support is None else list(delta_support)
+    _check_walk(rule, L, R, W, support or ())
+    d0s = (range(rule.alphabet.size) if support is None
+           else sorted({w[0] for w in support}))
     union = union_shift(L, R)
     P_L = regularity(L).P_S
     F_R = regularity(R).F_S
@@ -459,29 +471,20 @@ class WalkStatistics:
 
     @property
     def theoretical_drifts(self) -> Optional[list[Fraction]]:
-        if self.theoretical is None:
-            return None
-        return [c.drift for c in self.theoretical]
+        return None if self.theoretical is None else [c.drift for c in self.theoretical]
 
 
 class _NoiseSource:
-    """Batched per-sample RNG with deterministic (seed, index) streams."""
+    """Per-sample uniforms from a deterministic (seed, index) stream, drawn
+    in batches of 4096."""
 
     def __init__(self, master_seed: int, index: int):
-        self.rng = np.random.default_rng([master_seed, index])
-        self._buf = self.rng.random(4096)
-        self._pos = 0
-
-    def uniform(self) -> float:
-        if self._pos == len(self._buf):
-            self._buf = self.rng.random(4096)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return float(u)
+        rng = np.random.default_rng([master_seed, index])
+        self._uniforms = (u for _ in repeat(None)
+                          for u in rng.random(4096).tolist())
 
     def choose(self, options_probs) -> int:
-        u = self.uniform()
+        u = next(self._uniforms)
         acc = 0.0
         for sym, p in options_probs:
             acc += p
@@ -494,52 +497,59 @@ class _NoiseSource:
 MAX_EXCLUDED_FRAC = 0.001
 
 
+def _tally(counts: dict, keys: Iterable, nexts: Iterable) -> None:
+    """Add each (key, next) pair to ``counts``, a dict of per-key dicts."""
+    for (key, nxt), c in Counter(zip(keys, nexts)).items():
+        row = counts.setdefault(key, {})
+        row[nxt] = row.get(nxt, 0) + c
+
+
 def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
                  T: int, n: int, seed: int, *, W: int = 1,
                  kernel: Optional[WalkKernel] = None
                  ) -> tuple[list[list[int]], WalkStatistics]:
     """Track n independent defect walks of T steps each.
 
-    Backgrounds are sampled lazily from the Parry measures (backward kernel
-    leftward, forward kernel rightward); the middle cells are drawn from
-    ``delta``, a probability dict over width-W words (W is 0 or 1; at W=0
-    it must be empty).  Returns the recorded trajectories and aggregate
-    statistics; samples whose defect vanishes or splits are excluded, and
-    exceeding :data:`MAX_EXCLUDED_FRAC` aborts the run.  A frame that moves
-    by more than one cell in a step is not a width-2 walk and raises
+    Each sample holds the 18 cells [z-8, z+10) around its frame start z.
+    It draws the seed junction (W=1: the middle cell from ``delta``, a
+    probability dict over width-1 words, then the right and the left cell;
+    W=0: the left, then the right cell, and ``delta`` must be empty), then
+    the rest of the window leftward, then rightward, from the Parry
+    measures.  Each step draws two fresh left cells, then two right ones,
+    images the 22 cells to 20 and keeps the 18 around the new frame.  The
+    six state cells need less room, but the margin fixes which draw lands
+    in which cell: changing it changes every trajectory.
+
+    Samples whose defect vanishes or splits are excluded, and exceeding
+    :data:`MAX_EXCLUDED_FRAC` aborts the run; a frame that moves by more
+    than one cell in a step is not a width-2 walk and raises
     :class:`DefectcaError`.
     """
-    _check_seed(W, delta)
-    report = verify_resolving_system(rule, L, R)
-    if not report.passed:
-        raise DefectcaError("not a resolving system: " + "; ".join(report.witnesses))
+    report = _check_walk(rule, L, R, W, delta)
     lam, rho = report.lam, report.rho
-    union = union_shift(L, R)
+    edges = union_shift(L, R).edges
     fwd = {s: rho.forward_row(s) for s in R.usable}
     bwd = {s: lam.backward_row(s) for s in L.usable}
-    lam0 = sorted(lam.initial.items())
-    rho0 = sorted(rho.initial.items())
-    delta_items = sorted(delta.items())
-    edges = union.edges
+    draws = [(0, sorted(lam.initial.items())), (1 + W, sorted(rho.initial.items()))]
+    if W == 1:
+        draws = [(1, [(w[0], p) for w, p in sorted(delta.items())])] + draws[::-1]
 
-    margin = 6
+    def grow(noise: _NoiseSource, cells, left: int, right: int) -> list:
+        cells = list(cells)
+        for _ in range(left):
+            cells.insert(0, noise.choose(bwd[cells[0]]))
+        for _ in range(right):
+            cells.append(noise.choose(fwd[cells[-1]]))
+        return cells
+
     trajectories: list[list[int]] = []
     counts: dict = {}
     pair_counts: dict = {}
-    excluded = 0
-    drifts = []
-    # The seed junction is the innermost left-background cell, W middle
-    # cells and the innermost right-background cell.  W=1 draws the middle,
-    # then the right, then the left cell; W=0 draws the left, then the right.
-    if W == 1:
-        draws = ((1, [(w[0], p) for w, p in delta_items]), (2, rho0), (0, lam0))
-    else:
-        draws = ((0, lam0), (1, rho0))
+    seen: dict = {}  # one stored copy per distinct state
     for i in range(n):
         noise = _NoiseSource(seed, i)
-        # initial window: frame at [0, 1].  The walk measure lives on
-        # defect-carrying junctions, so the junction draw is rejection-
-        # conditioned on actually breaking admissibility.
+        # the junction covers [-W, 2), the frame [0, 1]; the walk measure lives
+        # on defect-carrying junctions, so the draw repeats until it has one
         for _ in range(10_000):
             cells = [0] * (W + 2)
             for j, law in draws:
@@ -548,72 +558,36 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
                 break
         else:
             raise DefectcaError(_NO_DEFECT)
-        lo = -margin - 2
-        for _ in range(-W - lo):
-            cells.insert(0, noise.choose(bwd[cells[0]]))
-        hi = margin + 4
-        for _ in range(hi - 2):
-            cells.append(noise.choose(fwd[cells[-1]]))
-        # cells now covers [lo, hi)
-        z = 0
+        cells = grow(noise, cells, 8 - W, 8)
         zs = [0]
-        prev_state = None
-        prev_pair = None
-        ok = True
+        states = []
         for t in range(T):
-            # extend so the post-image window always covers the trim target
-            while z - lo < margin + 4:
-                cells.insert(0, noise.choose(bwd[cells[0]]))
-                lo -= 1
-            while hi - z < margin + 6:
-                cells.append(noise.choose(fwd[cells[-1]]))
-                hi += 1
-            cells = rule.image_word(cells)
-            lo += 1
-            hi -= 1
-            try:
-                run = defect_run(cells, edges, lo)
-            except MultipleDefectsError:
-                run = None
-            if run is None:
-                ok = False
+            img = rule.image_word(grow(noise, cells, 2, 2))  # [z-9, z+11)
+            v = _frame_start(img, edges, -9)
+            if isinstance(v, str):  # the defect vanished or split
                 break
-            z = frame_of(run)[0]
-            if abs(z - zs[-1]) > 1:
-                raise DefectcaError(f"frame moved by {z - zs[-1]} at step {t} of "
+            if abs(v) > 1:
+                raise DefectcaError(f"frame moved by {v} at step {t} of "
                                     f"sample {i}; not a width-2 walk")
-            zs.append(z)
-            state = cells[z - 2 - lo: z + 4 - lo]
-            if prev_state is not None:
-                row = counts.setdefault(prev_state, {})
-                row[state] = row.get(state, 0) + 1
-                if prev_pair is not None:
-                    prow = pair_counts.setdefault(prev_pair, {})
-                    prow[state] = prow.get(state, 0) + 1
-                prev_pair = (prev_state, state)
-            else:
-                prev_pair = None
-            prev_state = state
-            # trim the window around the new frame
-            new_lo = z - margin - 2
-            new_hi = z + margin + 4
-            cells = list(cells[new_lo - lo: new_hi - lo])
-            lo, hi = new_lo, new_hi
-        if not ok:
-            excluded += 1
-            if excluded > max(1, MAX_EXCLUDED_FRAC * n):
-                raise DefectcaError(
-                    f"{excluded} of {i + 1} samples vanished or split; "
-                    "the system is not behaving as a persistent walk")
-            continue
-        drifts.append((zs[-1] - zs[0]) / T)
-        trajectories.append(zs)
-    kept = len(trajectories)
-    drift = float(np.mean(drifts)) if drifts else float("nan")
-    var = float(np.var([(tr[-1] - tr[0]) for tr in trajectories]) / T) if kept else float("nan")
-    stats = WalkStatistics(kept, T, excluded, drift, var, counts, pair_counts,
-                           stationary_and_drift(kernel) if kernel else None)
-    return trajectories, stats
+            zs.append(zs[-1] + v)
+            state = img[v + 7:v + 13]
+            states.append(seen.setdefault(state, state))
+            cells = img[v + 1:v + 19]
+        else:
+            trajectories.append(zs)
+        _tally(counts, states, states[1:])
+        _tally(pair_counts, zip(states, states[1:]), states[2:])
+        excluded = i + 1 - len(trajectories)
+        if excluded > max(1, MAX_EXCLUDED_FRAC * n):
+            raise DefectcaError(
+                f"{excluded} of {i + 1} samples vanished or split; "
+                "the system is not behaving as a persistent walk")
+    moved = [tr[-1] - tr[0] for tr in trajectories]
+    drift = float(np.mean([d / T for d in moved])) if moved else float("nan")
+    var = float(np.var(moved) / T) if moved else float("nan")
+    return trajectories, WalkStatistics(
+        len(moved), T, n - len(moved), drift, var, counts, pair_counts,
+        stationary_and_drift(kernel) if kernel else None)
 
 
 def sample_kernel_chain(kernel: WalkKernel, delta: dict, T: int, n: int,
@@ -626,10 +600,7 @@ def sample_kernel_chain(kernel: WalkKernel, delta: dict, T: int, n: int,
     # initial law: lambda (x) delta (x) rho read off the six visible cells
     for s in kernel.states:
         l2, l1, d0, d1, r1, r2 = s
-        if kernel.W == 1:
-            mid = delta.get((d0,), 0.0)
-        else:
-            mid = lam.kernel.get((l1, d0), 0.0)
+        mid = delta.get((d0,), 0.0) if kernel.W == 1 else lam.kernel.get((l1, d0), 0.0)
         p = (lam.initial.get(l1, 0.0) * lam.backward(l2, l1) * mid *
              rho.initial.get(d1, 0.0) * rho.kernel.get((d1, r1), 0.0) *
              rho.kernel.get((r1, r2), 0.0))
@@ -637,23 +608,18 @@ def sample_kernel_chain(kernel: WalkKernel, delta: dict, T: int, n: int,
             init.append((s, p))
     total = sum(p for _, p in init)
     init = [(s, p / total) for s, p in init]
+    laws = {s: [(t, float(p)) for t, p in sorted(row.items())]
+            for s, row in kernel.rows.items()}
     trajectories = []
     counts: dict = {}
     for i in range(n):
         noise = _NoiseSource(seed, i)
-        s = noise.choose(init)
-        z = 0
-        zs = [z]
-        for t in range(T):
-            row = sorted(kernel.rows[s].items())
-            nxt = noise.choose([(j, float(p)) for j, (_, p) in enumerate(row)])
-            s_next = row[nxt][0]
-            c = counts.setdefault(s, {})
-            c[s_next] = c.get(s_next, 0) + 1
-            z += kernel.vel[s]
-            zs.append(z)
-            s = s_next
-        trajectories.append(zs)
+        path = [noise.choose(init)]
+        for _ in range(T):
+            path.append(noise.choose(laws[path[-1]]))
+        _tally(counts, path, path[1:])
+        trajectories.append(list(accumulate((kernel.vel[s] for s in path[:-1]),
+                                            initial=0)))
     return trajectories, counts
 
 
@@ -720,15 +686,9 @@ def markov_property_test(stats: WalkStatistics, kernel: WalkKernel, *,
     order-1 sufficiency: conditioning on the previous two states gives the
     same rows.
     """
-    def expected(state):
-        return kernel.rows.get(state)
-
-    rows = _compare_rows(stats.transition_counts, expected, visit_floor, tv_tol)
-
-    def expected_pair(pair):
-        return kernel.rows.get(pair[1])
-
-    rows1 = _compare_rows(stats.pair_counts, expected_pair, visit_floor, tv_tol)
+    rows = _compare_rows(stats.transition_counts, kernel.rows.get, visit_floor, tv_tol)
+    rows1 = _compare_rows(stats.pair_counts, lambda pair: kernel.rows.get(pair[1]),
+                          visit_floor, tv_tol)
     relevant = [r for r in rows + rows1 if r.conclusive]
     passed = all(r.passed for r in relevant) and bool(rows)
     max_tv = max((r.tv for r in rows), default=float("nan"))

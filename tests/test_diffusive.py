@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -239,6 +240,13 @@ class TestWalkKernel:
         with pytest.raises(DefectcaError, match="'delta'"):
             sample_walks(*args, {(2,): 1.0}, 10, 1, 0, W=0)
 
+    def test_delta_words_must_have_width_W(self):
+        sea = zoo.diffusive_background()
+        with pytest.raises(DefectcaError, match="'delta' keys must be words "
+                                                "of length W=1"):
+            build_walk_kernel(zoo.diffusive_rule(), sea, sea, 1,
+                              delta_support=[(2,), (2, 1)])
+
 
 class TestStationary:
     def test_diffusive_single_class_zero_drift(self):
@@ -339,6 +347,123 @@ class TestSampleWalks:
         sea = zoo.diffusive_background()
         with pytest.raises(DefectcaError, match="'W' must be 0 or 1"):
             sample_walks(zoo.diffusive_rule(), sea, sea, {}, 10, 1, 0, W=W)
+
+    @pytest.mark.parametrize("delta,why", [
+        ({(2, 1): 1.0}, "keys must be words of length W=1"),
+        ({(2,): 0.3, (3,): 0.3}, "masses must be non-negative and sum to 1"),
+        ({(2,): -0.5, (3,): 1.5}, "masses must be non-negative and sum to 1"),
+        ({}, "masses must be non-negative and sum to 1"),
+    ])
+    def test_delta_must_be_a_law_on_width_W_words(self, delta, why):
+        sea = zoo.diffusive_background()
+        with pytest.raises(DefectcaError, match=f"'delta' {why}"):
+            sample_walks(zoo.diffusive_rule(), sea, sea, delta, 10, 1, 0)
+
+
+def _fading_rule():
+    # the marked walker, except that a mark landing between two unmarked 1s
+    # fades, so some sampled defects vanish
+    def fn(w):
+        out = zoo._diffusive_fn(w)
+        return out - 2 if out >= 2 and w[0] == 1 and w[2] == 1 else out
+    return LocalRule(zoo.DIFFUSIVE_ALPHABET, 1, fn, name="fading-walker")
+
+
+def _walk_case(name):
+    """(rule, L, R, delta, W) of a named sampler input."""
+    sea = zoo.diffusive_background()
+    marked = _uniform_marked_delta()
+    wall = (zoo.wall_rule(), zoo.wall_left_shift(), zoo.wall_right_shift())
+    gstar = zoo.gstar_shift()
+    return {
+        "marked-W1": (zoo.diffusive_rule(), sea, sea, marked, 1),
+        "marked-W1-uniform": (zoo.diffusive_rule(), sea, sea,
+                              {(s,): 0.25 for s in range(4)}, 1),
+        "marked-W0": (zoo.diffusive_rule(), sea, sea, {}, 0),
+        "wall-W0": (*wall, {}, 0),
+        "wall-W1-uniform": (*wall, {(s,): 1 / 3 for s in range(3)}, 1),
+        "eca184-gstar-W0": (from_wolfram_number(184), gstar, gstar, {}, 0),
+        "fading-W1": (_fading_rule(), sea, sea, marked, 1),
+    }[name]
+
+
+def _digest(*parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def _sorted_rows(counts):
+    # dict insertion order is not part of the contract
+    return sorted((s, sorted(row.items())) for s, row in counts.items())
+
+
+def _outcome(run):
+    try:
+        return run()
+    except DefectcaError as exc:
+        return f"error: {exc}"
+
+
+# Recorded before the sampler loop was rewritten around its fixed window:
+# trajectories, counts and errors must not move.
+SAMPLE_WALKS_DIGESTS = [
+    # (case, T, n, seed, digest or error)
+    ("marked-W1", 400, 6, 0,
+     "44dd229135fcf59816a840235ca47dc612adfe739bad5b94c4e915a6c274d8ea"),
+    ("marked-W1", 400, 6, 1,
+     "af09c334f8e80aaa517b9efb9dba37bfbfedc0e1834978d0d78250d3b8dd67ec"),
+    ("marked-W1-uniform", 400, 6, 0,
+     "e34f99b37adbffb961276ae32fe6e02617333a28904b19b41426f8237dc467d1"),
+    ("marked-W0", 50, 2, 0,
+     "error: no seeded junction breaks admissibility; no defect to track"),
+    ("wall-W0", 400, 6, 0,
+     "8f115b2f52ad7de29c18a7af0d7d60abbc346d55784d88dbb1f3ad972a824fc7"),
+    ("wall-W1-uniform", 50, 5, 0,
+     "error: frame moved by -2 at step 0 of sample 1; not a width-2 walk"),
+    ("eca184-gstar-W0", 400, 6, 0,
+     "c475104d5d07725a45db845a3e3352fe94c789f06271d89a8f737a65cb822f9a"),
+    ("fading-W1", 4, 4, 0,
+     "db492e02a0997c4e576aa5a620f820456aaee50aa8583c49ecafd18118b68341"),
+    ("fading-W1", 4, 4, 1,
+     "error: 2 of 4 samples vanished or split; "
+     "the system is not behaving as a persistent walk"),
+]
+KERNEL_CHAIN_DIGESTS = [
+    ("marked-W1", 400, 6, 0,
+     "94e2e0c2d1eb1f17ad086c645b163aa4159fdead2c5a29e06992b1fd096c9ead"),
+    ("marked-W1-uniform", 400, 6, 0,
+     "94e2e0c2d1eb1f17ad086c645b163aa4159fdead2c5a29e06992b1fd096c9ead"),
+    ("marked-W0", 400, 6, 0,
+     "error: no seeded junction breaks admissibility; no defect to track"),
+    ("wall-W0", 400, 6, 0,
+     "61cd8d9d3102169ee71c8a5d77c5d8b838eae1a997f241d29433c08d1da6d67a"),
+    ("eca184-gstar-W0", 400, 6, 0,
+     "e665dcfb5324e369beb40efe96a73d2e6392b19bfe17cec4bfa709f64290f2ed"),
+]
+
+
+class TestSamplerDigests:
+    @pytest.mark.parametrize("case,T,n,seed,expected", SAMPLE_WALKS_DIGESTS)
+    def test_sample_walks(self, case, T, n, seed, expected):
+        rule, L, R, delta, W = _walk_case(case)
+
+        def run():
+            trajs, st = sample_walks(rule, L, R, delta, T, n, seed, W=W)
+            return _digest(trajs, st.excluded, st.empirical_drift,
+                           st.variance_per_step,
+                           _sorted_rows(st.transition_counts),
+                           _sorted_rows(st.pair_counts))
+        assert _outcome(run) == expected
+
+    @pytest.mark.parametrize("case,T,n,seed,expected", KERNEL_CHAIN_DIGESTS)
+    def test_sample_kernel_chain(self, case, T, n, seed, expected):
+        rule, L, R, delta, W = _walk_case(case)
+
+        def run():
+            k = build_walk_kernel(rule, L, R, W,
+                                  delta_support=list(delta) or None)
+            trajs, counts = sample_kernel_chain(k, delta, T, n, seed)
+            return _digest(trajs, _sorted_rows(counts))
+        assert _outcome(run) == expected
 
 
 class TestMarkovProperty:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from defectca import io as dio, zoo
-from defectca.cli import main, run_experiment
+from defectca.cli import MODES, main, run_experiment
 from defectca.errors import DefectcaError
 from defectca.lattice import periodic_config
 from defectca.rules import from_wolfram_number
@@ -380,6 +380,9 @@ def _valid_config(mode, workdir):
                "seed_config": {"left": {"word": "01", "phase": 1},
                                "core": "", "right": {"word": "01"}},
                "steps": 10, "width": 20}
+    elif mode == "classify":
+        cfg = {"mode": "classify", "rule": {"wolfram": 184},
+               "shift": ECA184_SFT, "max_core": 0, "steps": 8}
     elif mode == "run-tm":
         cfg = {"mode": "run-tm", "tm": TM_SPEC,
                "left_shift": FULL_SHIFT, "right_shift": FULL_SHIFT,
@@ -460,6 +463,18 @@ MALFORMED = [
     ("delta-mass", "walk", _set(("delta",), {"0*": "x"}), "delta.0*"),
     ("per-sample-csv", "walk", _set(("per_sample_csv",), "yes"),
      "per_sample_csv"),
+    ("delta-word-length", "walk", _set(("delta",), {"0*,1": 1.0}), "delta"),
+    ("delta-mass-sum", "walk", _set(("delta",), {"0*": 0.3, "1*": 0.3}),
+     "delta"),
+    ("delta-mass-negative", "walk",
+     _set(("delta",), {"0*": -0.5, "1*": 1.5}), "delta"),
+    ("run-tm-macro-steps", "run-tm", _set(("macro_steps",), -1),
+     "macro_steps"),
+    ("run-tm-window", "run-tm", _set(("window",), -1), "window"),
+    ("simulate-width-cap", "simulate", _set(("width_cap",), -3), "width_cap"),
+    ("classify-max-core", "classify", _set(("max_core",), -1), "max_core"),
+    ("classify-steps", "classify", _set(("steps",), 0), "steps"),
+    ("classify-width-cap", "classify", _set(("width_cap",), -1), "width_cap"),
 ]
 
 
@@ -487,8 +502,9 @@ def test_config_must_be_an_object(workdir, capsys):
     assert repr(cfg_path) in payload["message"]
 
 
-def test_exit_status(workdir):
-    """``python -m defectca`` exits 0 on success and 2 on a config error."""
+def test_exit_status(workdir, capsys, monkeypatch):
+    """``python -m defectca`` exits 0 on success, 2 on a config error and 3
+    on a fault inside defectca."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
 
@@ -510,3 +526,13 @@ def test_exit_status(workdir):
         code, out = cli(config)
         assert code == 2
         assert json.loads(out)["error"] == "DefectcaError"
+
+    def fault(cfg, seed, em):
+        raise ZeroDivisionError("planted fault")
+    monkeypatch.setitem(MODES, "verify", fault)
+    code = main(["--json-errors", "verify", "--config", good,
+                 "--out", os.path.join(workdir, "out")])
+    assert code == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "ZeroDivisionError"
+    assert "planted fault" in payload["traceback"]

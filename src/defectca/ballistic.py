@@ -298,11 +298,8 @@ def _eventual_cycle(sys: RecodedSystem, traj, Lg: MarkovShift,
     # wandered off (e.g. decayed against a different background)
     if states[0][0][0] not in Lg.usable or states[0][0][2] not in Rg.usable:
         return None
-    words = []
-    for i in range(period):
-        rec = states[(k + i) % period][2]
-        raw = rec.word
-        words.append(sys.coder.decode_word(raw) if raw else ())
+    words = [sys.coder.decode_word(states[(k + i) % period][2].word)
+             for i in range(period)]
     return ClassifiedType(frozenset(Lg.usable), frozenset(Rg.usable),
                           period, Fraction(dz, period),
                           L + R + 1, tuple(words), orbit)

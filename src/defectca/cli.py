@@ -40,7 +40,11 @@ from .turing import classical_to_lr, regime_of, turing_to_ca
 class _Emitter:
     def __init__(self, out_dir: str):
         self.out = out_dir
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise DefectcaError(f"--out {out_dir!r} is not a usable directory: "
+                                f"{exc.strerror}") from exc
         self.files: dict[str, str] = {}
 
     def write_bytes(self, name: str, data: bytes) -> None:
@@ -253,7 +257,7 @@ def run_verify(cfg: dio.Field, seed: int, em: _Emitter) -> int:
         "invariant": check_invariance(rule, background),
     }
     if rule.radius == 1:
-        block_rule = rule if coder is None else recode_rule(rule, coder.P)
+        block_rule = rule if coder is None else recode_rule(rule, coder)
         out["left_resolving"] = is_left_resolving(block_rule, shift)
         out["right_resolving"] = is_right_resolving(block_rule, shift)
         res = verify_resolving_system(block_rule, shift, shift)

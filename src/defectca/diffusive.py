@@ -339,6 +339,9 @@ def _check_walk(rule: LocalRule, L: MarkovShift, R: MarkovShift, W: int,
                 delta) -> ResolvingSystemReport:
     """The one check of walk inputs: the seed width, ``delta`` and the
     resolving system, whose report carries the two Parry measures."""
+    if rule.radius != 1:
+        raise DefectcaError(f"rule radius {rule.radius} is not supported here: "
+                            "walks need a radius-1 rule")
     if W not in (0, 1):
         raise DefectcaError(f"seed width 'W' must be 0 or 1, got {W}: the "
                             "two-cell frame models seeds of width 0 and 1 only")

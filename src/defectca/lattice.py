@@ -3,6 +3,11 @@
 A configuration is a left background, a finite core word, and a right
 background.  Backgrounds are periodic words anchored to absolute
 coordinates, so shifting is phase arithmetic.
+
+:func:`encode_config` and :func:`decode_config` recode configurations
+through a :class:`~defectca.shifts.BlockCoder`: block cell z holds the
+source window [stride*z + phase, stride*z + phase + P), so the source shift
+by ``stride`` cells is the block shift by one.
 """
 
 from __future__ import annotations
@@ -96,80 +101,39 @@ def apply_rule(rule: LocalRule, config: Configuration) -> Configuration:
 
 
 def encode_config(coder: BlockCoder, config: Configuration) -> Configuration:
-    """Recode a configuration into the overlapping block presentation.
+    """Recode a configuration into the coder's block presentation.
 
-    Block cell z holds the source window [z, z+P).
+    Block cell z holds the source window [s*z + c, s*z + c + P) for stride
+    s and coder phase c.  The core holds every block that touches the
+    source core.
     """
-    if coder.kind != "block":
-        raise ValueError("only block coders encode configurations")
-    P = coder.P
+    P, s, c = coder.P, coder.stride, coder.phase
 
     def block_bg(bg: PeriodicBackground) -> PeriodicBackground:
-        n = len(bg.word)
-        word = tuple(coder.pack(tuple(bg.word[(k + d) % n] for d in range(P)))
-                     for k in range(n))
+        # word j holds the block at s*(j - phase) + c, so the block phase
+        # is the source phase
+        m = math.lcm(len(bg.word), s) // s
+        word = tuple(coder.pack(tuple(bg.cell(s * (j - bg.phase) + c + d)
+                                      for d in range(P)))
+                     for j in range(m))
         return PeriodicBackground(word, bg.phase)
 
-    lo = config.origin - P + 1
-    hi = config.end
-    core = tuple(coder.pack(config.window(z, z + P)) for z in range(lo, hi))
+    lo = -((c + P - 1 - config.origin) // s)  # ceil: first block touching the core
+    hi = -((c - config.end) // s)  # ceil: one past the last
+    cells = config.window(s * lo + c, s * hi + c + P - s)
+    core = tuple(coder.pack(cells[s * k:s * k + P]) for k in range(hi - lo))
     return Configuration(coder.target, block_bg(config.left), core,
                          block_bg(config.right), lo)
 
 
 def decode_config(coder: BlockCoder, config: Configuration) -> Configuration:
     """Invert :func:`encode_config` on consistent block configurations."""
-    if coder.kind != "block":
-        raise ValueError("only block coders decode configurations")
+    s, c = coder.stride, coder.phase
 
     def unblock_bg(bg: PeriodicBackground) -> PeriodicBackground:
-        word = tuple(coder.unpack(b)[0] for b in bg.word)
-        return PeriodicBackground(word, bg.phase)
+        word = tuple(x for b in bg.word for x in coder.unpack(b)[:s])
+        return PeriodicBackground(word, s * bg.phase - c)
 
-    core = coder.decode_word(config.core) if config.core else ()
-    return Configuration(coder.source, unblock_bg(config.left), core,
-                         unblock_bg(config.right), config.origin)
-
-
-def power_encode_config(coder: BlockCoder, config: Configuration) -> Configuration:
-    """Recode into the non-overlapping power presentation at the coder's phase.
-
-    Block cell z holds the source cells [Wz + phase, W(z+1) + phase).
-    """
-    if coder.kind != "power":
-        raise ValueError("need a power coder")
-    W, ph = coder.P, coder.phase
-
-    def block_bg(bg: PeriodicBackground, anchor: int) -> PeriodicBackground:
-        n = len(bg.word)
-        m = math.lcm(n, W) // W
-        word = tuple(coder.pack(tuple(bg.cell(W * (anchor + j) + ph + i)
-                                      for i in range(W)))
-                     for j in range(m))
-        return PeriodicBackground(word, (-anchor) % m)
-
-    lo = (config.origin - ph) // W  # floor: first block touching the core
-    hi = -((-(config.end - ph)) // W)  # ceil
-    core = tuple(coder.pack(config.window(W * j + ph, W * (j + 1) + ph))
-                 for j in range(lo, hi))
-    return Configuration(coder.target, block_bg(config.left, lo), core,
-                         block_bg(config.right, hi), lo)
-
-
-def power_decode_config(coder: BlockCoder, config: Configuration) -> Configuration:
-    """Invert :func:`power_encode_config`."""
-    if coder.kind != "power":
-        raise ValueError("need a power coder")
-    W, ph = coder.P, coder.phase
-
-    def unblock_bg(bg: PeriodicBackground, anchor: int) -> PeriodicBackground:
-        cells = []
-        for j in range(len(bg.word)):
-            cells.extend(coder.unpack(bg.cell(anchor + j)))
-        word = tuple(cells)
-        return PeriodicBackground(word, (-(W * anchor + ph)) % len(word))
-
-    core = tuple(s for b in config.core for s in coder.unpack(b))
-    return Configuration(coder.source, unblock_bg(config.left, config.origin),
-                         core, unblock_bg(config.right, config.end),
-                         W * config.origin + ph)
+    return Configuration(coder.source, unblock_bg(config.left),
+                         coder.decode_word(config.core), unblock_bg(config.right),
+                         s * config.origin + c)

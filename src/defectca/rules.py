@@ -231,56 +231,37 @@ def find_travelling_wave_backgrounds(rule: LocalRule, p: int, v: int,
 # Radius/window normalization: the block recoding of rule + background
 # ---------------------------------------------------------------------------
 
-def recode_rule(rule: LocalRule, P: int) -> LocalRule:
-    """Lift a radius<=1 rule to the overlapping P-block alphabet (radius 1).
+def recode_rule(rule: LocalRule, coder: BlockCoder) -> LocalRule:
+    """Lift a rule to the coder's block alphabet as a radius-1 rule.
 
-    On de Bruijn-consistent neighborhoods this is the conjugated dynamics;
-    inconsistent neighborhoods (which no recoded configuration ever
-    produces) map to the lexicographically least block symbol.
+    Block z holds the source window [s*z + c, s*z + c + P) for stride s, so
+    a block neighbourhood (u, v, w) fuses to the source cells
+    ``u[:s] + v[:s] + w`` and the new v is the image of their middle; that
+    needs radius r <= s.  One block step is one application of the rule.
+    On consistent neighbourhoods this is the conjugated dynamics;
+    inconsistent ones (which no recoded configuration ever produces) map to
+    the lexicographically least block symbol.  A one-cell coder keeps the
+    source alphabet.
     """
-    if rule.radius > 1:
-        raise NotImplementedError("recode requires radius <= 1; power-recode first")
-    base = rule if rule.radius == 1 else LocalRule(
+    P, s, alpha = coder.P, coder.stride, coder.source
+    if rule.radius > s:
+        raise DefectcaError(f"rule radius {rule.radius} is not supported here: "
+                            f"a stride-{s} block recoding needs radius <= {s}")
+    base = rule if rule.radius else LocalRule(
         rule.alphabet, 1, lambda w, _r=rule: _r((w[1],)), name=rule.name)
     if P == 1:
         return base
-    alpha = rule.alphabet
+    r, keep = base.radius, P - s
     target = block_alphabet(alpha, P)
 
     def fn(nbhd: Word) -> int:
-        u = unpack_word(alpha, nbhd[0], P)
-        v = unpack_word(alpha, nbhd[1], P)
-        w = unpack_word(alpha, nbhd[2], P)
-        if u[1:] != v[:-1] or v[1:] != w[:-1]:
+        u, v, w = (unpack_word(alpha, b, P) for b in nbhd)
+        if u[s:] != v[:keep] or v[s:] != w[:keep]:
             return 0
-        fused = u + (v[-1], w[-1])
-        return pack_word(alpha, base.image_word(fused))
+        fused = u[:s] + v[:s] + w
+        return pack_word(alpha, base.image_word(fused[s - r:s + P + r]))
 
-    return LocalRule(target, 1, fn, name=f"{rule.name}^[{P}]")
-
-
-def power_recode_rule(rule: LocalRule, W: int) -> LocalRule:
-    """Lift a rule to the non-overlapping W-block alphabet (radius 1 for W >= r).
-
-    One block step equals W source steps of the shift but a single
-    application of the rule.
-    """
-    if W < 1:
-        raise ValueError("power must be >= 1")
-    if W == 1:
-        return rule
-    r = rule.radius
-    if r > W:
-        raise NotImplementedError("power recode needs W >= rule radius")
-    alpha = rule.alphabet
-    target = block_alphabet(alpha, W)
-
-    def fn(nbhd: Word) -> int:
-        cells = (unpack_word(alpha, nbhd[0], W) + unpack_word(alpha, nbhd[1], W)
-                 + unpack_word(alpha, nbhd[2], W))
-        return pack_word(alpha, rule.image_word(cells[W - r: 2 * W + r]))
-
-    return LocalRule(target, 1, fn, name=f"{rule.name}^({W})")
+    return LocalRule(target, 1, fn, name=f"{rule.name}^[{P}/{s}]")
 
 
 @dataclass(frozen=True)
@@ -303,19 +284,15 @@ class RecodedSystem:
 
 
 def normalize(rule: LocalRule, background) -> RecodedSystem:
-    """Apply the standard reduction: P = max(2r, q) block presentation.
+    """Apply the standard reduction: the P = max(2r, q) block presentation.
 
     Already-Markov backgrounds with radius<=1 rules are left untouched.
+    Rules of radius > 1 raise :class:`DefectcaError`, so P = q for q > 2.
     """
     sft = _as_sft(background)
-    if rule.radius > 1:
-        raise NotImplementedError("normalization implemented for radius <= 1 rules")
-    if sft.q <= 2:
-        shift, coder = sft_to_markov(sft)
-        return RecodedSystem(rule, recode_rule(rule, 1), shift, coder)
-    P = max(2 * max(rule.radius, 1), sft.q)
-    shift, coder = markov_presentation(sft, P)
-    return RecodedSystem(rule, recode_rule(rule, P), shift, coder)
+    shift, coder = sft_to_markov(sft) if sft.q <= 2 else \
+        markov_presentation(sft, sft.q)
+    return RecodedSystem(rule, recode_rule(rule, coder), shift, coder)
 
 
 def phi_orbit_components(rule: LocalRule, shift: MarkovShift) -> list[MarkovShift]:

@@ -7,6 +7,11 @@ are the bi-infinite directed paths.  An SFT of radius ``q`` is given by its
 set of admissible ``q``-words and can always be recoded to a Markov subshift
 over an alphabet of overlapping windows (:func:`sft_to_markov`,
 :func:`higher_block`).
+
+Every block presentation is one :class:`BlockCoder`: block z holds the
+source window ``[stride*z + phase, stride*z + phase + P)``, with stride 1
+for overlapping blocks (:func:`higher_block`) and stride P for
+non-overlapping powers (:func:`higher_power`).
 """
 
 from __future__ import annotations
@@ -264,18 +269,20 @@ def unpack_word(alphabet: Alphabet, index: int, P: int) -> Word:
 class BlockCoder:
     """Recoding between an alphabet and its length-``P`` words.
 
-    ``kind="block"`` is the overlapping (de Bruijn) presentation: the block at
-    position z is the source word at ``[z, z+P)``, and one target shift step
-    equals one source step.  ``kind="power"`` is the non-overlapping
-    presentation: the block at position z is the source word at
-    ``[Pz+phase, P(z+1)+phase)``, and one target step equals ``P`` source
-    steps.  Decoding inverts encoding on consistent sequences.
+    Block z holds the source window ``[stride*z + phase, stride*z + phase +
+    P)``, so one target shift step equals ``stride`` source steps and
+    consecutive blocks overlap in ``P - stride`` cells.  ``stride=1`` is the
+    overlapping higher block (de Bruijn) presentation, ``stride=P`` the
+    non-overlapping higher power presentation (Lind & Marcus, *An
+    Introduction to Symbolic Dynamics and Coding*, sections 1.4 and 2.3).
+    Each block owns its first ``stride`` cells; decoding inverts encoding on
+    consistent sequences.
     """
 
     source: Alphabet
     target: Alphabet
     P: int
-    kind: str  # "block" | "power"
+    stride: int = 1
     phase: int = 0
 
     def pack(self, word: Sequence[int]) -> int:
@@ -285,29 +292,48 @@ class BlockCoder:
         return unpack_word(self.source, symbol, self.P)
 
     def encode_word(self, word: Sequence[int]) -> Word:
-        w = tuple(word)
-        if self.kind == "block":
-            if len(w) < self.P:
-                raise ValueError(f"word shorter than block length {self.P}")
-            return tuple(self.pack(w[j:j + self.P]) for j in range(len(w) - self.P + 1))
-        if len(w) % self.P != 0:
-            raise ValueError("power coding needs word length divisible by P")
-        return tuple(self.pack(w[j:j + self.P]) for j in range(0, len(w), self.P))
+        """The blocks of a word of length ``P + k*stride``."""
+        w, P, s = tuple(word), self.P, self.stride
+        if len(w) < P or (len(w) - P) % s:
+            raise ValueError(f"word length {len(w)} is not {P} + k*{s}")
+        return tuple(self.pack(w[j:j + P]) for j in range(0, len(w) - P + 1, s))
 
     def decode_word(self, blocks: Sequence[int]) -> Word:
         bs = [self.unpack(b) for b in blocks]
         if not bs:
             return ()
-        if self.kind == "power":
-            return tuple(s for b in bs for s in b)
+        s = self.stride
         for u, v in zip(bs, bs[1:]):
-            if u[1:] != v[:-1]:
+            if u[s:] != v[:self.P - s]:
                 raise ValueError("inconsistent overlapping blocks")
-        return tuple(b[0] for b in bs[:-1]) + bs[-1]
+        return tuple(x for b in bs[:-1] for x in b[:s]) + bs[-1]
 
 
 def identity_coder(alphabet: Alphabet) -> BlockCoder:
-    return BlockCoder(alphabet, block_alphabet(alphabet, 1), 1, "block")
+    return BlockCoder(alphabet, block_alphabet(alphabet, 1), 1)
+
+
+def _lift(sft: SFT, P: int, stride: int, phase: int) -> tuple[MarkovShift, BlockCoder]:
+    """The Markov shift on the locally admissible ``P``-words of an SFT read
+    at ``stride``: u -> v iff v is the last P symbols of a locally
+    admissible extension of u by ``stride`` symbols."""
+    A, q, adm = sft.alphabet, sft.q, sft.admissible
+
+    def extend(words: list[Word], n: int) -> list[Word]:
+        for _ in range(n):
+            longer = []
+            for w in words:
+                for a in range(A.size):
+                    x = w + (a,)
+                    if len(x) < q or x[-q:] in adm:
+                        longer.append(x)
+            words = longer
+        return words
+
+    edges = [(pack_word(A, u), pack_word(A, x[stride:]))
+             for u in extend([()], P) for x in extend([u], stride)]
+    target = block_alphabet(A, P)
+    return build_markov_shift(target, edges), BlockCoder(A, target, P, stride, phase)
 
 
 def markov_presentation(sft: SFT, P: Optional[int] = None) -> tuple[MarkovShift, BlockCoder]:
@@ -323,17 +349,7 @@ def markov_presentation(sft: SFT, P: Optional[int] = None) -> tuple[MarkovShift,
         P = max(sft.q - 1, 1)
     if P < sft.q - 1:
         raise ValueError(f"window {P} too small for SFT of radius {sft.q}")
-    target = block_alphabet(sft.alphabet, P)
-    words = [w for w in product(range(sft.alphabet.size), repeat=P)
-             if sft.is_locally_admissible(w)]
-    edges = []
-    for u in words:
-        for s in range(sft.alphabet.size):
-            v = u[1:] + (s,)
-            if sft.is_locally_admissible(u + (s,)):
-                edges.append((pack_word(sft.alphabet, u), pack_word(sft.alphabet, v)))
-    shift = build_markov_shift(target, edges)
-    return shift, BlockCoder(sft.alphabet, target, P, "block")
+    return _lift(sft, P, 1, 0)
 
 
 def sft_to_markov(sft: SFT) -> tuple[MarkovShift, BlockCoder]:
@@ -354,16 +370,16 @@ def markov_to_sft(shift: MarkovShift) -> SFT:
 
 
 def higher_block(shift: MarkovShift, P: int) -> tuple[MarkovShift, BlockCoder]:
-    """The overlapping P-block presentation of a Markov shift."""
+    """The overlapping P-block presentation of a Markov shift (stride 1)."""
     if P < 1:
         raise ValueError("block length must be >= 1")
     if P == 1:
         return shift, identity_coder(shift.alphabet)
-    return markov_presentation(markov_to_sft(shift), P)
+    return _lift(markov_to_sft(shift), P, 1, 0)
 
 
 def higher_power(shift: MarkovShift, W: int, phase: int = 0) -> tuple[MarkovShift, BlockCoder]:
-    """The non-overlapping W-power presentation of a Markov shift.
+    """The non-overlapping W-power presentation of a Markov shift (stride W).
 
     One target shift step equals W source steps; a source point has W
     distinct phase representations, selected by ``phase``.
@@ -374,15 +390,7 @@ def higher_power(shift: MarkovShift, W: int, phase: int = 0) -> tuple[MarkovShif
         raise ValueError("phase must lie in [0, W)")
     if W == 1:
         return shift, identity_coder(shift.alphabet)
-    target = block_alphabet(shift.alphabet, W)
-    words = shift.words(W)
-    edges = []
-    for u in words:
-        for v in words:
-            if (u[-1], v[0]) in shift.edges:
-                edges.append((pack_word(shift.alphabet, u), pack_word(shift.alphabet, v)))
-    new = build_markov_shift(target, edges)
-    return new, BlockCoder(shift.alphabet, target, W, "power", phase)
+    return _lift(markov_to_sft(shift), W, W, phase)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ from typing import Callable, Optional, Sequence
 from .diffusive import _frame_moves, union_shift
 from .errors import DefectcaError, InvalidMachineError
 from .lattice import Configuration, PeriodicBackground
-from .rules import LocalRule, power_recode_rule
+from .rules import LocalRule, recode_rule
 from .shifts import (
     Alphabet,
+    BlockCoder,
     MarkovShift,
     Word,
     build_markov_shift,
@@ -206,10 +207,12 @@ def _check_pointwise_fixed(rule: LocalRule, shift: MarkovShift) -> None:
 
 @dataclass(frozen=True)
 class CAConjugacy:
-    """Coordinates of the machine <-> configuration correspondence."""
+    """Coordinates of the machine <-> configuration correspondence: the
+    power-recoded rule, the stride-P ``coder`` from source configurations
+    to its alphabet, and the recoded tape shifts."""
 
     rule: LocalRule
-    W_hat: int
+    coder: BlockCoder
     left_shift: MarkovShift
     right_shift: MarkovShift
     union: MarkovShift
@@ -232,10 +235,9 @@ def ca_to_turing(rule: LocalRule, L: MarkovShift, R: MarkovShift,
     recoding; tape rules are the rule images of the visible cells."""
     _check_pointwise_fixed(rule, L)
     _check_pointwise_fixed(rule, R)
-    W_hat = max(W, rule.radius, 1)
-    phi = power_recode_rule(rule, W_hat)
-    Lh, _ = higher_power(L, W_hat)
-    Rh, _ = higher_power(R, W_hat)
+    Lh, coder = higher_power(L, max(W, rule.radius, 1))
+    Rh, _ = higher_power(R, coder.P)
+    phi = recode_rule(rule, coder)
     union = union_shift(Lh, Rh)
 
     def vel(l1, d, r1):
@@ -269,7 +271,7 @@ def ca_to_turing(rule: LocalRule, L: MarkovShift, R: MarkovShift,
     machine = LRTuringMachine(phi.alphabet, domain, Lh, Rh,
                               tau_L, tau_C, tau_R, ups, vel,
                               name=f"machine[{rule.name}]")
-    return machine, CAConjugacy(phi, W_hat, Lh, Rh, union)
+    return machine, CAConjugacy(phi, coder, Lh, Rh, union)
 
 
 # ---------------------------------------------------------------------------

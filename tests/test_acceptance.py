@@ -285,7 +285,7 @@ def test_criterion_8_recoding_conjugacy():
             (gstar, [184]),
         ]
         coders = {P: higher_block(full_shift(A2), P)[1] for P in (2, 3, 4)}
-        recoded = {(n, P): recode_rule(from_wolfram_number(n), P)
+        recoded = {(n, P): recode_rule(from_wolfram_number(n), coders[P])
                    for n in (54, 110, 184) for P in (2, 3, 4)}
         for shift, rules in cases:
             for i in range(1000):

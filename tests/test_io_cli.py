@@ -9,7 +9,7 @@ from defectca import io as dio, zoo
 from defectca.cli import MODES, main, run_experiment
 from defectca.errors import DefectcaError
 from defectca.lattice import periodic_config
-from defectca.rules import from_wolfram_number
+from defectca.rules import LocalRule, from_wolfram_number
 from defectca.shifts import SFT, binary_alphabet, build_markov_shift
 from defectca.tracking import track
 
@@ -502,6 +502,24 @@ def test_config_must_be_an_object(workdir, capsys):
     assert repr(cfg_path) in payload["message"]
 
 
+@pytest.mark.parametrize("mode", ["simulate", "classify", "walk"])
+def test_unsupported_radius_is_bad_input(workdir, capsys, mode):
+    """A radius-2 rule, which the rule spec allows, is rejected with an
+    error that names the radius."""
+    cfg = _valid_config(mode, workdir)
+    alphabet = (zoo.diffusive_rule() if mode == "walk" else
+                from_wolfram_number(184)).alphabet
+    cfg["rule"] = dio.save_rule(LocalRule(alphabet, 2, lambda w: w[2]))
+    cfg_path = os.path.join(workdir, "radius2.json")
+    _write(cfg_path, cfg)
+    code = main(["--json-errors", mode, "--config", cfg_path,
+                 "--out", os.path.join(workdir, "out")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "DefectcaError"
+    assert "radius 2" in payload["message"]
+
+
 def test_exit_status(workdir, capsys, monkeypatch):
     """``python -m defectca`` exits 0 on success, 2 on a config error and 3
     on a fault inside defectca."""
@@ -526,6 +544,15 @@ def test_exit_status(workdir, capsys, monkeypatch):
         code, out = cli(config)
         assert code == 2
         assert json.loads(out)["error"] == "DefectcaError"
+    # an --out below a regular file is the caller's error too
+    blocker = os.path.join(workdir, "blocker")
+    open(blocker, "w").close()
+    code = main(["--json-errors", "verify", "--config", good,
+                 "--out", os.path.join(blocker, "sub")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "DefectcaError"
+    assert "--out" in payload["message"]
 
     def fault(cfg, seed, em):
         raise ZeroDivisionError("planted fault")

@@ -29,7 +29,9 @@ from defectca.rules import (
     recode_rule,
 )
 from defectca.shifts import (
+    BlockCoder,
     binary_alphabet,
+    block_alphabet,
     build_markov_shift,
     build_sft,
     full_shift,
@@ -223,7 +225,7 @@ class TestRecoding:
 
     def test_recoded_rule_matches_on_consistent_neighborhoods(self):
         rule = from_wolfram_number(110)
-        rec = recode_rule(rule, 3)
+        rec = recode_rule(rule, higher_block(full_shift(A2), 3)[1])
         rng = random.Random(7)
         for _ in range(50):
             w = tuple(rng.randrange(2) for _ in range(5))
@@ -232,18 +234,16 @@ class TestRecoding:
             out = rec(blocks)
             assert rec.alphabet.labels[out] == "".join(map(str, rule.image_word(w)))
 
-    @given(st.integers(0, 255), st.integers(2, 4), st.integers(0, 10_000))
+    @given(st.integers(0, 255), st.integers(2, 4), st.booleans(),
+           st.integers(0, 3), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
-    def test_block_recoding_naturality(self, n, P, seed):
-        # decode(apply_recoded(encode(x))) == apply(x) on random configurations
+    def test_block_recoding_naturality(self, n, P, power, phase, seed):
+        # decode(apply_recoded(encode(x))) == apply(x) on random
+        # configurations, at stride 1 or P and a drawn coder phase
         rule = from_wolfram_number(n)
-        rng = random.Random(seed)
-        word = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 5)))
-        core = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 6)))
-        cfg = periodic_config(A2, word, core, word, origin=rng.randrange(-3, 4))
-        _, coder = higher_block(full_shift(A2), P)
-        rec = recode_rule(rule, P)
-        lifted = apply_rule(rec, encode_config(coder, cfg))
+        coder = _coder(P, P if power else 1, phase % P)
+        cfg = _random_config(random.Random(seed))
+        lifted = apply_rule(recode_rule(rule, coder), encode_config(coder, cfg))
         direct = apply_rule(rule, cfg)
         back = decode_config(coder, lifted)
         assert back.window(-20, 20) == direct.window(-20, 20)
@@ -255,30 +255,48 @@ class TestRecoding:
             cfg.window(-9, 9)
 
 
+def _coder(P, stride, phase):
+    return BlockCoder(A2, block_alphabet(A2, P), P, stride, phase)
+
+
+def _random_config(rng):
+    word = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 5)))
+    right = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 5)))
+    core = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 6)))
+    return periodic_config(A2, word, core, right, origin=rng.randrange(-3, 4),
+                           left_phase=rng.randrange(-4, 5),
+                           right_phase=rng.randrange(-4, 5))
+
+
+coder_cases = given(st.integers(1, 4), st.booleans(), st.integers(0, 3),
+                    st.integers(0, 10_000))
+
+
 class TestCoderShiftIntertwining:
-    def test_block_coder_commutes_with_shift(self):
-        _, coder = higher_block(full_shift(A2), 3)
-        cfg = periodic_config(A2, (0, 1), (1, 1, 0), (0,), origin=2,
-                              left_phase=1)
-        for k in (-2, 1, 5):
-            a = encode_config(coder, cfg.shifted(k))
-            b = encode_config(coder, cfg).shifted(k)
-            assert a.window(-12, 12) == b.window(-12, 12)
+    @coder_cases
+    @settings(max_examples=100, deadline=None)
+    def test_block_coder_commutes_with_shift(self, P, power, phase, seed):
+        # encode(sigma^(k*stride) x) == sigma^k encode(x), cell by cell: one
+        # block step is `stride` source steps
+        coder = _coder(P, P if power else 1, phase % P)
+        rng = random.Random(seed)
+        cfg = _random_config(rng)
+        k = rng.randrange(-3, 4)
+        a = encode_config(coder, cfg.shifted(k * coder.stride))
+        b = encode_config(coder, cfg).shifted(k)
+        assert a.window(-12, 12) == b.window(-12, 12)
 
-    def test_power_coder_phase_arithmetic(self):
-        # one target step equals W source steps
-        from defectca.lattice import power_encode_config
-        from defectca.shifts import higher_power
-        _, coder = higher_power(full_shift(A2), 3)
-        cfg = periodic_config(A2, (0, 1), (1, 1, 0), (0, 1, 1), origin=0)
-        a = power_encode_config(coder, cfg.shifted(3))
-        b = power_encode_config(coder, cfg).shifted(1)
-        assert a.window(-6, 6) == b.window(-6, 6)
-
-    def test_power_config_round_trip(self):
-        from defectca.lattice import power_decode_config, power_encode_config
-        from defectca.shifts import higher_power
-        _, coder = higher_power(full_shift(A2), 2)
-        cfg = periodic_config(A2, (0, 1), (1, 0, 0), (1,), origin=-1)
-        back = power_decode_config(coder, power_encode_config(coder, cfg))
-        assert back.window(-10, 10) == cfg.window(-10, 10)
+    @coder_cases
+    @settings(max_examples=100, deadline=None)
+    def test_config_round_trip(self, P, power, phase, seed):
+        coder = _coder(P, P if power else 1, phase % P)
+        s, c = coder.stride, coder.phase
+        cfg = _random_config(random.Random(seed))
+        enc = encode_config(coder, cfg)
+        for z in range(-8, 8):
+            assert enc.cell(z) == coder.pack(cfg.window(s * z + c, s * z + c + P))
+        # the core is exactly the blocks that touch the source core
+        assert s * (enc.origin - 1) + c + P <= cfg.origin < s * enc.origin + c + P
+        assert s * (enc.end - 1) + c < cfg.end <= s * enc.end + c
+        back = decode_config(coder, enc)
+        assert back.window(-20, 20) == cfg.window(-20, 20)

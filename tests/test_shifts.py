@@ -367,20 +367,22 @@ class TestInvariants:
             for v in t.usable:
                 assert t.followers(v) and t.predecessors(v)
 
-    @given(small_shifts(), st.integers(min_value=1, max_value=3), st.integers(0, 30))
+    @given(small_shifts(), st.integers(min_value=1, max_value=3), st.booleans(),
+           st.integers(0, 2), st.integers(0, 30))
     @settings(max_examples=150, deadline=None)
-    def test_block_coding_round_trip(self, s, P, seed):
-        import random
+    def test_block_coding_round_trip(self, s, P, power, phase, seed):
+        # stride 1 (higher block) or P (higher power, at a drawn phase)
         rng = random.Random(seed)
-        blocked, coder = higher_block(s, P)
-        # random admissible word of length >= P
-        v = rng.choice(sorted(s.usable))
-        w = [v]
-        for _ in range(P + 5):
+        lifted, coder = higher_power(s, P, phase % P) if power else higher_block(s, P)
+        assert coder.stride == (P if power else 1)
+        # random admissible word of length P + k*stride
+        w = [rng.choice(sorted(s.usable))]
+        for _ in range(P - 1 + rng.randrange(6) * coder.stride):
             w.append(rng.choice(s.followers(w[-1])))
         w = tuple(w)
         enc = coder.encode_word(w)
-        assert blocked.is_admissible(enc)
+        assert len(enc) == 1 + (len(w) - P) // coder.stride
+        assert lifted.is_admissible(enc)
         assert coder.decode_word(enc) == w
 
     def test_pack_unpack_round_trip(self):

@@ -4,11 +4,10 @@ from itertools import product
 import pytest
 
 from defectca.errors import DefectcaError, InvalidMachineError
-from defectca.lattice import apply_rule, power_decode_config, power_encode_config
+from defectca.lattice import apply_rule, decode_config, encode_config
 from defectca.rules import from_wolfram_number, identity_rule
 from defectca.shifts import (
     Alphabet,
-    BlockCoder,
     binary_alphabet,
     build_markov_shift,
     full_shift,
@@ -199,15 +198,14 @@ class TestTuringToCA:
         L2 = build_markov_shift(ext, [(0, 0)])
         R2 = full_shift(ext, (0, 1))
         m2, conj = ca_to_turing(rule, L2, R2, 1)
-        coder = BlockCoder(ext, conj.rule.alphabet, conj.W_hat, "power", 0)
         s = MachineState(left_tape((0,)), "m",
                          right_tape((1, 0), near=(0, 1, 1, 0)), 0)
         cfg = emb.encode(s)
-        s2 = conj.decode(power_encode_config(coder, cfg))
+        s2 = conj.decode(encode_config(conj.coder, cfg))
         for t in range(30):
             s = step_lrtm(m, s)
             s2 = step_lrtm(m2, s2)
-            decoded = emb.decode(power_decode_config(coder, conj.encode(s2)))
+            decoded = emb.decode(decode_config(conj.coder, conj.encode(s2)))
             assert decoded.z == s.z
             assert decoded.head == s.head
             assert decoded.left.read_out(4) == s.left.read_out(4)

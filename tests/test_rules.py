@@ -286,6 +286,16 @@ class TestCoderShiftIntertwining:
         b = encode_config(coder, cfg).shifted(k)
         assert a.window(-12, 12) == b.window(-12, 12)
 
+    def test_power_coder_phase_arithmetic(self):
+        # one target step equals W source steps
+        from defectca.shifts import higher_power
+        _, coder = higher_power(full_shift(A2), 3)
+        assert coder.stride == 3
+        cfg = periodic_config(A2, (0, 1), (1, 1, 0), (0, 1, 1), origin=0)
+        a = encode_config(coder, cfg.shifted(3))
+        b = encode_config(coder, cfg).shifted(1)
+        assert a.window(-6, 6) == b.window(-6, 6)
+
     @coder_cases
     @settings(max_examples=100, deadline=None)
     def test_config_round_trip(self, P, power, phase, seed):

@@ -42,14 +42,8 @@ class PeriodicComponentCode:
         return len(self.symbols)
 
     def sigma_pow(self, s: int, k: int) -> int:
-        if k >= 0:
-            for _ in range(k):
-                s = self.sigma[s]
-            return s
-        inv = {v: u for u, v in self.sigma.items()}
-        for _ in range(-k):
-            s = inv[s]
-        return s
+        cycle = self.cycle_through(s)
+        return cycle[k % len(cycle)]
 
     def cycle_through(self, s: int) -> Word:
         out = [s]

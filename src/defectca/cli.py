@@ -58,6 +58,7 @@ class _Emitter:
 
     def write_json(self, name: str, obj) -> None:
         self.write_text(name, json.dumps(obj, indent=2, sort_keys=True,
+                                         allow_nan=False,
                                          default=_jsonable) + "\n")
 
     def manifest(self, mode: str, seed: int) -> None:

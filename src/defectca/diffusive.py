@@ -28,13 +28,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DefectcaError, MultipleDefectsError
-from .rules import LocalRule, check_invariance, is_left_resolving, is_right_resolving
+from .rules import LocalRule, check_invariance, is_right_resolving, mirror
 from .shifts import (
     MarkovShift,
     Word,
     build_markov_shift,
     perron,
     regularity,
+    reverse,
     strongly_connected,
     transitive_components,
 )
@@ -193,29 +194,9 @@ def verify_resolving_system(rule: LocalRule, L: MarkovShift,
         if not union_ok:
             notes.append("L and R overlap without being equal")
 
-    left_ok = True
-    if not regularity(L).left_regular:
-        left_ok = False
-        notes.append("L is not left-regular")
-    if not check_invariance(rule, L):
-        left_ok = False
-        notes.append("rule does not preserve L")
-    wit: list = []
-    if left_ok and not is_left_resolving(rule, L, witness=wit):
-        left_ok = False
-        notes.append(f"L is not left-resolving: witness {wit[0]}")
-
-    right_ok = True
-    if not regularity(R).right_regular:
-        right_ok = False
-        notes.append("R is not right-regular")
-    if not check_invariance(rule, R):
-        right_ok = False
-        notes.append("rule does not preserve R")
-    wit = []
-    if right_ok and not is_right_resolving(rule, R, witness=wit):
-        right_ok = False
-        notes.append(f"R is not right-resolving: witness {wit[0]}")
+    left = _side_notes(mirror(rule), reverse(L), "L", "left")
+    right = _side_notes(rule, R, "R", "right")
+    notes += left + right
 
     lam = rho = None
     measures_ok = True
@@ -225,8 +206,24 @@ def verify_resolving_system(rule: LocalRule, L: MarkovShift,
     except DefectcaError as e:
         measures_ok = False
         notes.append(f"Parry measure unavailable: {e}")
-    return ResolvingSystemReport(union_ok, left_ok, right_ok, measures_ok,
+    return ResolvingSystemReport(union_ok, not left, not right, measures_ok,
                                  tuple(notes), lam, rho)
+
+
+def _side_notes(rule: LocalRule, S: MarkovShift, name: str,
+                side: str) -> list[str]:
+    """Why ``S`` fails as the right side of a resolving system under
+    ``rule``; a left side is checked on the mirrored line."""
+    notes = []
+    if not regularity(S).right_regular:
+        notes.append(f"{name} is not {side}-regular")
+    if not check_invariance(rule, S):
+        notes.append(f"rule does not preserve {name}")
+    wit: list = []
+    if not notes and not is_right_resolving(rule, S, witness=wit):
+        w = wit[0] if side == "right" else wit[0][::-1]
+        notes.append(f"{name} is not {side}-resolving: witness {w}")
+    return notes
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +520,10 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
     six state cells need less room, but the margin fixes which draw lands
     in which cell: changing it changes every trajectory.
 
-    Samples whose defect vanishes or splits are excluded, and exceeding
-    :data:`MAX_EXCLUDED_FRAC` aborts the run; a frame that moves by more
-    than one cell in a step is not a width-2 walk and raises
-    :class:`DefectcaError`.
+    Samples whose defect vanishes or splits are excluded; exceeding
+    :data:`MAX_EXCLUDED_FRAC`, or keeping no sample, aborts the run with a
+    :class:`DefectcaError`.  So does a frame that moves by more than one
+    cell in a step: that is not a width-2 walk.
     """
     report = _check_walk(rule, L, R, W, delta)
     lam, rho = report.lam, report.rho
@@ -581,13 +578,13 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
         _tally(counts, states, states[1:])
         _tally(pair_counts, zip(states, states[1:]), states[2:])
         excluded = i + 1 - len(trajectories)
-        if excluded > max(1, MAX_EXCLUDED_FRAC * n):
+        if excluded > max(1, MAX_EXCLUDED_FRAC * n) or excluded == n:
             raise DefectcaError(
                 f"{excluded} of {i + 1} samples vanished or split; "
                 "the system is not behaving as a persistent walk")
     moved = [tr[-1] - tr[0] for tr in trajectories]
-    drift = float(np.mean([d / T for d in moved])) if moved else float("nan")
-    var = float(np.var(moved) / T) if moved else float("nan")
+    drift = float(np.mean([d / T for d in moved]))
+    var = float(np.var(moved) / T)
     return trajectories, WalkStatistics(
         len(moved), T, n - len(moved), drift, var, counts, pair_counts,
         stationary_and_drift(kernel) if kernel else None)
@@ -645,7 +642,7 @@ class MarkovTestReport:
     rows: tuple[RowComparison, ...]
     order1_rows: tuple[RowComparison, ...]
     passed: bool
-    max_tv: float
+    max_tv: Optional[float]  # None when no row was compared
 
 
 def _compare_rows(counts: dict, expected_row, visit_floor: int,
@@ -694,7 +691,7 @@ def markov_property_test(stats: WalkStatistics, kernel: WalkKernel, *,
                           visit_floor, tv_tol)
     relevant = [r for r in rows + rows1 if r.conclusive]
     passed = all(r.passed for r in relevant) and bool(rows)
-    max_tv = max((r.tv for r in rows), default=float("nan"))
+    max_tv = max((r.tv for r in rows), default=None)
     return MarkovTestReport(tuple(rows), tuple(rows1), passed, max_tv)
 
 

@@ -2,7 +2,10 @@
 
 A rule is stored as a total map from radius-``r`` neighborhoods to symbols,
 either as a dense table (small alphabets) or as a callable with memoization
-(block alphabets can be far too large to tabulate).
+(block alphabets can be far too large to tabulate).  Each side check is
+written for the right: a left-hand property is the right-hand one of the
+mirrored line, whose rule is :func:`mirror` and whose shift is
+:func:`~defectca.shifts.reverse`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .shifts import (
     markov_presentation,
     markov_to_sft,
     pack_word,
+    reverse,
     sft_to_markov,
     strongly_connected,
     transitive_components,
@@ -108,6 +112,12 @@ def identity_rule(alphabet: Alphabet) -> LocalRule:
     return LocalRule(alphabet, 1, lambda w: w[1], name="identity")
 
 
+def mirror(rule: LocalRule) -> LocalRule:
+    """The rule of the mirrored line: phi~(w) = phi(reversed w)."""
+    return LocalRule(rule.alphabet, rule.radius, lambda w: rule(w[::-1]),
+                     name=f"mirror({rule.name})")
+
+
 # ---------------------------------------------------------------------------
 # Invariance / permutativity / resolving
 # ---------------------------------------------------------------------------
@@ -129,18 +139,11 @@ def check_invariance(rule: LocalRule, background) -> bool:
 
 def is_left_permutative(rule: LocalRule, subalphabet: Iterable[int]) -> bool:
     """The leftmost argument acts bijectively on the subalphabet."""
-    syms = sorted(subalphabet)
-    if rule.radius != 1:
-        raise ValueError("permutativity checks need a radius-1 rule")
-    for b in syms:
-        for c in syms:
-            image = {rule((a, b, c)) for a in syms}
-            if image != set(syms):
-                return False
-    return True
+    return is_right_permutative(mirror(rule), subalphabet)
 
 
 def is_right_permutative(rule: LocalRule, subalphabet: Iterable[int]) -> bool:
+    """The rightmost argument acts bijectively on the subalphabet."""
     syms = sorted(subalphabet)
     if rule.radius != 1:
         raise ValueError("permutativity checks need a radius-1 rule")
@@ -156,24 +159,18 @@ def is_left_resolving(rule: LocalRule, shift: MarkovShift,
                       witness: Optional[list] = None) -> bool:
     """For each admissible (b,c,d), predecessors of b map injectively under
     a -> phi(a,b,c) into the predecessors of phi(b,c,d)."""
-    if rule.radius != 1:
-        raise ValueError("radius must be 1 (recode first)")
-    for b, c in shift.edges:
-        for d in shift.followers(c):
-            e = rule((b, c, d))
-            seen = {}
-            for a in shift.predecessors(b):
-                out = rule((a, b, c))
-                if out in seen or out not in shift.predecessors(e):
-                    if witness is not None:
-                        witness.append((a, b, c, d))
-                    return False
-                seen[out] = a
-    return True
+    mirrored: list = []
+    if is_right_resolving(mirror(rule), reverse(shift), mirrored):
+        return True
+    if witness is not None:
+        witness.append(mirrored[0][::-1])
+    return False
 
 
 def is_right_resolving(rule: LocalRule, shift: MarkovShift,
                        witness: Optional[list] = None) -> bool:
+    """For each admissible (a,b,c), followers of c map injectively under
+    d -> phi(b,c,d) into the followers of phi(a,b,c)."""
     if rule.radius != 1:
         raise ValueError("radius must be 1 (recode first)")
     for a, b in shift.edges:

@@ -11,7 +11,8 @@ over an alphabet of overlapping windows (:func:`sft_to_markov`,
 Every block presentation is one :class:`BlockCoder`: block z holds the
 source window ``[stride*z + phase, stride*z + phase + P)``, with stride 1
 for overlapping blocks (:func:`higher_block`) and stride P for
-non-overlapping powers (:func:`higher_power`).
+non-overlapping powers (:func:`higher_power`).  :func:`reverse` reads a
+Markov shift on the mirrored line, where followers become predecessors.
 """
 
 from __future__ import annotations
@@ -168,6 +169,11 @@ def full_shift(alphabet: Alphabet, symbols: Optional[Iterable[int]] = None) -> M
     """The full shift on a subset of symbols (all transitions allowed)."""
     syms = list(symbols) if symbols is not None else list(range(alphabet.size))
     return build_markov_shift(alphabet, [(a, b) for a in syms for b in syms])
+
+
+def reverse(shift: MarkovShift) -> MarkovShift:
+    """The shift of the mirrored line: every edge turned around."""
+    return MarkovShift(shift.alphabet, frozenset((b, a) for a, b in shift.edges))
 
 
 def cycle_shift(alphabet: Alphabet, cycle: Sequence[int]) -> MarkovShift:

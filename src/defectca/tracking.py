@@ -127,26 +127,25 @@ def track(rule: LocalRule, shift: MarkovShift, config: Configuration, T: int,
     configs: list[Configuration] = []
     cur = config
     for t in range(T + 1):
+        if t:
+            cur = apply_rule(rule, cur)
         try:
             interval = locate_defect(cur, shift)
         except MultipleDefectsError:
-            return DefectTrajectory(tuple(records), Verdict("split", t=t),
-                                    tuple(configs) if keep_configs else None)
+            verdict = Verdict("split", t=t)
+            break
         if interval is None:
-            return DefectTrajectory(tuple(records), Verdict("vanished", t=t),
-                                    tuple(configs) if keep_configs else None)
+            verdict = Verdict("vanished", t=t)
+            break
         if interval.w > width_cap:
-            return DefectTrajectory(tuple(records), Verdict("blight", t=t),
-                                    tuple(configs) if keep_configs else None)
-        rec = record_at(cur, interval, t)
-        records.append(rec)
+            verdict = Verdict("blight", t=t)
+            break
+        records.append(record_at(cur, interval, t))
         if keep_configs:
             configs.append(cur)
-        if t == T:
-            break
-        cur = apply_rule(rule, cur)
-    W = max(r.width for r in records)
-    return DefectTrajectory(tuple(records), Verdict("particle", width=W),
+    else:
+        verdict = Verdict("particle", width=max(r.width for r in records))
+    return DefectTrajectory(tuple(records), verdict,
                             tuple(configs) if keep_configs else None)
 
 

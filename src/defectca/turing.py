@@ -45,14 +45,14 @@ from .tracking import bad_transitions, frame_of, locate_defect
 
 @dataclass(frozen=True)
 class HalfTape:
-    """A half-infinite admissible tape: a periodic far field plus near cells.
+    """A half-infinite admissible tape, read outward from the head.
 
-    ``read(1)`` is the cell adjacent to the head.  For a left tape,
-    ``near[-1]`` is innermost and the background extends to -infinity; for a
-    right tape ``near[0]`` is innermost.
+    ``read(1)`` is the cell beside the head.  ``near`` holds cells innermost
+    first; past them the periodic far field runs through ``bg`` from
+    ``offset``.  A right tape reads left to right; a left tape is the right
+    tape of the mirrored line (:func:`left_tape`).
     """
 
-    side: str
     bg: Word
     offset: int
     near: Word = ()
@@ -62,33 +62,31 @@ class HalfTape:
             raise ValueError("tape cells are indexed from 1")
         k = len(self.near)
         if n <= k:
-            return self.near[-n] if self.side == "left" else self.near[n - 1]
-        if self.side == "left":
-            return self.bg[(self.offset - (n - k)) % len(self.bg)]
-        return self.bg[(self.offset + (n - k) - 1) % len(self.bg)]
+            return self.near[n - 1]
+        return self.bg[(self.offset + n - k - 1) % len(self.bg)]
 
     def push(self, *cells: int) -> "HalfTape":
-        """Put ``cells``, in left-to-right order, next to the head."""
-        near = self.near + cells if self.side == "left" else cells + self.near
-        return HalfTape(self.side, self.bg, self.offset, near)
+        """Put ``cells``, listed from the head outward, next to the head."""
+        return HalfTape(self.bg, self.offset, cells + self.near)
 
     def pop(self) -> "HalfTape":
         if self.near:
-            near = self.near[:-1] if self.side == "left" else self.near[1:]
-            return HalfTape(self.side, self.bg, self.offset, near)
-        off = self.offset - 1 if self.side == "left" else self.offset + 1
-        return HalfTape(self.side, self.bg, off, self.near)
+            return HalfTape(self.bg, self.offset, self.near[1:])
+        return HalfTape(self.bg, self.offset + 1)
 
     def read_out(self, count: int) -> Word:
         return tuple(self.read(n) for n in range(1, count + 1))
 
 
 def left_tape(bg: Word, near: Word = (), offset: int = 0) -> HalfTape:
-    return HalfTape("left", tuple(bg), offset, tuple(near))
+    """The tape left of the head; ``near`` and ``bg`` read left to right,
+    and cell j beyond ``near`` is ``bg[(offset - j) % len(bg)]``."""
+    return HalfTape(tuple(bg)[::-1], -offset, tuple(near)[::-1])
 
 
 def right_tape(bg: Word, near: Word = (), offset: int = 0) -> HalfTape:
-    return HalfTape("right", tuple(bg), offset, tuple(near))
+    """The tape right of the head: ``near``, then ``bg`` from ``offset``."""
+    return HalfTape(tuple(bg), offset, tuple(near))
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,7 @@ def step_lrtm(machine: LRTuringMachine, state: MachineState) -> MachineState:
     The two cells beside the head become a and b: a is tau_C at v=-1 and
     tau_L otherwise, b is tau_C at v=1 and tau_R otherwise.  The head lands
     in slot 1+v, so ``(a, b)[:1+v]`` joins the left tape and the rest the
-    right tape.
+    right tape; each tape takes its cells from the head outward.
     """
     l1, l2 = state.left.read(1), state.left.read(2)
     r1, r2 = state.right.read(1), state.right.read(2)
@@ -139,7 +137,7 @@ def step_lrtm(machine: LRTuringMachine, state: MachineState) -> MachineState:
     k = 1 + v
     _check_writes("left", machine.left_shift.edges, (l2, a, b)[:k + 1])
     _check_writes("right", machine.right_shift.edges, (a, b, r2)[k:])
-    return MachineState(state.left.pop().push(*(a, b)[:k]), d_next,
+    return MachineState(state.left.pop().push(*(a, b)[:k][::-1]), d_next,
                         state.right.pop().push(*(a, b)[k:]), state.z + v)
 
 
@@ -172,9 +170,10 @@ def tapes_to_config(alphabet: Alphabet, state: MachineState,
     lt, rt = state.left, state.right
     origin = state.z - len(lt.near)
     end = state.z + len(head_cells) + len(rt.near)
-    left = PeriodicBackground(lt.bg, (lt.offset - origin) % len(lt.bg))
+    # the left tape reads the mirrored line: its bg runs leftward from origin
+    left = PeriodicBackground(lt.bg[::-1], (-lt.offset - origin) % len(lt.bg))
     right = PeriodicBackground(rt.bg, (rt.offset - end) % len(rt.bg))
-    return Configuration(alphabet, left, lt.near + tuple(head_cells) + rt.near,
+    return Configuration(alphabet, left, lt.near[::-1] + tuple(head_cells) + rt.near,
                          right, origin)
 
 
@@ -187,10 +186,10 @@ def config_to_tapes(config: Configuration, z: int, width: int,
     lo = min(config.origin, z)
     hi = max(config.end, z + width)
     lbg, rbg = config.left, config.right
-    left = HalfTape("left", lbg.word, (lo + lbg.phase) % len(lbg.word),
-                    config.window(lo, z))
-    right = HalfTape("right", rbg.word, (hi + rbg.phase) % len(rbg.word),
-                     config.window(z + width, hi))
+    left = left_tape(lbg.word, config.window(lo, z),
+                     (lo + lbg.phase) % len(lbg.word))
+    right = right_tape(rbg.word, config.window(z + width, hi),
+                       (hi + rbg.phase) % len(rbg.word))
     return MachineState(left, head, right, z)
 
 

@@ -18,13 +18,20 @@ from defectca.diffusive import (
     verify_resolving_system,
 )
 from defectca.errors import DefectcaError
-from defectca.rules import LocalRule, from_linear, from_wolfram_number, identity_rule
+from defectca.rules import (
+    LocalRule,
+    from_linear,
+    from_wolfram_number,
+    identity_rule,
+    mirror,
+)
 from defectca.shifts import (
     Alphabet,
     binary_alphabet,
     build_markov_shift,
     entropy,
     full_shift,
+    reverse,
 )
 from defectca import zoo
 
@@ -268,6 +275,27 @@ class TestStationary:
         classes = stationary_and_drift(k)
         assert len(classes) == 1
         assert classes[0].drift == Fraction(-1, 7)
+
+
+class TestMirrorSymmetry:
+    """Reflecting the line swaps the sides and reverses the motion: the walk
+    of (mirror(phi), reverse(R), reverse(L)) has as many states as that of
+    (phi, L, R), and its drifts are the negatives of the original drifts,
+    which TestStationary and TestWalkKernel pin."""
+
+    @pytest.mark.parametrize("case,drifts,size", [
+        ("wall-W0", [Fraction(-1, 7)], 8),
+        ("eca184-gstar-W0", [Fraction(-1), Fraction(1)], 2),
+        ("marked-W1", [Fraction(0)], 64),
+    ])
+    def test_mirrored_walk_drifts_are_negated(self, case, drifts, size):
+        rule, L, R, delta, W = _walk_case(case)
+        support = list(delta) or None
+        k = build_walk_kernel(rule, L, R, W, delta_support=support)
+        km = build_walk_kernel(mirror(rule), reverse(R), reverse(L), W,
+                               delta_support=support)
+        assert len(k.states) == len(km.states) == size
+        assert sorted(-c.drift for c in stationary_and_drift(km)) == drifts
 
 
 def _uniform_marked_delta():

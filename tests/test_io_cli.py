@@ -520,6 +520,56 @@ def test_unsupported_radius_is_bad_input(workdir, capsys, mode):
     assert "radius 2" in payload["message"]
 
 
+def _strict_json(text):
+    """Parse JSON as RFC 8259 defines it: NaN and Infinity are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_walk_without_compared_rows_writes_strict_json(workdir):
+    """A one-step walk compares no kernel rows: its largest TV distance is
+    null, not NaN.  The wall walker's kernel is small enough to be quick."""
+    _write(os.path.join(workdir, "wall.json"), dio.save_rule(zoo.wall_rule()))
+    for name, shift in (("left", zoo.wall_left_shift()),
+                        ("right", zoo.wall_right_shift())):
+        _write(os.path.join(workdir, f"{name}.json"), dio.save_shift(shift))
+    cfg_path = os.path.join(workdir, "steps1.json")
+    _write(cfg_path, {"mode": "walk", "rule": "wall.json", "W": 0,
+                      "left_shift": "left.json", "right_shift": "right.json",
+                      "steps": 1, "samples": 3})
+    out = os.path.join(workdir, "out")
+    assert main(["walk", "--config", cfg_path, "--out", out]) == 0
+    with open(os.path.join(out, "walk-stats.json")) as fh:
+        stats = _strict_json(fh.read())
+    assert stats["markov_rows_checked"] == 0
+    assert stats["markov_max_tv"] is None
+    assert stats["markov_passed"] is False
+
+
+def _fading_rule():
+    # the marked walker, except that a mark landing between two unmarked 1s
+    # fades: within 50 steps every sampled defect vanishes
+    def fn(w):
+        out = zoo._diffusive_fn(w)
+        return out - 2 if out >= 2 and w[0] == 1 and w[2] == 1 else out
+    return LocalRule(zoo.DIFFUSIVE_ALPHABET, 1, fn, name="fading-walker")
+
+
+def test_walk_without_kept_samples_is_bad_input(workdir, capsys):
+    """A walk whose every sample vanishes has no drift to report."""
+    cfg = _valid_config("walk", workdir)
+    cfg.update(rule=dio.save_rule(_fading_rule()), steps=50, samples=1)
+    cfg_path = os.path.join(workdir, "samples1.json")
+    _write(cfg_path, cfg)
+    code = main(["--json-errors", "walk", "--config", cfg_path,
+                 "--out", os.path.join(workdir, "out")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "DefectcaError"
+    assert "1 of 1 samples vanished" in payload["message"]
+
+
 def test_exit_status(workdir, capsys, monkeypatch):
     """``python -m defectca`` exits 0 on success, 2 on a config error and 3
     on a fault inside defectca."""

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,8 +28,10 @@ from defectca.rules import (
     normalize,
     phi_orbit_components,
     recode_rule,
+    rule_from_table,
 )
 from defectca.shifts import (
+    Alphabet,
     BlockCoder,
     binary_alphabet,
     block_alphabet,
@@ -187,6 +190,68 @@ class TestResolving:
         assert is_surjective_on(r, s, length=3)
         s2 = build_markov_shift(A2, [(0, 0)])
         assert is_surjective_on(from_wolfram_number(184), s2, length=3)
+
+
+# The paper's left-hand definitions, written out directly as the slow
+# reference for the checks that read the mirrored line.
+
+def _left_permutative_ref(rule, syms):
+    return all({rule((a, b, c)) for a in syms} == set(syms)
+               for b in syms for c in syms)
+
+
+def _left_violation(rule, shift, a, b, c, d):
+    """True iff (a, b, c, d) shows that ``shift`` is not left-resolving:
+    a b c d is admissible, and a -> phi(a,b,c) on the predecessors of b
+    either collides or misses the predecessors of phi(b,c,d)."""
+    if not shift.is_admissible((a, b, c, d)):
+        return False
+    out = rule((a, b, c))
+    collides = any(rule((x, b, c)) == out
+                   for x in shift.predecessors(b) if x != a)
+    return collides or out not in shift.predecessors(rule((b, c, d)))
+
+
+def _left_resolving_ref(rule, shift):
+    return not any(_left_violation(rule, shift, a, *w)
+                   for w in shift.words(3) for a in shift.predecessors(w[0]))
+
+
+@st.composite
+def rules_on_shifts(draw):
+    """A radius-1 rule on 2-4 symbols, linear or a random table, and a
+    Markov shift holding one drawn cycle plus random extra edges."""
+    n = draw(st.integers(2, 4))
+    alpha = Alphabet(tuple(map(str, range(n))))
+    cycle = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1)), max_size=n * n))
+    nbhds = list(product(range(n), repeat=3))
+    if draw(st.booleans()):
+        c = draw(st.tuples(*[st.integers(0, n - 1)] * 3))
+        outs = [(c[0] * a + c[1] * b + c[2] * d) % n for a, b, d in nbhds]
+    else:
+        outs = draw(st.lists(st.integers(0, n - 1), min_size=len(nbhds),
+                             max_size=len(nbhds)))
+    return (rule_from_table(alpha, 1, dict(zip(nbhds, outs))),
+            build_markov_shift(alpha, edges))
+
+
+class TestMirroredChecks:
+    @given(rules_on_shifts())
+    @settings(max_examples=100, deadline=None)
+    def test_left_checks_match_direct_definitions(self, case):
+        rule, shift = case
+        syms = sorted(shift.usable)
+        assert is_left_permutative(rule, syms) == _left_permutative_ref(rule, syms)
+        witness = []
+        ok = is_left_resolving(rule, shift, witness)
+        assert ok == _left_resolving_ref(rule, shift)
+        if ok:
+            assert witness == []
+        else:
+            assert len(witness) == 1 and _left_violation(rule, shift, *witness[0])
 
 
 class TestTravellingWaves:

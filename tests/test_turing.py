@@ -21,6 +21,7 @@ from defectca.turing import (
     build_cycle_encoder,
     ca_to_turing,
     classical_to_lr,
+    config_to_tapes,
     detect_runaway_cycle,
     left_tape,
     regime_of,
@@ -28,6 +29,7 @@ from defectca.turing import (
     run_apda,
     runaway_cycles,
     step_lrtm,
+    tapes_to_config,
     turing_to_ca,
 )
 from defectca import zoo
@@ -41,6 +43,26 @@ def zero_shift():
 
 def one_shift():
     return build_markov_shift(A2, [(1, 1)])
+
+
+A4 = Alphabet(("0", "1", "2", "3"))
+
+
+def _random_tape_args(rng):
+    """(bg, near, offset): words over A4 in left-to-right order and a
+    nonzero far-field offset."""
+    def word(least):
+        return tuple(rng.randrange(4) for _ in range(rng.randint(least, 4)))
+    return word(1), word(0), rng.choice([o for o in range(-7, 8) if o])
+
+
+def _reference_read(side, bg, offset, near, n):
+    """Cell n from the head of a tape, by definition: ``near`` is in
+    left-to-right order and the far field continues ``bg`` away from it."""
+    k = len(near)
+    if side == "left":
+        return near[-n] if n <= k else bg[(offset - (n - k)) % len(bg)]
+    return near[n - 1] if n <= k else bg[(offset + (n - k) - 1) % len(bg)]
 
 
 class TestHalfTape:
@@ -60,6 +82,40 @@ class TestHalfTape:
         t = right_tape((0, 1), near=())
         popped = t.pop()
         assert popped.read_out(4) == t.read_out(5)[1:]
+
+    def test_tapes_match_the_direct_definition(self):
+        # random pushes (cells from the head outward) and pops, mirrored on
+        # a left-to-right near word and a far-field offset
+        rng = random.Random(0)
+        for _ in range(200):
+            for side in ("left", "right"):
+                bg, near, offset = _random_tape_args(rng)
+                tape = (left_tape if side == "left" else right_tape)(bg, near, offset)
+                for _ in range(rng.randrange(9)):
+                    if rng.random() < 0.5:
+                        tape = tape.pop()
+                        if not near:
+                            offset += -1 if side == "left" else 1
+                        near = near[:-1] if side == "left" else near[1:]
+                    else:
+                        cells = tuple(rng.randrange(4) for _ in range(rng.randrange(3)))
+                        tape = tape.push(*cells)
+                        near = near + cells[::-1] if side == "left" else cells + near
+                    assert tape.read_out(12) == tuple(
+                        _reference_read(side, bg, offset, near, n) for n in range(1, 13))
+
+    def test_codec_places_tape_cells_beside_the_head(self):
+        rng = random.Random(1)
+        for _ in range(200):
+            z, width = rng.randrange(-5, 6), rng.randint(1, 2)
+            state = MachineState(left_tape(*_random_tape_args(rng)), "h",
+                                 right_tape(*_random_tape_args(rng)), z)
+            config = tapes_to_config(A4, state, (0,) * width)
+            back = config_to_tapes(config, z, width, "h")
+            for n in range(1, 13):
+                assert config.cell(z - n) == state.left.read(n) == back.left.read(n)
+                assert config.cell(z + width - 1 + n) == state.right.read(n) == \
+                    back.right.read(n)
 
 
 def _stationary_machine():

@@ -164,16 +164,6 @@ def enumerate_particle_types(system: KinematicSystem) -> tuple[list[ParticleType
     return types, transients
 
 
-def predict_trajectory(system: KinematicSystem, ptype: ParticleType,
-                       z0: int, T: int, phase: int = 0) -> list[int]:
-    """Integrate the velocity signal along the orbit from a given phase."""
-    zs = [z0]
-    for t in range(T):
-        s = ptype.orbit[(phase + t) % ptype.period]
-        zs.append(zs[-1] + system.vel[s])
-    return zs
-
-
 def verify_conjugacy(system: KinematicSystem, ptype: ParticleType,
                      shift: MarkovShift) -> bool:
     """Direct simulation over one period returns to the same padded state

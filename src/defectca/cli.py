@@ -293,11 +293,6 @@ def run(mode: str, cfg: dio.Field, out_dir: str,
     return code
 
 
-def run_experiment(mode: str, config_path: str, out_dir: str,
-                   seed: Optional[int] = None) -> int:
-    return run(mode, dio.Field.read(config_path), out_dir, seed)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="defectca",

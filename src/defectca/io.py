@@ -252,16 +252,6 @@ def load_config(spec, alphabet: Alphabet) -> Configuration:
                          bg("right"), f.get("origin", 0).int())
 
 
-def save_config(config: Configuration) -> dict:
-    a = config.alphabet
-    return {"left": {"word": _format_word(a, config.left.word),
-                     "phase": config.left.phase},
-            "core": _format_word(a, config.core),
-            "right": {"word": _format_word(a, config.right.word),
-                      "phase": config.right.phase},
-            "origin": config.origin}
-
-
 # ---------------------------------------------------------------------------
 # Turing machines
 # ---------------------------------------------------------------------------

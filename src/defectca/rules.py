@@ -190,8 +190,7 @@ def is_right_resolving(rule: LocalRule, shift: MarkovShift,
 def is_surjective_on(rule: LocalRule, shift: MarkovShift, length: int = 3) -> bool:
     """Check Phi(S) = S on words: every admissible word has an admissible preimage."""
     r = rule.radius
-    images = {rule.image_word(w) for w in shift.words(length + 2 * r)
-              if shift.is_admissible(w)}
+    images = {rule.image_word(w) for w in shift.words(length + 2 * r)}
     return set(shift.words(length)) <= images
 
 

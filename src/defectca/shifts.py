@@ -176,12 +176,6 @@ def reverse(shift: MarkovShift) -> MarkovShift:
     return MarkovShift(shift.alphabet, frozenset((b, a) for a, b in shift.edges))
 
 
-def cycle_shift(alphabet: Alphabet, cycle: Sequence[int]) -> MarkovShift:
-    """The shift generated by one periodic cycle of symbols."""
-    n = len(cycle)
-    return build_markov_shift(alphabet, [(cycle[i], cycle[(i + 1) % n]) for i in range(n)])
-
-
 # ---------------------------------------------------------------------------
 # SFTs
 # ---------------------------------------------------------------------------
@@ -495,12 +489,6 @@ def choice_point(shift: MarkovShift) -> Optional[int]:
     return best
 
 
-def is_cycle_union(shift: MarkovShift) -> bool:
-    """True iff the digraph is a disjoint union of simple cycles."""
-    return all(len(shift.followers(v)) == 1 and len(shift.predecessors(v)) == 1
-               for v in shift.usable)
-
-
 def perron(M: np.ndarray) -> tuple[float, np.ndarray]:
     """Perron root and eigenvector (max entry 1) of an irreducible nonnegative matrix.
 
@@ -598,17 +586,22 @@ def simple_cycles_at(shift: MarkovShift, v: int) -> list[Word]:
 def equal_length_cycles(shift: MarkovShift) -> tuple[int, Word, Word]:
     """Two distinct equal-length cycles starting at one vertex.
 
-    Takes the lexicographically least choice point, its two lexicographically
-    least simple cycles of lengths Q0 and Q1, sets P = lcm(Q0, Q1) and chains
-    P/Qi copies of each.  Requires positive entropy.
+    Takes the least vertex that lies on two simple cycles of a component
+    that is not a single cycle, its two lexicographically least simple
+    cycles of lengths Q0 and Q1, sets P = lcm(Q0, Q1) and chains P/Qi
+    copies of each.  Every such component has that vertex (one with two
+    followers in it), but the :func:`choice_point` may lie on one simple
+    cycle only (0 in the shift 0->1, 1->0, 1->1).  Requires positive
+    entropy.
     """
-    c = choice_point(shift)
-    if c is None:
-        raise NoChoicePointError("no choice point: shift has zero entropy")
-    cycles = simple_cycles_at(shift, c)
-    b0, b1 = cycles[0], cycles[1]
-    P = math.lcm(len(b0), len(b1))
-    return P, b0 * (P // len(b0)), b1 * (P // len(b1))
+    for c in sorted(v for comp in _cyclic_sccs(shift)
+                    if not _scc_is_simple_cycle(shift, comp) for v in comp):
+        cycles = simple_cycles_at(shift, c)
+        if len(cycles) > 1:
+            b0, b1 = cycles[0], cycles[1]
+            P = math.lcm(len(b0), len(b1))
+            return P, b0 * (P // len(b0)), b1 * (P // len(b1))
+    raise NoChoicePointError("no choice point: shift has zero entropy")
 
 
 def period_of(shift: MarkovShift) -> Optional[int]:

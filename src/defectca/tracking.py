@@ -8,10 +8,10 @@ step costs work in proportion to the defect, not to the elapsed time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import MultipleDefectsError, NotAFunctionError
+from .errors import DefectcaError, MultipleDefectsError, NotAFunctionError
 from .lattice import Configuration, apply_rule
 from .rules import LocalRule
 from .shifts import MarkovShift, Word
@@ -123,6 +123,8 @@ def track(rule: LocalRule, shift: MarkovShift, config: Configuration, T: int,
     when the cap is exceeded, ``vanished`` when the configuration becomes
     fully admissible, ``split`` when separate runs appear.
     """
+    if T < 0:
+        raise DefectcaError(f"T must be >= 0, got {T}")
     records: list[DefectRecord] = []
     configs: list[Configuration] = []
     cur = config
@@ -147,15 +149,6 @@ def track(rule: LocalRule, shift: MarkovShift, config: Configuration, T: int,
         verdict = Verdict("particle", width=max(r.width for r in records))
     return DefectTrajectory(tuple(records), verdict,
                             tuple(configs) if keep_configs else None)
-
-
-def pad_to_constant_width(record: DefectRecord, config: Configuration,
-                          L: int, R: int) -> DefectRecord:
-    """Extend the raw defect word with adjacent admissible symbols; z fixed."""
-    if L < record.L or R < record.R:
-        raise ValueError("cannot pad to a smaller frame")
-    return replace(record, L=L, R=R,
-                   word=config.window(record.z - L, record.z + R + 1))
 
 
 def check_velocity_bounds(traj: DefectTrajectory) -> list[str]:
@@ -188,9 +181,6 @@ class DefectAutomaton:
     R: int
     upsilon: dict
     velocity: dict
-
-    def inputs(self):
-        return sorted(self.upsilon)
 
 
 def automaton_key(config: Configuration, z: int, L: int, R: int):

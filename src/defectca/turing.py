@@ -150,19 +150,6 @@ def _check_writes(side: str, edges, cells: tuple) -> None:
             f"({','.join(map(str, cells))}) inadmissible")
 
 
-def run_lrtm(machine: LRTuringMachine, state: MachineState, steps: int,
-             check: bool = False) -> MachineState:
-    for _ in range(steps):
-        state = step_lrtm(machine, state)
-        if check:
-            probe = state.left.read_out(4)
-            if not machine.left_shift.is_admissible(tuple(reversed(probe))):
-                raise InvalidMachineError("left tape left the background shift")
-            if not machine.right_shift.is_admissible(state.right.read_out(4)):
-                raise InvalidMachineError("right tape left the background shift")
-    return state
-
-
 def tapes_to_config(alphabet: Alphabet, state: MachineState,
                     head_cells: Sequence[int]) -> Configuration:
     """The configuration of a machine state whose head occupies the cells
@@ -311,8 +298,12 @@ def turing_to_ca(machine: LRTuringMachine) -> tuple[LocalRule, TuringCAEmbedding
     marker are fixed, so L- and R-admissible regions are pointwise fixed.
     """
     tape = machine.alphabet
-    labels = tape.labels + tuple(f"[{i}]" for i, _ in enumerate(machine.head_domain))
-    alpha = Alphabet(labels)
+    heads = tuple(f"[{i}]" for i, _ in enumerate(machine.head_domain))
+    for label in heads:
+        if label in tape.labels:
+            raise DefectcaError(f"tape label {label!r} is also the label of "
+                                "a head symbol of the compiled CA")
+    alpha = Alphabet(tape.labels + heads)
     base = tape.size
     emb = TuringCAEmbedding(machine, alpha, base)
     m = machine
@@ -395,7 +386,11 @@ def build_cycle_encoder(shift: MarkovShift) -> CycleEncoder:
 
 @dataclass(frozen=True)
 class ClassicalTM:
-    """A standard Turing machine: head over a cell, total transition maps."""
+    """A standard Turing machine: head over a cell, total transition maps.
+
+    A tape is a dict from cell to symbol; cells not listed in it hold the
+    blank symbol 0.
+    """
 
     tape_size: int
     head_domain: tuple
@@ -403,16 +398,11 @@ class ClassicalTM:
     upsilon: dict
     velocity: dict
 
-    def step(self, tape: dict, d, z: int, blank: int = 0):
-        t = tape.get(z, blank)
+    def step(self, tape: dict, d, z: int):
+        t = tape.get(z, 0)
         tape = dict(tape)
         tape[z] = self.tau[(t, d)]
         return tape, self.upsilon[(t, d)], z + self.velocity[(t, d)]
-
-    def run(self, tape: dict, d, z: int, steps: int, blank: int = 0):
-        for _ in range(steps):
-            tape, d, z = self.step(tape, d, z, blank)
-        return tape, d, z
 
 
 def regime_of(L: MarkovShift, R: MarkovShift) -> str:
@@ -445,18 +435,17 @@ class LRCompiledMachine:
     def cells_per_symbol(self) -> int:
         return self.bits * self.enc_left.P
 
-    def initial_state(self, tape: dict, d, z: int, window: int,
-                      blank: int = 0) -> MachineState:
+    def initial_state(self, tape: dict, d, z: int, window: int) -> MachineState:
         lcells: list[int] = []
         for k in range(z - window, z):
-            lcells.extend(self.enc_left.encode_symbol(tape.get(k, blank), self.bits))
+            lcells.extend(self.enc_left.encode_symbol(tape.get(k, 0), self.bits))
         rcells: list[int] = []
         for k in range(z + 1, z + window + 1):
-            rcells.extend(self.enc_right.encode_symbol(tape.get(k, blank), self.bits))
-        lbg = self.enc_left.encode_symbol(blank, self.bits)
-        rbg = self.enc_right.encode_symbol(blank, self.bits)
+            rcells.extend(self.enc_right.encode_symbol(tape.get(k, 0), self.bits))
+        lbg = self.enc_left.encode_symbol(0, self.bits)
+        rbg = self.enc_right.encode_symbol(0, self.bits)
         return MachineState(left_tape(lbg, tuple(lcells)),
-                            ("idle", d, tape.get(z, blank)),
+                            ("idle", d, tape.get(z, 0)),
                             right_tape(rbg, tuple(rcells)), 0)
 
     def macro_step(self, state: MachineState) -> tuple[MachineState, int]:

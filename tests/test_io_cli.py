@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from defectca import io as dio, zoo
-from defectca.cli import MODES, main, run_experiment
+from defectca.cli import MODES, main, run
 from defectca.errors import DefectcaError
 from defectca.lattice import periodic_config
 from defectca.rules import LocalRule, from_wolfram_number
@@ -61,9 +61,10 @@ class TestRuleIO:
 
 class TestConfigAndTrajectoryIO:
     def test_config_round_trip(self):
+        spec = {"left": {"word": "01", "phase": 1}, "core": "11",
+                "right": {"word": "0"}, "origin": -1}
         cfg = periodic_config(A2, (0, 1), (1, 1), (0,), origin=-1, left_phase=1)
-        again = dio.load_config(dio.save_config(cfg), A2)
-        assert again.window(-6, 6) == cfg.window(-6, 6)
+        assert dio.load_config(spec, A2).window(-6, 6) == cfg.window(-6, 6)
 
     def test_trajectory_csv(self):
         gstar = build_markov_shift(A2, [(0, 1), (1, 0)])
@@ -189,7 +190,7 @@ class TestCLI:
         path = os.path.join(workdir, "sim-bad.json")
         _write(path, cfg)
         with pytest.raises(DefectcaError, match=f"'{field}'"):
-            run_experiment("simulate", path, os.path.join(workdir, "z"))
+            run("simulate", dio.Field.read(path), os.path.join(workdir, "z"))
 
     @pytest.mark.parametrize("field,value", [("steps", "abc"), ("steps", 2.7),
                                              ("width_cap", True),
@@ -244,7 +245,7 @@ class TestCLI:
         path = os.path.join(workdir, "cls.json")
         _write(path, cfg)
         out = os.path.join(workdir, "out")
-        assert run_experiment("classify", path, out) == 0
+        assert run("classify", dio.Field.read(path), out) == 0
         assert _manifest_files(out) == CLASSIFY_DIGESTS
         report = dio.read_json(os.path.join(out, "classify.json"))
         assert len(report["types"]) == 7
@@ -296,7 +297,7 @@ class TestCLI:
         path = os.path.join(workdir, "ctm.json")
         _write(path, cfg)
         out = os.path.join(workdir, "ctm-out")
-        assert run_experiment("compile-tm", path, out) == 0
+        assert run("compile-tm", dio.Field.read(path), out) == 0
         assert _manifest_files(out) == COMPILE_TM_DIGESTS
         ca = dio.read_json(os.path.join(out, "ca.json"))
         assert ca["cells_per_symbol"] == 2
@@ -310,10 +311,22 @@ class TestCLI:
         rpath = os.path.join(workdir, "rtm.json")
         _write(rpath, run_cfg)
         rout = os.path.join(workdir, "rtm-out")
-        assert run_experiment("run-tm", rpath, rout) == 0
+        assert run("run-tm", dio.Field.read(rpath), rout) == 0
         assert _manifest_files(rout) == RUN_TM_DIGESTS
         result = dio.read_json(os.path.join(rout, "run-tm.json"))
         assert result["bisimulation"] is True
+
+    def test_compile_tm_rejects_tape_label_of_a_head(self, workdir, capsys):
+        shift = dict(FULL_SHIFT, alphabet=["[0]", "b"])
+        path = os.path.join(workdir, "clash.json")
+        _write(path, {"mode": "compile-tm", "tm": TM_SPEC,
+                      "left_shift": shift, "right_shift": shift})
+        code = main(["--json-errors", "compile-tm", "--config", path,
+                     "--out", os.path.join(workdir, "clash-out")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "DefectcaError"
+        assert "'[0]'" in payload["message"]
 
     def test_verify(self, workdir):
         cfg = {"mode": "verify", "rule": dio.save_rule(zoo.diffusive_rule()),
@@ -321,7 +334,7 @@ class TestCLI:
         path = os.path.join(workdir, "ver.json")
         _write(path, cfg)
         out = os.path.join(workdir, "ver-out")
-        assert run_experiment("verify", path, out) == 0
+        assert run("verify", dio.Field.read(path), out) == 0
         assert _manifest_files(out) == VERIFY_DIGESTS
         report = dio.read_json(os.path.join(out, "verify.json"))
         assert report["resolving_system"] is True
@@ -335,7 +348,7 @@ class TestCLI:
         path = os.path.join(workdir, "ver-sft.json")
         _write(path, cfg)
         out = os.path.join(workdir, "ver-sft-out")
-        assert run_experiment("verify", path, out) == 0
+        assert run("verify", dio.Field.read(path), out) == 0
         assert _manifest_files(out) == VERIFY_SFT_DIGESTS
         report = dio.read_json(os.path.join(out, "verify.json"))
         assert report["invariant"] is True
@@ -349,7 +362,7 @@ class TestCLI:
         path = os.path.join(workdir, "ver-sft2.json")
         _write(path, cfg)
         out = os.path.join(workdir, "ver-sft2-out")
-        assert run_experiment("verify", path, out) == 0
+        assert run("verify", dio.Field.read(path), out) == 0
         report = dio.read_json(os.path.join(out, "verify.json"))
         assert report["regime"] == "ballistic"
 

@@ -1,5 +1,6 @@
 """Every ``from defectca... import name`` in the README's Python blocks, the
-demos and the benchmark harness names something that exists.
+demos and the benchmark harness names something that exists, and every
+public function of the package has a caller outside the tests.
 
 Tier-1 runs none of those files, so a renamed or deleted public name would
 otherwise surface only when a reader or the benchmark runs them.  The files
@@ -50,3 +51,59 @@ def test_imported_name_resolves(where, module, name):
     assert hasattr(mod, name) or \
         importlib.util.find_spec(f"{module}.{name}") is not None, \
         f"{where} imports {name!r} from {module}, which has no such name"
+
+
+# Public functions that nothing outside the tests calls, kept because each is
+# a construct of the paper or an oracle the tests check the library against.
+KEEP = {
+    "ballistic.verify_conjugacy":
+        "the kinematic system is conjugate to the CA over one period",
+    "ballistic.marked_cell_presentation":
+        "a block-space particle state in source cells, as the paper prints it",
+    "diffusive.pushforward_cylinders": "the Parry measure is Phi-invariant",
+    "diffusive.subsampled_walk":
+        "the walk with one frozen side, a mixture over its fixed points",
+    "io.save_rule": "writes rule specs; the inverse of load_rule",
+    "rules.identity_rule": "the trivial rule, whose kinematics are xi = upsilon",
+    "rules.is_left_permutative": "the left half of the permutativity pair",
+    "rules.is_surjective_on": "Phi(S) = S on words",
+    "rules.find_travelling_wave_backgrounds":
+        "the periodic backgrounds with Phi^p = sigma^(p*v)",
+    "turing.ca_to_turing": "the CA-to-machine direction of the compilation",
+    "turing.apda_to_lr": "an APDA as a machine with one frozen tape",
+    "turing.run_apda": "the APDA oracle that runaway detection is checked on",
+    "zoo.gstar_shift": "the worked G* background of ECA#184",
+}
+
+SRC = ROOT / "src" / "defectca"
+
+
+def _public_functions():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield path, node
+
+
+def _uncalled():
+    """Public top-level functions whose name appears nowhere in ``src/``
+    outside their own definition, nor in a demo, a README Python block or
+    the benchmark's workloads."""
+    outside = "\n".join(text for _, text in _sources())
+    texts = {path: path.read_text() for path in SRC.glob("*.py")}
+    for path, node in _public_functions():
+        lines = texts[path].splitlines()
+        start = min([node.lineno] + [d.lineno for d in node.decorator_list]) - 1
+        own = "\n".join(lines[:start] + lines[node.end_lineno:])
+        word = re.compile(rf"\b{node.name}\b")
+        if not any(word.search(text) for text in
+                   [outside, own] + [t for p, t in texts.items() if p != path]):
+            yield f"{path.stem}.{node.name}"
+
+
+def test_every_public_function_has_a_caller():
+    uncalled = set(_uncalled())
+    # call each of these, delete it, or keep it with a reason
+    assert sorted(uncalled - KEEP.keys()) == []
+    # these are gone or have a caller now: drop them from KEEP
+    assert sorted(KEEP.keys() - uncalled) == []

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from defectca.errors import EmptySubshiftError, NoChoicePointError
 from defectca.rules import from_wolfram_number, phi_orbit_components
@@ -12,13 +12,11 @@ from defectca.shifts import (
     build_markov_shift,
     build_sft,
     choice_point,
-    cycle_shift,
     entropy,
     equal_length_cycles,
     full_shift,
     higher_block,
     higher_power,
-    is_cycle_union,
     map_cycles,
     markov_presentation,
     pack_word,
@@ -226,12 +224,19 @@ class TestEqualLengthCycles:
             equal_length_cycles(gstar())
 
     def test_output_properties(self):
-        for s in (full_shift(A2), golden_mean()):
-            P, c0, c1 = equal_length_cycles(s)
-            assert len(c0) == len(c1) == P and c0 != c1
-            assert c0[0] == c1[0]
-            for c in (c0, c1):
-                assert s.is_admissible(c + c)
+        # in the mirrored golden mean the choice point 0 is on one simple cycle
+        mirrored = build_markov_shift(A2, [(0, 1), (1, 0), (1, 1)])
+        for s in (full_shift(A2), golden_mean(), mirrored):
+            check_equal_length_cycles(s)
+
+
+def check_equal_length_cycles(s):
+    """Two distinct admissible cycles of one length through one vertex."""
+    P, c0, c1 = equal_length_cycles(s)
+    assert len(c0) == len(c1) == P and c0 != c1
+    assert c0[0] == c1[0]
+    for c in (c0, c1):
+        assert s.is_admissible(c + c)
 
 
 class TestComponentsAndPeriod:
@@ -339,17 +344,9 @@ class TestInvariants:
 
     @given(small_shifts())
     @settings(max_examples=200, deadline=None)
-    def test_cycle_union_matches_on_nonwandering(self, s):
-        # on shifts without wandering vertices the third characterization agrees
-        comps = transitive_components(s)
-        cyclic = set().union(*(c.usable for c in comps))
-        if cyclic == set(s.usable):
-            in_cycles = all(len(c.edges) == len(c.usable) for c in comps)
-            if is_cycle_union(s):
-                assert entropy(s) == 0.0
-            if entropy(s) == 0.0 and in_cycles and len(s.edges) == sum(
-                    len(c.edges) for c in comps):
-                assert is_cycle_union(s)
+    def test_equal_length_cycles_on_positive_entropy(self, s):
+        assume(entropy(s) > 0.0)
+        check_equal_length_cycles(s)
 
     @given(small_shifts())
     @settings(max_examples=200, deadline=None)

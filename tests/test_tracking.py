@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from defectca.errors import MultipleDefectsError, NotAFunctionError
+from defectca.errors import DefectcaError, MultipleDefectsError
 from defectca.lattice import periodic_config
 from defectca.rules import from_wolfram_number, identity_rule, normalize
 from defectca.shifts import binary_alphabet, build_markov_shift, build_sft
@@ -10,7 +10,6 @@ from defectca.tracking import (
     check_velocity_bounds,
     extract_automaton,
     locate_defect,
-    pad_to_constant_width,
     record_at,
     track,
 )
@@ -71,6 +70,10 @@ class TestTrack:
         zs = [r.z for r in traj.records]
         assert zs == list(range(zs[0], zs[0] + 101))
 
+    def test_negative_T_rejected(self):
+        with pytest.raises(DefectcaError, match="T must be >= 0"):
+            track(from_wolfram_number(184), gstar(), gamma_plus(), -1)
+
     def test_beta_stationary(self):
         cfg = periodic_config(A2, (0,), (), (1,))
         traj = track(from_wolfram_number(184), g01(), cfg, 100)
@@ -129,27 +132,6 @@ class TestTrack:
         zs = [r.z for r in traj.records]
         mean = (zs[-1] - zs[0]) / (len(zs) - 1)
         assert -1.0 <= mean <= 1.0
-
-
-class TestPad:
-    def test_pad_width0(self):
-        cfg = gamma_plus()
-        rec = record_at(cfg, locate_defect(cfg, gstar()), 0)
-        padded = pad_to_constant_width(rec, cfg, 0, 1)
-        assert padded.word == cfg.window(rec.z, rec.z + 2)
-        assert padded.z == rec.z
-
-    def test_pad_noop(self):
-        cfg = gamma_plus()
-        rec = record_at(cfg, locate_defect(cfg, gstar()), 0)
-        assert pad_to_constant_width(rec, cfg, rec.L, rec.R) == rec
-
-    def test_pad_smaller_rejected(self):
-        cfg = periodic_config(A2, (0, 1), (1, 1, 1), (0, 1), left_phase=1,
-                              right_phase=1)
-        rec = record_at(cfg, locate_defect(cfg, gstar()), 0)
-        with pytest.raises(ValueError):
-            pad_to_constant_width(rec, cfg, rec.L - 1, rec.R)
 
 
 class TestExtractAutomaton:

@@ -364,7 +364,9 @@ class TestClassicalToLR:
     def test_binary_increment_against_classical_oracle(self):
         tm = zoo.binary_increment_tm()
         tape0 = {-3: 0, -2: 0, -1: 1, 0: 1}
-        ctape, cd, cz = tm.run(dict(tape0), "start", 0, 6)
+        ctape, cd, cz = dict(tape0), "start", 0
+        for _ in range(6):
+            ctape, cd, cz = tm.step(ctape, cd, cz)
         assert [ctape.get(k, 0) for k in (-3, -2, -1, 0)] == [0, 1, 0, 0]
         assert cd == "halt"
         comp = classical_to_lr(tm, full_shift(A2), full_shift(A2))
@@ -461,9 +463,12 @@ class TestAPDA:
 
 class TestCheckedRun:
     def test_run_with_admissibility_checks(self):
-        from defectca.turing import run_lrtm
         m = _right_mover()
         s = MachineState(left_tape((0,)), "m",
                          right_tape((1, 0), near=(1, 1, 0, 1)), 0)
-        out = run_lrtm(m, s, 10, check=True)
-        assert out.z == 10
+        for _ in range(10):
+            s = step_lrtm(m, s)
+            # the four cells beside the head on each side stay admissible
+            assert m.left_shift.is_admissible(s.left.read_out(4)[::-1])
+            assert m.right_shift.is_admissible(s.right.read_out(4))
+        assert s.z == 10

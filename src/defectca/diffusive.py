@@ -12,8 +12,9 @@ The sampler checks the kernel cell by cell: each sample keeps a fixed 18-cell
 window [z-8, z+10) around its frame start z and draws two fresh cells on the
 left, then two on the right, per step.  The window's margin fixes the order
 of the random draws, so changing it changes every sampled trajectory.
-Kernels are exact rationals; floats appear only in eigendata and empirical
-statistics.
+Kernels and stationary laws are exact rationals; floats appear only in
+eigendata, empirical statistics and the float solve that proposes each
+stationary law before an exact check proves it.
 """
 
 from __future__ import annotations
@@ -419,33 +420,94 @@ def _recurrent_classes(kernel: WalkKernel) -> list[tuple]:
     return [tuple(c) for c in comps if all(t in c for s in c for t in rows[s])]
 
 
+# Largest denominator a float solve is rounded to: q**2 = 1e14 stays well
+# inside float precision, so a law whose denominators are at most q comes
+# back exactly, and any other proposal fails the exact check.
+_MAX_DEN = 10 ** 7
+
+
 def _stationary_exact(states: tuple, rows: dict) -> dict:
-    """Solve pi P = pi, sum(pi) = 1 over the rationals by Gaussian elimination."""
+    """The stationary law of the closed class ``states``, in Fractions.
+
+    Solve, then certify (Dixon, Numer. Math. 40, 1982): a float solve of
+    pi P = pi, sum(pi) = 1 proposes pi, each entry is rounded to the nearest
+    fraction with denominator at most :data:`_MAX_DEN`, and the proposal is
+    checked exactly.  A closed communicating class has exactly one
+    stationary law, so a proposal that passes is the answer.  When the
+    float solve fails or the check does, exact elimination decides.
+    """
     n = len(states)
     idx = {s: i for i, s in enumerate(states)}
-    A = [[Fraction(0)] * (n + 1) for _ in range(n)]
+    A = -np.eye(n)  # P^T - I, with the last equation replaced by sum = 1
     for s in states:
         for t, p in rows[s].items():
-            A[idx[t]][idx[s]] += p
-    for i in range(n):
-        A[i][i] -= 1
-    for j in range(n):  # replace the last equation with sum = 1
-        A[n - 1][j] = Fraction(1)
-    A[n - 1][n] = Fraction(1)
+            A[idx[t], idx[s]] += float(p)
+    A[-1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    try:
+        x = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is not None and np.isfinite(x).all():
+        pi = {s: Fraction(v).limit_denominator(_MAX_DEN)
+              for s, v in zip(states, x.tolist())}
+        if _is_stationary(pi, rows):
+            return pi
+    return _stationary_elimination(states, rows)
+
+
+def _is_stationary(pi: dict, rows: dict) -> bool:
+    """Whether sum(pi) = 1 and pi P = pi hold exactly, at O(nonzeros) cost."""
+    flow = dict.fromkeys(pi, Fraction(0))
+    for s, p in pi.items():
+        for t, q in rows[s].items():
+            flow[t] += p * q
+    return sum(pi.values()) == 1 and flow == pi
+
+
+def _stationary_elimination(states: tuple, rows: dict) -> dict:
+    """Solve pi P = pi, sum(pi) = 1 by Gauss-Jordan elimination over sparse
+    rows of Fractions; column n holds the right-hand side."""
+    n = len(states)
+    idx = {s: i for i, s in enumerate(states)}
+    eqs: list[dict] = [{i: Fraction(-1)} for i in range(n)]  # row t: (pi P - pi)(t)
+    for s in states:
+        for t, p in rows[s].items():
+            row = eqs[idx[t]]
+            row[idx[s]] = row.get(idx[s], Fraction(0)) + p
+    eqs[-1] = dict.fromkeys(range(n + 1), Fraction(1))
+    eqs = [{j: x for j, x in row.items() if x} for row in eqs]
     for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return {s: A[idx[s]][n] for s in states}
+        piv = next((r for r in range(col, n) if col in eqs[r]), None)
+        if piv is None:
+            raise RuntimeError(f"stationary system of a {n}-state class is "
+                               "singular; the class is not closed and irreducible")
+        eqs[col], eqs[piv] = eqs[piv], eqs[col]
+        inv = 1 / eqs[col][col]
+        pivot = eqs[col] = {j: x * inv for j, x in eqs[col].items()}
+        for row in eqs[:col] + eqs[col + 1:]:
+            f = row.get(col)
+            if f is None:
+                continue
+            for j, x in pivot.items():
+                y = row.get(j, Fraction(0)) - f * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+    return {s: eqs[idx[s]].get(n, Fraction(0)) for s in states}
 
 
 def stationary_and_drift(kernel: WalkKernel) -> list[RecurrentClassStats]:
-    """Exact stationary distribution and drift per recurrent class."""
+    """Exact stationary distribution and drift per recurrent class.
+
+    Each law is a dict of Fractions.  Floats only propose it: a float solve
+    is rounded to fractions and checked exactly against pi P = pi and
+    sum(pi) = 1, which proves it, since a closed class has one stationary
+    law.  Exact elimination runs only when that check fails or the float
+    solve is singular.
+    """
     out = []
     for states in _recurrent_classes(kernel):
         pi = _stationary_exact(states, kernel.rows)

@@ -10,8 +10,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
-
 from defectca import zoo
 from defectca.ballistic import (
     build_kinematic_system,

@@ -2,10 +2,11 @@ import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from defectca import diffusive
 from defectca.diffusive import (
-    MarkovMeasure,
     build_walk_kernel,
     subsampled_walk,
     markov_property_test,
@@ -14,7 +15,6 @@ from defectca.diffusive import (
     sample_kernel_chain,
     sample_walks,
     stationary_and_drift,
-    union_shift,
     verify_resolving_system,
 )
 from defectca.errors import DefectcaError
@@ -275,6 +275,86 @@ class TestStationary:
         classes = stationary_and_drift(k)
         assert len(classes) == 1
         assert classes[0].drift == Fraction(-1, 7)
+
+
+# Recorded with the dense rational Gauss-Jordan solver that the certified
+# float solve replaced: one digest per recurrent class, in the order
+# stationary_and_drift returns them.
+STATIONARY_DIGESTS = [
+    ("marked-W1",
+     ["7069252b27e1dc0ff8012f757ecb4d7a0fcdd150e39a33dddd45b924400ae311"]),
+    ("marked-W1-uniform",
+     ["7069252b27e1dc0ff8012f757ecb4d7a0fcdd150e39a33dddd45b924400ae311"]),
+    ("wall-W0",
+     ["c7c1796a4a0b2c3defe3767f73efdbf169f3f881b32355a7ca26a6ca3ff942af"]),
+    ("eca184-gstar-W0",
+     ["96410cce449f768e0415174a8b89d8cae2c199906ac274cfb9db6db4115cf37c",
+      "318ed4c79ad1e0128542a456a78f2f5a9011432817041c801772526c620b32a8"]),
+]
+
+
+def _law_digests(case):
+    rule, L, R, delta, W = _walk_case(case)
+    k = build_walk_kernel(rule, L, R, W, delta_support=list(delta) or None)
+    digests = []
+    for c in stationary_and_drift(k):
+        assert all(type(p) is Fraction for p in c.stationary.values())
+        assert sum(c.stationary.values()) == 1
+        law = sorted((repr(s), str(p)) for s, p in c.stationary.items())
+        digests.append(hashlib.sha256(repr(law).encode()).hexdigest())
+    return digests
+
+
+def _spy_on_elimination(monkeypatch) -> list:
+    calls = []
+    eliminate = diffusive._stationary_elimination
+
+    def spy(states, rows):
+        calls.append(len(states))
+        return eliminate(states, rows)
+    monkeypatch.setattr(diffusive, "_stationary_elimination", spy)
+    return calls
+
+
+class TestCertifiedSolve:
+    """The float solve proposes each law and an exact check proves it; the
+    sparse rational elimination runs only when the check or the solve fails."""
+
+    @pytest.mark.parametrize("case,expected", STATIONARY_DIGESTS)
+    def test_laws_match_pinned_digests_on_the_fast_path(self, case, expected,
+                                                        monkeypatch):
+        # a check that always failed would keep the laws right and lose the
+        # speed: the fallback must not run on any zoo kernel
+        calls = _spy_on_elimination(monkeypatch)
+        assert _law_digests(case) == expected
+        assert calls == []
+
+    @pytest.mark.parametrize("case,expected", STATIONARY_DIGESTS[:3])
+    def test_failed_check_falls_back(self, case, expected, monkeypatch):
+        # every entry rounds to 0 or 1, which no law on two or more states
+        # passes; ECA#184's one-state classes have the law {s: 1}, which
+        # passes rightly, so that case cannot trigger the fallback this way
+        monkeypatch.setattr(diffusive, "_MAX_DEN", 1)
+        calls = _spy_on_elimination(monkeypatch)
+        assert _law_digests(case) == expected
+        assert len(calls) == len(expected)
+
+    @pytest.mark.parametrize("case,expected", STATIONARY_DIGESTS)
+    def test_singular_float_solve_falls_back(self, case, expected, monkeypatch):
+        def singular(A, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        calls = _spy_on_elimination(monkeypatch)
+        assert _law_digests(case) == expected
+        assert len(calls) == len(expected)
+
+    def test_elimination_without_a_pivot_is_an_internal_error(self):
+        # two absorbing states: not one closed class, so the system is
+        # singular; that is a fault in the caller, not a config error
+        rows = {"a": {"a": Fraction(1)}, "b": {"b": Fraction(1)}}
+        with pytest.raises(RuntimeError, match="2-state class") as info:
+            diffusive._stationary_elimination(("a", "b"), rows)
+        assert not isinstance(info.value, DefectcaError)
 
 
 class TestMirrorSymmetry:

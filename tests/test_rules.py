@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from defectca import zoo
 from defectca.lattice import (
-    Configuration,
-    PeriodicBackground,
     apply_rule,
     decode_config,
     encode_config,
@@ -19,7 +17,6 @@ from defectca.rules import (
     find_travelling_wave_backgrounds,
     from_linear,
     from_wolfram_number,
-    identity_rule,
     is_left_permutative,
     is_left_resolving,
     is_right_permutative,

@@ -715,9 +715,9 @@ def _compare_rows(counts: dict, expected_row, visit_floor: int,
         exp = expected_row(state)
         if exp is None:
             continue
-        support = set(row) | set(exp)
-        tv = 0.5 * sum(abs(row.get(t, 0) / n_vis - float(exp.get(t, 0)))
-                       for t in support)
+        p = {t: float(q) for t, q in exp.items()}
+        support = set(row) | set(p)
+        tv = 0.5 * sum(abs(row.get(t, 0) / n_vis - p.get(t, 0.0)) for t in support)
         if n_vis >= visit_floor:
             tol = tv_tol
             passed = tv <= tol
@@ -727,9 +727,8 @@ def _compare_rows(counts: dict, expected_row, visit_floor: int,
             # failure rate below ~1% across the hundreds of compared entries
             z = 4.5
             tol = max(z * math.sqrt(0.25 / max(n_vis, 1)), 1.0 / max(n_vis, 1))
-            passed = all(abs(row.get(t, 0) / n_vis - float(exp.get(t, 0))) <=
-                         max(z * math.sqrt(float(exp.get(t, 0)) *
-                                           (1 - float(exp.get(t, 0))) / n_vis),
+            passed = all(abs(row.get(t, 0) / n_vis - p.get(t, 0.0)) <=
+                         max(z * math.sqrt(p.get(t, 0.0) * (1 - p.get(t, 0.0)) / n_vis),
                              2.0 / n_vis)
                          for t in support)
             conclusive = n_vis >= 50

@@ -2,7 +2,12 @@
 
 A configuration is a left background, a finite core word, and a right
 background.  Backgrounds are periodic words anchored to absolute
-coordinates, so shifting is phase arithmetic.
+coordinates, so shifting is phase arithmetic.  Windows are read by slices,
+not cell by cell: :meth:`Configuration.window` joins at most three (left
+tile, core, right tile), and :meth:`PeriodicBackground.cells` tiles a
+background span by rotating its period once and repeating it.  Background
+images come from :meth:`~defectca.rules.LocalRule.periodic_image`, which the
+rule memoises by period word.
 
 :func:`encode_config` and :func:`decode_config` recode configurations
 through a :class:`~defectca.shifts.BlockCoder`: block cell z holds the
@@ -30,10 +35,17 @@ class PeriodicBackground:
     def cell(self, z: int) -> int:
         return self.word[(z + self.phase) % len(self.word)]
 
+    def cells(self, lo: int, hi: int) -> Word:
+        """The cells [lo, hi): the period rotated to start at lo, repeated."""
+        if hi <= lo:
+            return ()
+        w = self.word
+        k = (lo + self.phase) % len(w)
+        rot = w[k:] + w[:k]
+        return (rot * -((lo - hi) // len(w)))[:hi - lo]
+
     def image(self, rule: LocalRule) -> "PeriodicBackground":
-        n, r = len(self.word), rule.radius
-        ext = tuple(self.word[(k - r) % n] for k in range(n + 2 * r))
-        return PeriodicBackground(rule.image_word(ext), self.phase)
+        return PeriodicBackground(rule.periodic_image(self.word), self.phase)
 
     def shifted(self, k: int) -> "PeriodicBackground":
         return PeriodicBackground(self.word, (self.phase + k) % len(self.word))
@@ -64,7 +76,20 @@ class Configuration:
         return self.right.cell(z)
 
     def window(self, lo: int, hi: int) -> Word:
-        return tuple(self.cell(z) for z in range(lo, hi))
+        """The cells [lo, hi): left tile, core slice and right tile."""
+        o = self.origin
+        e = o + len(self.core)
+        if hi <= e:
+            if hi <= o:
+                return self.left.cells(lo, hi)
+            if lo >= o:
+                return self.core[lo - o:hi - o]
+            return self.left.cells(lo, o) + self.core[:hi - o]
+        if lo >= e:
+            return self.right.cells(lo, hi)
+        if lo >= o:
+            return self.core[lo - o:] + self.right.cells(e, hi)
+        return self.left.cells(lo, o) + self.core + self.right.cells(e, hi)
 
     def shifted(self, k: int) -> "Configuration":
         """The shift sigma^k: new.cell(z) = old.cell(z + k)."""
@@ -113,9 +138,9 @@ def encode_config(coder: BlockCoder, config: Configuration) -> Configuration:
         # word j holds the block at s*(j - phase) + c, so the block phase
         # is the source phase
         m = math.lcm(len(bg.word), s) // s
-        word = tuple(coder.pack(tuple(bg.cell(s * (j - bg.phase) + c + d)
-                                      for d in range(P)))
-                     for j in range(m))
+        lo = c - s * bg.phase
+        span = bg.cells(lo, lo + s * (m - 1) + P)
+        word = tuple(coder.pack(span[s * j:s * j + P]) for j in range(m))
         return PeriodicBackground(word, bg.phase)
 
     lo = -((c + P - 1 - config.origin) // s)  # ceil: first block touching the core

@@ -50,6 +50,7 @@ class LocalRule:
         self.name = name
         self._fn = fn
         self._memo: dict[Word, int] = {}
+        self._images: dict[Word, Word] = {}
 
     def __repr__(self):
         return f"LocalRule({self.name or 'anonymous'}, radius={self.radius})"
@@ -72,6 +73,16 @@ class LocalRule:
         out = tuple(map(self._memo.get, zip(*cols)))
         if None in out:  # a neighbourhood not yet memoised
             out = tuple(self(key) for key in zip(*cols))
+        return out
+
+    def periodic_image(self, word: Word) -> Word:
+        """One period of the image of the periodic point ...word word...,
+        anchored like ``word``; memoised on the rule by word."""
+        out = self._images.get(word)
+        if out is None:
+            n, r = len(word), self.radius
+            out = self.image_word(tuple(word[(k - r) % n] for k in range(n + 2 * r)))
+            self._images[word] = out
         return out
 
     def dense_table(self) -> dict[Word, int]:

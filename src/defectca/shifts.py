@@ -18,8 +18,8 @@ Markov shift on the mirrored line, where followers become predecessors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -35,16 +35,15 @@ class Alphabet:
     """A finite ordered alphabet; symbols are the indices ``0..size-1``."""
 
     labels: tuple[str, ...]
+    # stored, not a property: every packed word and rule lookup reads it
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) < 1:
             raise ValueError("alphabet must have at least one symbol")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("alphabet labels must be distinct")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
+        object.__setattr__(self, "size", len(self.labels))
 
     def index(self, label: str) -> int:
         if label not in self.labels:
@@ -243,25 +242,29 @@ def _block_label(alphabet: Alphabet, word: Word) -> str:
     return "(" + ",".join(alphabet.labels[s] for s in word) + ")"
 
 
+@lru_cache(maxsize=16)
 def block_alphabet(alphabet: Alphabet, P: int) -> Alphabet:
-    """The alphabet of all ``P``-words over ``alphabet``, in base-`size` order."""
+    """The alphabet of all ``P``-words over ``alphabet``, in base-`size` order.
+
+    Cached by value: a P=14 binary block alphabet has 16,384 labels.
+    """
     labels = [_block_label(alphabet, w) for w in product(range(alphabet.size), repeat=P)]
     return Alphabet(tuple(labels))
 
 
 def pack_word(alphabet: Alphabet, word: Sequence[int]) -> int:
     """Index of a word in the corresponding block alphabet."""
-    idx = 0
+    idx, n = 0, alphabet.size
     for s in word:
-        idx = idx * alphabet.size + s
+        idx = idx * n + s
     return idx
 
 
 def unpack_word(alphabet: Alphabet, index: int, P: int) -> Word:
-    out = []
+    out, n = [], alphabet.size
     for _ in range(P):
-        out.append(index % alphabet.size)
-        index //= alphabet.size
+        out.append(index % n)
+        index //= n
     return tuple(reversed(out))
 
 

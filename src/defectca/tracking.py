@@ -4,12 +4,14 @@ A defect is a maximal run of inadmissible transitions.  Tracking iterates
 the rule and relocates the run; :func:`~defectca.lattice.apply_rule` keeps
 the core trimmed to the cells that differ from the backgrounds, so each
 step costs work in proportion to the defect, not to the elapsed time.
+Locating the defect and recording it share one window read per step: the
+record's word is sliced from the scan window of :func:`locate_defect`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DefectcaError, MultipleDefectsError, NotAFunctionError
 from .lattice import Configuration, apply_rule
@@ -17,8 +19,7 @@ from .rules import LocalRule
 from .shifts import MarkovShift, Word
 
 
-@dataclass(frozen=True)
-class DefectInterval:
+class DefectInterval(NamedTuple):
     """Maximal run [i..k] of inadmissible transitions; width w = k - i."""
 
     i: int
@@ -97,6 +98,12 @@ def defect_run(word: Sequence[int], edges, origin: int) -> Optional[DefectInterv
     return DefectInterval(origin + bad[0], origin + bad[-1])
 
 
+def _scan_window(config: Configuration) -> tuple[int, Word]:
+    """The cells [origin - 1, end + 1): every transition touching the core."""
+    lo = config.origin - 1
+    return lo, config.window(lo, config.end + 1)
+
+
 def locate_defect(config: Configuration, shift: MarkovShift) -> Optional[DefectInterval]:
     """The unique maximal run of inadmissible transitions touching the core.
 
@@ -104,14 +111,8 @@ def locate_defect(config: Configuration, shift: MarkovShift) -> Optional[DefectI
     cell are scanned.  Raises :class:`MultipleDefectsError` when more than
     one separated run is present.
     """
-    lo = config.origin - 1
-    hi = max(config.end - 1, lo)
-    return defect_run(config.window(lo, hi + 2), shift.edges, lo)
-
-
-def record_at(config: Configuration, interval: DefectInterval, t: int) -> DefectRecord:
-    z, L, R = frame_of(interval)
-    return DefectRecord(t, z, L, R, config.window(z - L, z + R + 1))
+    lo, word = _scan_window(config)
+    return defect_run(word, shift.edges, lo)
 
 
 def track(rule: LocalRule, shift: MarkovShift, config: Configuration, T: int,
@@ -131,8 +132,9 @@ def track(rule: LocalRule, shift: MarkovShift, config: Configuration, T: int,
     for t in range(T + 1):
         if t:
             cur = apply_rule(rule, cur)
+        lo, word = _scan_window(cur)
         try:
-            interval = locate_defect(cur, shift)
+            interval = defect_run(word, shift.edges, lo)
         except MultipleDefectsError:
             verdict = Verdict("split", t=t)
             break
@@ -142,7 +144,10 @@ def track(rule: LocalRule, shift: MarkovShift, config: Configuration, T: int,
         if interval.w > width_cap:
             verdict = Verdict("blight", t=t)
             break
-        records.append(record_at(cur, interval, t))
+        # the record covers [i + 1, k + 1), inside the scan window
+        z, L, R = frame_of(interval)
+        records.append(DefectRecord(t, z, L, R,
+                                    word[interval.i + 1 - lo:interval.k + 1 - lo]))
         if keep_configs:
             configs.append(cur)
     else:

@@ -1,16 +1,22 @@
 import random
+from collections import Counter
 
 import pytest
 
+from defectca import zoo
 from defectca.errors import DefectcaError, MultipleDefectsError
-from defectca.lattice import periodic_config
+from defectca.lattice import (
+    Configuration,
+    PeriodicBackground,
+    encode_config,
+    periodic_config,
+)
 from defectca.rules import from_wolfram_number, identity_rule, normalize
 from defectca.shifts import binary_alphabet, build_markov_shift, build_sft
 from defectca.tracking import (
     check_velocity_bounds,
     extract_automaton,
     locate_defect,
-    record_at,
     track,
 )
 
@@ -58,8 +64,10 @@ class TestLocate:
         cfg = periodic_config(A2, (0, 1), (1, 1, 1), (0, 1), origin=0,
                               left_phase=1, right_phase=1)
         d = locate_defect(cfg, gstar())
-        rec = record_at(cfg, d, 0)
+        rec = track(from_wolfram_number(184), gstar(), cfg, 0).records[0]
         assert rec.width == d.w
+        assert (rec.t, rec.L, rec.R) == (0, -(-d.w // 2) - 1, d.w // 2)
+        assert rec.z == d.i + rec.L + 1
         assert rec.word == cfg.window(rec.z - rec.L, rec.z + rec.R + 1)
 
 
@@ -132,6 +140,28 @@ class TestTrack:
         zs = [r.z for r in traj.records]
         mean = (zs[-1] - zs[0]) / (len(zs) - 1)
         assert -1.0 <= mean <= 1.0
+
+
+class TestReadCost:
+    def test_tracking_reads_slices_not_cells(self, monkeypatch):
+        # the ECA#110 A defect over the 16384-symbol P=14 block alphabet; a
+        # per-cell window read costs about 40 cell calls a step here
+        sys = normalize(from_wolfram_number(110), zoo.eca110_ether())
+        cfg = encode_config(sys.coder, periodic_config(A2, zoo.ETHER, (), zoo.ETHER,
+                                                       right_phase=8))
+        calls = Counter()
+        for cls in (Configuration, PeriodicBackground):
+            def counted(self, z, _cell=cls.cell, _name=cls.__name__):
+                calls[_name] += 1
+                return _cell(self, z)
+            monkeypatch.setattr(cls, "cell", counted)
+        T = 200
+        traj = track(sys.rule, sys.shift, cfg, T, width_cap=30)
+        assert traj.verdict.is_particle and traj.verdict.width == 12
+        # windows are slices; only apply_rule's trim reads single cells, two
+        # compares a side per step
+        assert calls["Configuration"] == 0
+        assert calls["PeriodicBackground"] <= 4 * (T + 1)
 
 
 class TestExtractAutomaton:

@@ -124,15 +124,11 @@ def build_kinematic_system(rule: LocalRule, left: PeriodicComponentCode,
         xi[state] = (left.sigma_pow(left.phi[l], v), d_next,
                      right.sigma_pow(right.phi[r], v))
         vel[state] = v
-    # prune states whose forward orbit leaves the observed table
-    changed = True
-    while changed:
-        changed = False
-        for s in list(xi):
-            if xi[s] not in xi:
-                del xi[s]
-                del vel[s]
-                changed = True
+    # keep the states whose forward orbit stays in the observed table: the
+    # ones whose orbit runs into a cycle of xi
+    kept = map_cycles(xi, xi.get)[1]
+    xi = {s: t for s, t in xi.items() if s in kept}
+    vel = {s: vel[s] for s in xi}
     if not xi:
         raise DefectcaError("no kinematic states survive pruning")
     return KinematicSystem(rule, left, right, automaton,

@@ -168,11 +168,6 @@ def run_walk(cfg: dio.Field, seed: int, em: _Emitter) -> int:
         "markov_max_tv": report.max_tv,
         "markov_passed": report.passed,
     })
-    if cfg.get("per_sample_csv", False).bool():
-        for i, tr in enumerate(trajs):
-            em.write_text(f"walk-{i:04d}.csv",
-                          "t,z\n" + "\n".join(f"{t},{z}"
-                                              for t, z in enumerate(tr)) + "\n")
     final = sorted(tr[-1] - tr[0] for tr in trajs)
     hist: dict[int, int] = {}
     for d in final:

@@ -6,15 +6,18 @@ each side, a step that moves the frame by v in {-1, 0, 1} makes the next
 six-cell state from the four rule images of the inner cells plus 1-v fresh
 cells on the left and 1+v on the right; over a resolving system that noise
 lands uniformly, with mass 1/(P_L^(1-v) F_R^(1+v)), so the frame performs a
-finite-state Markov chain with an exactly computable kernel.  The kernel and
-the sampler model seeds of width W = 0 or 1, the widths that fit the frame.
+finite-state Markov chain with an exactly computable kernel.  The frame step
+is :func:`~defectca.tracking.frame_moves`, which the Turing regime shares.
+The kernel and the samplers model seeds of width W = 0 or 1, the widths that
+fit the frame, and check their inputs in one place.
 The sampler checks the kernel cell by cell: each sample keeps a fixed 18-cell
 window [z-8, z+10) around its frame start z and draws two fresh cells on the
 left, then two on the right, per step.  The window's margin fixes the order
 of the random draws, so changing it changes every sampled trajectory.
 Kernels and stationary laws are exact rationals; floats appear only in
 eigendata, empirical statistics and the float solve that proposes each
-stationary law before an exact check proves it.
+stationary law before an exact check proves it.  The Markov-property test
+compares sampled rows with the kernel's entry by entry, at 4.5 sigma.
 """
 
 from __future__ import annotations
@@ -28,19 +31,19 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DefectcaError, MultipleDefectsError
+from .errors import DefectcaError
 from .rules import LocalRule, check_invariance, is_right_resolving, mirror
 from .shifts import (
     MarkovShift,
     Word,
-    build_markov_shift,
     perron,
     regularity,
     reverse,
     strongly_connected,
     transitive_components,
+    union_shift,
 )
-from .tracking import bad_transitions, defect_run, frame_of
+from .tracking import bad_transitions, frame_moves, next_frame
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +181,6 @@ class ResolvingSystemReport:
         return self.union_markov and self.left_ok and self.right_ok and self.measures_ok
 
 
-def union_shift(L: MarkovShift, R: MarkovShift) -> MarkovShift:
-    return build_markov_shift(L.alphabet, sorted(L.edges | R.edges))
-
-
 def verify_resolving_system(rule: LocalRule, L: MarkovShift,
                             R: MarkovShift) -> ResolvingSystemReport:
     """Check the quadruple conditions and attach the two Parry measures."""
@@ -241,7 +240,6 @@ class WalkKernel:
     rule: LocalRule
     left: MarkovShift
     right: MarkovShift
-    union: MarkovShift
     W: int
     P_L: int
     F_R: int
@@ -250,28 +248,10 @@ class WalkKernel:
     rows: dict  # state -> {state: Fraction}
 
 
-def _frame_start(img: Word, edges, origin: int) -> int | str:
-    """The frame start read off the one defect run of ``img``, whose first
-    cell sits at ``origin``, or "vanished" / "split"."""
-    try:
-        run = defect_run(img, edges, origin)
-    except MultipleDefectsError:
-        return "split"
-    return "vanished" if run is None else frame_of(run)[0]
-
-
-def _frame_moves(rule: LocalRule, L: MarkovShift, R: MarkovShift,
-                 union: MarkovShift, state: State) -> set:
-    """The next frame starts of ``state`` (cells -2..3, frame at [0, 1])
-    over every outer noise pair."""
-    return {_frame_start(rule.image_word((l3, *state, r3)), union.edges, -2)
-            for l3 in L.predecessors(state[0]) for r3 in R.followers(state[5])}
-
-
 def _velocity_of_state(rule: LocalRule, L: MarkovShift, R: MarkovShift,
                        union: MarkovShift, state: State) -> Optional[int]:
     """The frame displacement, verified independent of the outer noise."""
-    vs = _frame_moves(rule, L, R, union, state)
+    vs = frame_moves(rule, L, R, union, state)
     if len(vs) != 1:
         raise DefectcaError(f"frame displacement at {state} depends on noise: {vs}")
     v = vs.pop()
@@ -398,7 +378,7 @@ def build_walk_kernel(rule: LocalRule, L: MarkovShift, R: MarkovShift, W: int,
         work.extend(t for t in row if t not in rows and t not in vel)
     reachable = tuple(sorted(rows))
     vel = {s: vel[s] for s in reachable}
-    return WalkKernel(rule, L, R, union, W, P_L, F_R, reachable, vel, rows)
+    return WalkKernel(rule, L, R, W, P_L, F_R, reachable, vel, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +605,7 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
         states = []
         for t in range(T):
             img = rule.image_word(grow(noise, cells, 2, 2))  # [z-9, z+11)
-            v = _frame_start(img, edges, -9)
+            v = next_frame(img, edges, -9)
             if isinstance(v, str):  # the defect vanished or split
                 break
             if abs(v) > 1:
@@ -655,9 +635,13 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
 def sample_kernel_chain(kernel: WalkKernel, delta: dict, T: int, n: int,
                         seed: int) -> tuple[list[list[int]], dict]:
     """Sample the kernel chain directly: an independent sampler of the same
-    process, used to cross-validate the cellular simulation."""
-    lam = parry_measure(kernel.left)
-    rho = parry_measure(kernel.right)
+    process, used to cross-validate the cellular simulation.
+
+    ``delta`` is checked as :func:`sample_walks` checks it; a law that puts
+    no mass on any kernel state raises :class:`DefectcaError`.
+    """
+    report = _check_walk(kernel.rule, kernel.left, kernel.right, kernel.W, delta)
+    lam, rho = report.lam, report.rho
     init = []
     # initial law: lambda (x) delta (x) rho read off the six visible cells
     for s in kernel.states:
@@ -668,6 +652,8 @@ def sample_kernel_chain(kernel: WalkKernel, delta: dict, T: int, n: int,
              rho.kernel.get((r1, r2), 0.0))
         if p > 0:
             init.append((s, p))
+    if not init:
+        raise DefectcaError("'delta' puts no mass on any state of the kernel")
     total = sum(p for _, p in init)
     init = [(s, p / total) for s, p in init]
     laws = {s: [(t, float(p)) for t, p in sorted(row.items())]
@@ -694,7 +680,6 @@ class RowComparison:
     state: object
     visits: int
     tv: float
-    tolerance: float
     conclusive: bool
     passed: bool
 
@@ -707,8 +692,7 @@ class MarkovTestReport:
     max_tv: Optional[float]  # None when no row was compared
 
 
-def _compare_rows(counts: dict, expected_row, visit_floor: int,
-                  tv_tol: float) -> list[RowComparison]:
+def _compare_rows(counts: dict, expected_row) -> list[RowComparison]:
     out = []
     for state, row in sorted(counts.items()):
         n_vis = sum(row.values())
@@ -718,38 +702,31 @@ def _compare_rows(counts: dict, expected_row, visit_floor: int,
         p = {t: float(q) for t, q in exp.items()}
         support = set(row) | set(p)
         tv = 0.5 * sum(abs(row.get(t, 0) / n_vis - p.get(t, 0.0)) for t in support)
-        if n_vis >= visit_floor:
-            tol = tv_tol
-            passed = tv <= tol
-            conclusive = True
-        else:
-            # binomial bound per entry; 4.5 sigma keeps the familywise false
-            # failure rate below ~1% across the hundreds of compared entries
-            z = 4.5
-            tol = max(z * math.sqrt(0.25 / max(n_vis, 1)), 1.0 / max(n_vis, 1))
-            passed = all(abs(row.get(t, 0) / n_vis - p.get(t, 0.0)) <=
-                         max(z * math.sqrt(p.get(t, 0.0) * (1 - p.get(t, 0.0)) / n_vis),
-                             2.0 / n_vis)
-                         for t in support)
-            conclusive = n_vis >= 50
-        out.append(RowComparison(state, n_vis, tv, tol, conclusive, passed))
+        # binomial bound per entry; 4.5 sigma keeps the familywise false
+        # failure rate below ~1% across the hundreds of compared entries
+        z = 4.5
+        passed = all(abs(row.get(t, 0) / n_vis - p.get(t, 0.0)) <=
+                     max(z * math.sqrt(p.get(t, 0.0) * (1 - p.get(t, 0.0)) / n_vis),
+                         2.0 / n_vis)
+                     for t in support)
+        out.append(RowComparison(state, n_vis, tv, n_vis >= 50, passed))
     return out
 
 
-def markov_property_test(stats: WalkStatistics, kernel: WalkKernel, *,
-                         visit_floor: int = 100_000,
-                         tv_tol: float = 0.01) -> MarkovTestReport:
+def markov_property_test(stats: WalkStatistics,
+                         kernel: WalkKernel) -> MarkovTestReport:
     """Compare empirical next-state frequencies against the exact kernel.
 
-    Rows with at least ``visit_floor`` visits must match within total
-    variation ``tv_tol``; thinner rows fall back to 4.5-sigma binomial bounds
-    per entry and are marked inconclusive below 50 visits.  Also checks
+    Each entry of a row must lie within 4.5 binomial standard deviations
+    of the kernel's, or within 2/visits where that is wider; rows with
+    fewer than 50 visits are inconclusive and do not count.  Also checks
     order-1 sufficiency: conditioning on the previous two states gives the
-    same rows.
+    same rows.  The test passes when every conclusive row passes and at
+    least one row was compared, so a sample whose rows are all
+    inconclusive passes.
     """
-    rows = _compare_rows(stats.transition_counts, kernel.rows.get, visit_floor, tv_tol)
-    rows1 = _compare_rows(stats.pair_counts, lambda pair: kernel.rows.get(pair[1]),
-                          visit_floor, tv_tol)
+    rows = _compare_rows(stats.transition_counts, kernel.rows.get)
+    rows1 = _compare_rows(stats.pair_counts, lambda pair: kernel.rows.get(pair[1]))
     relevant = [r for r in rows + rows1 if r.conclusive]
     passed = all(r.passed for r in relevant) and bool(rows)
     max_tv = max((r.tv for r in rows), default=None)

@@ -111,11 +111,6 @@ class Field:
             raise self.error(f"must be a number, got {self.value!r}")
         return float(self.value)
 
-    def bool(self) -> bool:
-        if not isinstance(self.value, bool):
-            raise self.error(f"must be true or false, got {self.value!r}")
-        return self.value
-
     def str(self) -> str:
         if not isinstance(self.value, str):
             raise self.error(f"must be a string, got {self.value!r}")

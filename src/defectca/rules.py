@@ -214,7 +214,6 @@ def find_travelling_wave_backgrounds(rule: LocalRule, p: int, v: int,
     """
     if p < 1 or max_period < 1:
         raise ValueError("p and max_period must be >= 1")
-    from .lattice import PeriodicBackground
     seen: set[Word] = set()
     orbits: list[list[Word]] = []
     for n in range(1, max_period + 1):
@@ -224,10 +223,10 @@ def find_travelling_wave_backgrounds(rule: LocalRule, p: int, v: int,
             rots = [tuple(w[(i + k) % n] for i in range(n)) for k in range(n)]
             if len(set(rots)) != n:
                 continue  # not primitive: counted at its primitive period
-            cur = PeriodicBackground(w)
+            cur = w
             for _ in range(p):
-                cur = cur.image(rule)
-            if cur.word == rots[p * v % n]:
+                cur = rule.periodic_image(cur)
+            if cur == rots[p * v % n]:
                 orbit = sorted(set(rots))
                 seen.update(rots)
                 orbits.append(orbit)

@@ -175,6 +175,12 @@ def reverse(shift: MarkovShift) -> MarkovShift:
     return MarkovShift(shift.alphabet, frozenset((b, a) for a, b in shift.edges))
 
 
+def union_shift(L: MarkovShift, R: MarkovShift) -> MarkovShift:
+    """The shift whose edges are those of ``L`` and of ``R``: the transitions
+    a configuration of two backgrounds may use away from its defect."""
+    return build_markov_shift(L.alphabet, sorted(L.edges | R.edges))
+
+
 # ---------------------------------------------------------------------------
 # SFTs
 # ---------------------------------------------------------------------------
@@ -476,6 +482,13 @@ def _scc_is_simple_cycle(shift: MarkovShift, comp: list[int]) -> bool:
     return all(sum(1 for f in shift.followers(v) if f in cs) == 1 for v in comp)
 
 
+def _branching_sccs(shift: MarkovShift) -> list[list[int]]:
+    """The cyclic SCCs that are not a single simple cycle: the components
+    whose vertices lie on two distinct cycles, and so carry entropy."""
+    return [comp for comp in _cyclic_sccs(shift)
+            if not _scc_is_simple_cycle(shift, comp)]
+
+
 def choice_point(shift: MarkovShift) -> Optional[int]:
     """The least vertex lying on two distinct cycles, or None.
 
@@ -483,13 +496,7 @@ def choice_point(shift: MarkovShift) -> Optional[int]:
     component is not a single simple cycle; existence is equivalent to
     positive entropy.
     """
-    best = None
-    for comp in _cyclic_sccs(shift):
-        if not _scc_is_simple_cycle(shift, comp):
-            v = min(comp)
-            if best is None or v < best:
-                best = v
-    return best
+    return min((min(comp) for comp in _branching_sccs(shift)), default=None)
 
 
 def perron(M: np.ndarray) -> tuple[float, np.ndarray]:
@@ -517,12 +524,11 @@ def entropy(shift: MarkovShift) -> float:
     check, no numerics); otherwise log2 of the adjacency spectral radius,
     the largest :func:`perron` root over the strongly connected components.
     """
-    if choice_point(shift) is None:
+    comps = _branching_sccs(shift)
+    if not comps:
         return 0.0
     rad = 0.0
-    for comp in _cyclic_sccs(shift):
-        if _scc_is_simple_cycle(shift, comp):
-            continue
+    for comp in comps:
         idx = {v: i for i, v in enumerate(comp)}
         A = np.zeros((len(comp), len(comp)))
         for v in comp:
@@ -597,8 +603,7 @@ def equal_length_cycles(shift: MarkovShift) -> tuple[int, Word, Word]:
     cycle only (0 in the shift 0->1, 1->0, 1->1).  Requires positive
     entropy.
     """
-    for c in sorted(v for comp in _cyclic_sccs(shift)
-                    if not _scc_is_simple_cycle(shift, comp) for v in comp):
+    for c in sorted(v for comp in _branching_sccs(shift) for v in comp):
         cycles = simple_cycles_at(shift, c)
         if len(cycles) > 1:
             b0, b1 = cycles[0], cycles[1]

@@ -6,6 +6,11 @@ the core trimmed to the cells that differ from the backgrounds, so each
 step costs work in proportion to the defect, not to the elapsed time.
 Locating the defect and recording it share one window read per step: the
 record's word is sliced from the scan window of :func:`locate_defect`.
+
+The defect frame is defined here once: :func:`frame_of` centres a frame on a
+run, :func:`next_frame` reads the next frame start off an imaged word, and
+:func:`frame_moves` steps a two-cell frame over every outer noise pair.  The
+diffusive walk kernels and the CA-to-machine extraction both use that step.
 """
 
 from __future__ import annotations
@@ -96,6 +101,25 @@ def defect_run(word: Sequence[int], edges, origin: int) -> Optional[DefectInterv
                 for a, b in zip([0] + cuts, cuts + [len(bad)])]
         raise MultipleDefectsError(f"{len(runs)} separated defects at {runs}")
     return DefectInterval(origin + bad[0], origin + bad[-1])
+
+
+def next_frame(img: Word, edges, origin: int) -> int | str:
+    """The frame start read off the one defect run of ``img``, whose first
+    cell sits at ``origin``, or "vanished" / "split"."""
+    try:
+        run = defect_run(img, edges, origin)
+    except MultipleDefectsError:
+        return "split"
+    return "vanished" if run is None else frame_of(run)[0]
+
+
+def frame_moves(rule: LocalRule, L: MarkovShift, R: MarkovShift,
+                union: MarkovShift, state: Sequence[int]) -> set:
+    """The next frame starts of the six-cell ``state`` (cells -2..3, frame
+    at [0, 1]) over every outer noise pair: one step of the two-cell defect
+    frame between a left background ``L`` and a right one ``R``."""
+    return {next_frame(rule.image_word((l3, *state, r3)), union.edges, -2)
+            for l3 in L.predecessors(state[0]) for r3 in R.followers(state[5])}
 
 
 def _scan_window(config: Configuration) -> tuple[int, Word]:

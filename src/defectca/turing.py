@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional, Sequence
 
-from .diffusive import _frame_moves, union_shift
 from .errors import DefectcaError, InvalidMachineError
 from .lattice import Configuration, PeriodicBackground
 from .rules import LocalRule, recode_rule
@@ -35,8 +34,9 @@ from .shifts import (
     full_shift,
     higher_power,
     map_cycles,
+    union_shift,
 )
-from .tracking import bad_transitions, frame_of, locate_defect
+from .tracking import bad_transitions, frame_moves, frame_of, locate_defect
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def ca_to_turing(rule: LocalRule, L: MarkovShift, R: MarkovShift,
         vs = set()
         for l2 in Lh.predecessors(l1):
             for r2 in Rh.followers(r1):
-                vs |= _frame_moves(phi, Lh, Rh, union, (l2, l1, *d, r1, r2))
+                vs |= frame_moves(phi, Lh, Rh, union, (l2, l1, *d, r1, r2))
         if len(vs) != 1:
             raise DefectcaError(f"velocity at ({l1},{d},{r1}) is not local")
         v = vs.pop()

@@ -19,6 +19,7 @@ from .shifts import (
     full_shift,
     periodic_orbit_sft,
 )
+from .turing import ClassicalTM
 
 # ECA#184: the 3-word background G = G* ∪ {0^inf} ∪ {1^inf}
 G3_WORDS = ((0, 0, 0), (1, 1, 1), (1, 0, 1), (0, 1, 0))
@@ -152,7 +153,6 @@ def binary_increment_tm():
     Started on the lowest-order bit of a big-endian number, it adds one:
     ...0011 with the head on the last 1 becomes ...0100.
     """
-    from .turing import ClassicalTM
     states = ("start", "carry", "halt")
     tau, ups, vel = {}, {}, {}
     for t in (0, 1):

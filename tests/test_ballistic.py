@@ -20,7 +20,7 @@ from defectca.shifts import (
     full_shift,
     pack_word,
 )
-from defectca.tracking import extract_automaton
+from defectca.tracking import DefectAutomaton, extract_automaton
 
 A2 = binary_alphabet()
 G3 = [(0, 0, 0), (1, 1, 1), (1, 0, 1), (0, 1, 0)]
@@ -81,6 +81,33 @@ class TestPeriodicCode:
         code = build_periodic_code(gstar(), from_wolfram_number(184))
         bg = code.background(1, anchor=-3)
         assert bg.cell(-3) == 1 and bg.cell(-4) == 0 and bg.cell(-2) == 0
+
+
+class TestKinematicPruning:
+    """States whose forward orbit leaves the observed table are dropped."""
+
+    @staticmethod
+    def make(nxt):
+        # a width-2 defect (L=0, R=1) between two copies of the fixed point 0
+        rule = identity_rule(A2)
+        code = build_periodic_code(build_markov_shift(A2, [(0, 0)]), rule)
+        keys = {d: ((0, 0), d, (0, 0)) for d in nxt}
+        aut = DefectAutomaton(2, 0, 1, {keys[d]: e for d, e in nxt.items()},
+                              {keys[d]: 0 for d in nxt})
+        return build_kinematic_system(rule, code, code, aut)
+
+    def test_orbits_leaving_the_table_are_pruned(self):
+        # 11 is a fixed point; the successor 01 of 10 was never observed;
+        # 00 -> 10 -> 01 leaves the table after two steps
+        system = self.make({(1, 1): (1, 1), (1, 0): (0, 1), (0, 0): (1, 0)})
+        kept = (0, (1, 1), 0)
+        assert system.states == (kept,)
+        assert system.xi == {kept: kept}
+        assert system.vel == {kept: 0}
+
+    def test_nothing_surviving_is_rejected(self):
+        with pytest.raises(DefectcaError, match="no kinematic states survive"):
+            self.make({(1, 0): (0, 1), (0, 0): (1, 0)})
 
 
 class TestKinematicSystem184:

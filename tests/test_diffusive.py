@@ -467,6 +467,22 @@ class TestSampleWalks:
         with pytest.raises(DefectcaError, match=f"'delta' {why}"):
             sample_walks(zoo.diffusive_rule(), sea, sea, delta, 10, 1, 0)
 
+    @pytest.mark.parametrize("delta,why", [
+        ({}, "masses must be non-negative and sum to 1"),
+        ({(0,): 1.0}, "puts no mass on any state of the kernel"),
+        ({(2, 3): 1.0}, "keys must be words of length W=1"),
+        ({(2,): 0.7}, "masses must be non-negative and sum to 1"),
+    ])
+    def test_kernel_chain_checks_delta(self, delta, why):
+        # the chain reads delta as sample_walks does; an unmarked middle cell
+        # starts no kernel state, since the kernel was built on marked ones
+        sea = zoo.diffusive_background()
+        k = build_walk_kernel(zoo.diffusive_rule(), sea, sea, 1,
+                              delta_support=[(s,) for s in
+                                             zoo.diffusive_marked_symbols()])
+        with pytest.raises(DefectcaError, match=f"'delta' {why}"):
+            sample_kernel_chain(k, delta, 10, 1, 0)
+
 
 def _fading_rule():
     # the marked walker, except that a mark landing between two unmarked 1s

@@ -9,7 +9,7 @@ from defectca import io as dio, zoo
 from defectca.cli import MODES, main, run
 from defectca.errors import DefectcaError
 from defectca.lattice import periodic_config
-from defectca.rules import LocalRule, from_wolfram_number
+from defectca.rules import LocalRule, from_wolfram_number, normalize
 from defectca.shifts import SFT, binary_alphabet, build_markov_shift
 from defectca.tracking import track
 
@@ -37,6 +37,26 @@ class TestShiftIO:
     def test_bad_spec_rejected(self):
         with pytest.raises(DefectcaError):
             dio.load_shift({"alphabet": ["0", "1"]})
+
+    @pytest.mark.parametrize("admissible,edges", [
+        (["0", "1"], {(0, 0), (0, 1), (1, 0), (1, 1)}),
+        (["1"], {(1, 1)}),
+    ])
+    def test_radius_one_sft(self, admissible, edges):
+        # a radius-1 SFT allows any sequence of its symbols: the full shift
+        # on them, with the rule left as it is
+        sft = dio.load_shift({"alphabet": ["0", "1"], "radius": 1,
+                              "admissible": admissible})
+        assert sft.q == 1
+        rule = from_wolfram_number(184)
+        sys_rec = normalize(rule, sft)
+        assert sys_rec.shift.edges == edges
+        assert sys_rec.P == 1 and sys_rec.rule is rule
+
+    def test_empty_radius_one_sft_rejected(self):
+        with pytest.raises(DefectcaError, match="shift.admissible.*empty"):
+            dio.load_shift({"alphabet": ["0", "1"], "radius": 1,
+                            "admissible": []})
 
 
 class TestRuleIO:
@@ -77,6 +97,17 @@ class TestConfigAndTrajectoryIO:
         summary = dio.trajectory_summary(traj)
         assert summary["verdict"] == "particle"
         assert summary["mean_velocity"] == 1.0
+
+
+    @pytest.mark.parametrize("wolfram,kind,t", [(0, "vanished", 1),
+                                                (90, "split", 2)])
+    def test_summary_of_a_lost_defect_names_its_step(self, wolfram, kind, t):
+        zero = build_markov_shift(A2, [(0, 0)])
+        traj = track(from_wolfram_number(wolfram), zero,
+                     periodic_config(A2, (0,), (1,), (0,)), 10)
+        summary = dio.trajectory_summary(traj)
+        assert (summary["verdict"], summary["t"]) == (kind, t)
+        assert summary["steps"] == t and "width" not in summary
 
 
 class TestRender:
@@ -474,8 +505,6 @@ MALFORMED = [
     ("delta-label", "walk", _set(("delta",), {"2*": 0.5}), "delta.2*"),
     ("delta-list", "walk", _set(("delta",), [1]), "delta"),
     ("delta-mass", "walk", _set(("delta",), {"0*": "x"}), "delta.0*"),
-    ("per-sample-csv", "walk", _set(("per_sample_csv",), "yes"),
-     "per_sample_csv"),
     ("delta-word-length", "walk", _set(("delta",), {"0*,1": 1.0}), "delta"),
     ("delta-mass-sum", "walk", _set(("delta",), {"0*": 0.3, "1*": 0.3}),
      "delta"),
@@ -567,6 +596,21 @@ def _fading_rule():
         out = zoo._diffusive_fn(w)
         return out - 2 if out >= 2 and w[0] == 1 and w[2] == 1 else out
     return LocalRule(zoo.DIFFUSIVE_ALPHABET, 1, fn, name="fading-walker")
+
+
+def test_walk_without_delta_draws_the_middle_cell_uniformly(workdir):
+    """At W=1 a walk without ``delta`` weighs every symbol alike."""
+    outs = []
+    for name, delta in (("default", None),
+                        ("uniform", dict.fromkeys(zoo.DIFFUSIVE_ALPHABET.labels,
+                                                  0.25))):
+        cfg = _set(("delta",), delta)(_valid_config("walk", workdir))
+        cfg_path = os.path.join(workdir, f"{name}.json")
+        _write(cfg_path, cfg)
+        out = os.path.join(workdir, name)
+        assert main(["walk", "--config", cfg_path, "--out", out]) == 0
+        outs.append(dio.read_json(os.path.join(out, "manifest.json"))["files"])
+    assert outs[0] == outs[1]
 
 
 def test_walk_without_kept_samples_is_bad_input(workdir, capsys):

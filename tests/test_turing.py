@@ -394,6 +394,29 @@ class TestClassicalToLR:
         with pytest.raises(DefectcaError):
             classical_to_lr(tm, zero_shift(), full_shift(A2))
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_cycle_codes_of_different_lengths(self, swap):
+        # the full shift on {0, 1} codes bits in 2-cell blocks, the shift
+        # 0->0, 0->1, 1->2, 2->0 in 3-cell ones: both sides go to lcm = 6
+        A3 = Alphabet(("0", "1", "2"))
+        full = full_shift(A3, (0, 1))
+        loop3 = build_markov_shift(A3, [(0, 0), (0, 1), (1, 2), (2, 0)])
+        assert (build_cycle_encoder(full).P, build_cycle_encoder(loop3).P) == (2, 3)
+        L, R = (loop3, full) if swap else (full, loop3)
+        tm = zoo.binary_increment_tm()
+        comp = classical_to_lr(tm, L, R)
+        assert comp.enc_left.P == comp.enc_right.P == 6
+        assert comp.enc_left.shift == L and comp.enc_right.shift == R
+        tape0 = {-3: 0, -2: 0, -1: 1, 0: 1}
+        ctape, cd, cz = dict(tape0), "start", 0
+        s = comp.initial_state(tape0, "start", 0, window=8)
+        for _ in range(5):
+            ctape, cd, cz = tm.step(ctape, cd, cz)
+            s, _ = comp.macro_step(s)
+            tape, d, z = comp.decode_state(s, window=4)
+            assert d == cd and z == cz
+            assert all(tape[k] == ctape.get(k, 0) for k in range(z - 4, z + 5))
+
 
 class TestRegime:
     def test_trichotomy(self):

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import traceback
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
@@ -74,6 +75,17 @@ def _jsonable(x):
 
 def _shift(cfg: dio.Field, key: str = "shift"):
     return dio.load_shift(cfg[key].file())
+
+
+@contextmanager
+def _rejects(*keys: str):
+    """Re-raise the library's rejection of what the config fields ``keys``
+    describe together as an error that names them."""
+    try:
+        yield
+    except DefectcaError as exc:
+        raise DefectcaError(f"config fields {', '.join(map(repr, keys))} are "
+                            f"rejected: {exc}") from exc
 
 
 def _markov(shift):
@@ -136,14 +148,14 @@ def run_walk(cfg: dio.Field, seed: int, em: _Emitter) -> int:
     for key, shift in (("left_shift", L), ("right_shift", R)):
         if not isinstance(shift, MarkovShift):
             raise cfg[key].error("must be a Markov shift")
-    W = cfg.get("W", 1).int()
+    W = cfg.get("W", 1).int(least=0, most=1)
     steps = cfg.get("steps", 1000).int(least=1)
     samples = cfg.get("samples", 50).int(least=1)
     if "delta" in cfg:
         field = cfg["delta"].file()
         delta = {dio.Field(k, v.path).word(rule.alphabet): v.number()
                  for k, v in field.items()}
-        why = W in (0, 1) and _delta_problem(W, delta)
+        why = _delta_problem(W, delta)
         if why:
             raise field.error(why)
     elif W == 1:
@@ -151,10 +163,11 @@ def run_walk(cfg: dio.Field, seed: int, em: _Emitter) -> int:
         delta = {(s,): 1.0 / rule.alphabet.size for s in syms}
     else:
         delta = {}
-    kernel = build_walk_kernel(rule, L, R, W,
-                               delta_support=list(delta) or None)
-    trajs, stats = sample_walks(rule, L, R, delta, steps, samples, seed,
-                                W=W, kernel=kernel)
+    with _rejects("rule", "left_shift", "right_shift"):
+        kernel = build_walk_kernel(rule, L, R, W,
+                                   delta_support=list(delta) or None)
+        trajs, stats = sample_walks(rule, L, R, delta, steps, samples, seed,
+                                    W=W, kernel=kernel)
     report = markov_property_test(stats, kernel)
     em.write_json("walk-stats.json", {
         "samples": stats.sample_count,
@@ -181,9 +194,12 @@ def _compile_tm(cfg: dio.Field):
     """The config's machine spec, its compilation over the tape
     backgrounds, and the CA that runs it with the CA's embedding."""
     spec = cfg["tm"].file()
-    comp = classical_to_lr(dio.load_tm(spec), _shift(cfg, "left_shift"),
-                           _shift(cfg, "right_shift"))
-    return (spec.value, comp) + turing_to_ca(comp.machine)
+    tm = dio.load_tm(spec)
+    L, R = _shift(cfg, "left_shift"), _shift(cfg, "right_shift")
+    with _rejects("left_shift", "right_shift"):
+        comp = classical_to_lr(tm, L, R)
+        rule, emb = turing_to_ca(comp.machine)
+    return spec.value, comp, rule, emb
 
 
 def run_compile_tm(cfg: dio.Field, seed: int, em: _Emitter) -> int:
@@ -265,6 +281,17 @@ def run_verify(cfg: dio.Field, seed: int, em: _Emitter) -> int:
     return 0
 
 
+# The top-level config keys each mode reads, besides "mode" and "seed".
+KEYS = {
+    "simulate": ("rule", "shift", "seed_config", "steps", "width", "width_cap"),
+    "classify": ("rule", "shift", "max_core", "steps", "width_cap"),
+    "walk": ("rule", "left_shift", "right_shift", "W", "steps", "samples", "delta"),
+    "compile-tm": ("tm", "left_shift", "right_shift"),
+    "run-tm": ("tm", "left_shift", "right_shift", "tape", "head", "position",
+               "macro_steps", "window"),
+    "verify": ("rule", "shift", "right_shift"),
+}
+
 MODES = {
     "simulate": run_simulate,
     "classify": run_classify,
@@ -280,6 +307,11 @@ def run(mode: str, cfg: dio.Field, out_dir: str,
     """Run one mode on a config and write its artifacts and manifest;
     ``seed`` overrides the config's."""
     cfg.get("mode", mode).choice([mode])
+    unknown = sorted(set(cfg.obj()) - {"mode", "seed", *KEYS[mode]})
+    if unknown:
+        raise DefectcaError(
+            f"{mode} reads no config field {', '.join(map(repr, unknown))}; it "
+            f"reads {', '.join(map(repr, KEYS[mode]))}, 'mode' and 'seed'")
     if seed is None:
         seed = cfg.get("seed", 0).int()
     em = _Emitter(out_dir)

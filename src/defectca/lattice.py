@@ -7,7 +7,8 @@ not cell by cell: :meth:`Configuration.window` joins at most three (left
 tile, core, right tile), and :meth:`PeriodicBackground.cells` tiles a
 background span by rotating its period once and repeating it.  Background
 images come from :meth:`~defectca.rules.LocalRule.periodic_image`, which the
-rule memoises by period word.
+rule memoises by period word.  :meth:`Configuration.splice` replaces a
+span of cells with a word of any length, moving the right background along.
 
 :func:`encode_config` and :func:`decode_config` recode configurations
 through a :class:`~defectca.shifts.BlockCoder`: block cell z holds the
@@ -91,6 +92,14 @@ class Configuration:
             return self.core[lo - o:] + self.right.cells(e, hi)
         return self.left.cells(lo, o) + self.core + self.right.cells(e, hi)
 
+    def splice(self, lo: int, hi: int, cells: Sequence[int]) -> "Configuration":
+        """Replace the cells [lo, hi), lo <= hi, with ``cells``; the cells
+        from hi on move by len(cells) - (hi - lo)."""
+        o = min(self.origin, lo)
+        core = self.window(o, lo) + tuple(cells) + self.window(hi, max(self.end, hi))
+        return Configuration(self.alphabet, self.left, core,
+                             self.right.shifted(hi - lo - len(cells)), o)
+
     def shifted(self, k: int) -> "Configuration":
         """The shift sigma^k: new.cell(z) = old.cell(z + k)."""
         return Configuration(self.alphabet, self.left.shifted(k), self.core,
@@ -139,9 +148,8 @@ def encode_config(coder: BlockCoder, config: Configuration) -> Configuration:
         # is the source phase
         m = math.lcm(len(bg.word), s) // s
         lo = c - s * bg.phase
-        span = bg.cells(lo, lo + s * (m - 1) + P)
-        word = tuple(coder.pack(span[s * j:s * j + P]) for j in range(m))
-        return PeriodicBackground(word, bg.phase)
+        return PeriodicBackground(coder.encode_word(bg.cells(lo, lo + s * (m - 1) + P)),
+                                  bg.phase)
 
     lo = -((c + P - 1 - config.origin) // s)  # ceil: first block touching the core
     hi = -((c - config.end) // s)  # ceil: one past the last

@@ -7,6 +7,11 @@ head); conversely every such machine embeds into a radius-2 rule.  With
 positive-entropy backgrounds the tape can carry cycle-encoded bits, which is
 what makes the regime Turing-complete.
 
+A machine state is one tape, a :class:`~defectca.lattice.Configuration`,
+with the head between two of its cells.  Each step writes the two cells
+beside the head, and each CA embedding splices the head's cells into the
+tape to encode and out of it to decode (:meth:`Configuration.splice`).
+
 One step follows the slot rule.  Number the three cells left of, at and
 right of the head 0, 1, 2.  After a step of velocity v the head sits in slot
 1+v, and every other slot holds its tape rule's write: slot 0 holds
@@ -16,12 +21,12 @@ tau_L(l2,l1,d), slot 1 tau_C(l1,d,r1) and slot 2 tau_R(d,r1,r2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .errors import DefectcaError, InvalidMachineError
-from .lattice import Configuration, PeriodicBackground
+from .lattice import Configuration, periodic_config
 from .rules import LocalRule, recode_rule
 from .shifts import (
     Alphabet,
@@ -40,61 +45,16 @@ from .tracking import bad_transitions, frame_moves, frame_of, locate_defect
 
 
 # ---------------------------------------------------------------------------
-# Tapes and machine state
+# Machines and their states
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HalfTape:
-    """A half-infinite admissible tape, read outward from the head.
-
-    ``read(1)`` is the cell beside the head.  ``near`` holds cells innermost
-    first; past them the periodic far field runs through ``bg`` from
-    ``offset``.  A right tape reads left to right; a left tape is the right
-    tape of the mirrored line (:func:`left_tape`).
-    """
-
-    bg: Word
-    offset: int
-    near: Word = ()
-
-    def read(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("tape cells are indexed from 1")
-        k = len(self.near)
-        if n <= k:
-            return self.near[n - 1]
-        return self.bg[(self.offset + n - k - 1) % len(self.bg)]
-
-    def push(self, *cells: int) -> "HalfTape":
-        """Put ``cells``, listed from the head outward, next to the head."""
-        return HalfTape(self.bg, self.offset, cells + self.near)
-
-    def pop(self) -> "HalfTape":
-        if self.near:
-            return HalfTape(self.bg, self.offset, self.near[1:])
-        return HalfTape(self.bg, self.offset + 1)
-
-    def read_out(self, count: int) -> Word:
-        return tuple(self.read(n) for n in range(1, count + 1))
-
-
-def left_tape(bg: Word, near: Word = (), offset: int = 0) -> HalfTape:
-    """The tape left of the head; ``near`` and ``bg`` read left to right,
-    and cell j beyond ``near`` is ``bg[(offset - j) % len(bg)]``."""
-    return HalfTape(tuple(bg)[::-1], -offset, tuple(near)[::-1])
-
-
-def right_tape(bg: Word, near: Word = (), offset: int = 0) -> HalfTape:
-    """The tape right of the head: ``near``, then ``bg`` from ``offset``."""
-    return HalfTape(tuple(bg), offset, tuple(near))
-
-
-@dataclass(frozen=True)
 class MachineState:
-    left: HalfTape
+    """The head sits between tape cells z - 1 and z of ``tape``."""
+
+    tape: Configuration
     head: object
-    right: HalfTape
-    z: int = 0
+    z: int
 
 
 @dataclass(frozen=True)
@@ -122,12 +82,10 @@ def step_lrtm(machine: LRTuringMachine, state: MachineState) -> MachineState:
 
     The two cells beside the head become a and b: a is tau_C at v=-1 and
     tau_L otherwise, b is tau_C at v=1 and tau_R otherwise.  The head lands
-    in slot 1+v, so ``(a, b)[:1+v]`` joins the left tape and the rest the
-    right tape; each tape takes its cells from the head outward.
+    in slot 1+v, so ``(a, b)[:1+v]`` ends up left of it and the rest right.
     """
-    l1, l2 = state.left.read(1), state.left.read(2)
-    r1, r2 = state.right.read(1), state.right.read(2)
-    d = state.head
+    z, d = state.z, state.head
+    l2, l1, r1, r2 = state.tape.window(z - 2, z + 2)
     v = machine.velocity(l1, d, r1)
     d_next = machine.upsilon(l2, l1, d, r1, r2)
     if v not in (-1, 0, 1):
@@ -137,8 +95,7 @@ def step_lrtm(machine: LRTuringMachine, state: MachineState) -> MachineState:
     k = 1 + v
     _check_writes("left", machine.left_shift.edges, (l2, a, b)[:k + 1])
     _check_writes("right", machine.right_shift.edges, (a, b, r2)[k:])
-    return MachineState(state.left.pop().push(*(a, b)[:k][::-1]), d_next,
-                        state.right.pop().push(*(a, b)[k:]), state.z + v)
+    return MachineState(state.tape.splice(z - 1, z + 1, (a, b)), d_next, z + v)
 
 
 def _check_writes(side: str, edges, cells: tuple) -> None:
@@ -148,36 +105,6 @@ def _check_writes(side: str, edges, cells: tuple) -> None:
         raise InvalidMachineError(
             f"{side} write{'s' if len(cells) > 2 else ''} "
             f"({','.join(map(str, cells))}) inadmissible")
-
-
-def tapes_to_config(alphabet: Alphabet, state: MachineState,
-                    head_cells: Sequence[int]) -> Configuration:
-    """The configuration of a machine state whose head occupies the cells
-    ``head_cells`` from ``state.z`` on; the near tape cells form the core."""
-    lt, rt = state.left, state.right
-    origin = state.z - len(lt.near)
-    end = state.z + len(head_cells) + len(rt.near)
-    # the left tape reads the mirrored line: its bg runs leftward from origin
-    left = PeriodicBackground(lt.bg[::-1], (-lt.offset - origin) % len(lt.bg))
-    right = PeriodicBackground(rt.bg, (rt.offset - end) % len(rt.bg))
-    return Configuration(alphabet, left, lt.near[::-1] + tuple(head_cells) + rt.near,
-                         right, origin)
-
-
-def config_to_tapes(config: Configuration, z: int, width: int,
-                    head) -> MachineState:
-    """Invert :func:`tapes_to_config` for a head of ``width`` cells at ``z``.
-
-    The core cells on either side of the head become the near tape cells.
-    """
-    lo = min(config.origin, z)
-    hi = max(config.end, z + width)
-    lbg, rbg = config.left, config.right
-    left = left_tape(lbg.word, config.window(lo, z),
-                     (lo + lbg.phase) % len(lbg.word))
-    right = right_tape(rbg.word, config.window(z + width, hi),
-                       (hi + rbg.phase) % len(rbg.word))
-    return MachineState(left, head, right, z)
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +131,14 @@ class CAConjugacy:
     union: MarkovShift
 
     def encode(self, state: MachineState) -> Configuration:
-        return tapes_to_config(self.rule.alphabet, state, state.head)
+        return state.tape.splice(state.z, state.z, state.head)
 
     def decode(self, config: Configuration) -> MachineState:
         interval = locate_defect(config, self.union)
         if interval is None:
             raise DefectcaError("no defect to carry the head")
         z = frame_of(interval)[0]
-        return config_to_tapes(config, z, 2, (config.cell(z), config.cell(z + 1)))
+        return MachineState(config.splice(z, z + 2, ()), config.window(z, z + 2), z)
 
 
 def ca_to_turing(rule: LocalRule, L: MarkovShift, R: MarkovShift,
@@ -280,7 +207,8 @@ class TuringCAEmbedding:
         return self.machine.head_domain[s - self.head_base]
 
     def encode(self, state: MachineState) -> Configuration:
-        return tapes_to_config(self.alphabet, state, (self.head_symbol(state.head),))
+        config = state.tape.splice(state.z, state.z, (self.head_symbol(state.head),))
+        return replace(config, alphabet=self.alphabet)
 
     def decode(self, config: Configuration) -> MachineState:
         heads = [z for z in range(config.origin, config.end)
@@ -288,7 +216,8 @@ class TuringCAEmbedding:
         if len(heads) != 1:
             raise DefectcaError(f"configuration holds {len(heads)} head markers")
         z = heads[0]
-        return config_to_tapes(config, z, 1, self.head_state(config.cell(z)))
+        tape = replace(config.splice(z, z + 1, ()), alphabet=self.machine.alphabet)
+        return MachineState(tape, self.head_state(config.cell(z)), z)
 
 
 def turing_to_ca(machine: LRTuringMachine) -> tuple[LocalRule, TuringCAEmbedding]:
@@ -444,9 +373,10 @@ class LRCompiledMachine:
             rcells.extend(self.enc_right.encode_symbol(tape.get(k, 0), self.bits))
         lbg = self.enc_left.encode_symbol(0, self.bits)
         rbg = self.enc_right.encode_symbol(0, self.bits)
-        return MachineState(left_tape(lbg, tuple(lcells)),
-                            ("idle", d, tape.get(z, 0)),
-                            right_tape(rbg, tuple(rcells)), 0)
+        # both cell lists are whole blocks long, so the backgrounds keep phase 0
+        config = periodic_config(self.machine.alphabet, lbg, lcells + rcells,
+                                 rbg, -len(lcells))
+        return MachineState(config, ("idle", d, tape.get(z, 0)), 0)
 
     def macro_step(self, state: MachineState) -> tuple[MachineState, int]:
         state = step_lrtm(self.machine, state)
@@ -463,13 +393,12 @@ class LRCompiledMachine:
         C = self.cells_per_symbol
         if state.z % C:
             raise ValueError("head is not block-aligned")
-        zsym = state.z // C
+        z, zsym = state.z, state.z // C
         tape = {zsym: state.head[2]}
         for k in range(1, window + 1):
-            cells = tuple(state.left.read(n) for n in range(k * C, (k - 1) * C, -1))
+            cells = state.tape.window(z - k * C, z - (k - 1) * C)
             tape[zsym - k] = self.enc_left.decode_symbol(cells, self.tm.tape_size)
-            cells = tuple(state.right.read(n) for n in range((k - 1) * C + 1,
-                                                             k * C + 1))
+            cells = state.tape.window(z + (k - 1) * C, z + k * C)
             tape[zsym + k] = self.enc_right.decode_symbol(cells, self.tm.tape_size)
         return tape, state.head[1], zsym
 

@@ -1,12 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from defectca import io as dio, zoo
-from defectca.cli import MODES, main, run
+from defectca.cli import KEYS, MODES, main, run
 from defectca.errors import DefectcaError
 from defectca.lattice import periodic_config
 from defectca.rules import LocalRule, from_wolfram_number, normalize
@@ -417,7 +418,7 @@ class TestCLI:
 
 def _valid_config(mode, workdir):
     """A fresh config that runs, for ``mode``; walk reads its inputs from
-    files."""
+    files, and every key a mode reads is set except its defaults."""
     if mode == "simulate":
         cfg = {"mode": "simulate", "rule": {"wolfram": 184},
                "shift": ECA184_SFT,
@@ -432,6 +433,12 @@ def _valid_config(mode, workdir):
                "left_shift": FULL_SHIFT, "right_shift": FULL_SHIFT,
                "tape": {"0": 1}, "head": "start", "macro_steps": 2,
                "window": 2}
+    elif mode == "compile-tm":
+        cfg = {"mode": "compile-tm", "tm": TM_SPEC,
+               "left_shift": FULL_SHIFT, "right_shift": FULL_SHIFT}
+    elif mode == "verify":
+        cfg = {"mode": "verify", "rule": {"wolfram": 184},
+               "shift": ECA184_SFT, "right_shift": FULL_SHIFT}
     else:
         _write(os.path.join(workdir, "rule.json"),
                dio.save_rule(zoo.diffusive_rule()))
@@ -627,6 +634,34 @@ def test_walk_without_kept_samples_is_bad_input(workdir, capsys):
     assert "1 of 1 samples vanished" in payload["message"]
 
 
+ZERO_SHIFT = {"alphabet": ["0", "1"], "edges": [[0, 0]]}
+
+
+@pytest.mark.parametrize("mode,edit,fields,why", [
+    ("walk", lambda cfg: {"mode": "walk", "rule": {"wolfram": 184},
+                          "left_shift": FULL_SHIFT, "right_shift": FULL_SHIFT},
+     ("rule", "left_shift", "right_shift"), "not a resolving system"),
+    ("walk", lambda cfg: dict(cfg, rule=dio.save_rule(_fading_rule()), steps=50),
+     ("rule", "left_shift", "right_shift"), "samples vanished or split"),
+    ("compile-tm", _set(("left_shift",), ZERO_SHIFT),
+     ("left_shift", "right_shift"), "positive entropy"),
+    ("run-tm", _set(("right_shift",), ZERO_SHIFT),
+     ("left_shift", "right_shift"), "positive entropy"),
+], ids=["walk-not-resolving", "walk-vanishing", "compile-tm-zero-entropy",
+        "run-tm-zero-entropy"])
+def test_rejected_system_names_its_fields(workdir, capsys, mode, edit, fields, why):
+    """A rule and backgrounds that the library rejects together fail with an
+    error naming the config fields that hold them."""
+    cfg_path = os.path.join(workdir, "system.json")
+    _write(cfg_path, edit(_valid_config(mode, workdir)))
+    code = main(["--json-errors", mode, "--config", cfg_path,
+                 "--out", os.path.join(workdir, "out")])
+    assert code == 2
+    message = json.loads(capsys.readouterr().out)["message"]
+    assert why in message
+    assert all(f"'{field}'" in message for field in fields)
+
+
 def test_exit_status(workdir, capsys, monkeypatch):
     """``python -m defectca`` exits 0 on success, 2 on a config error and 3
     on a fault inside defectca."""
@@ -670,3 +705,98 @@ def test_exit_status(workdir, capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == "ZeroDivisionError"
     assert "planted fault" in payload["traceback"]
+
+
+def test_unknown_key_is_bad_input(workdir, capsys):
+    """A key that the mode does not read, such as a misspelled option,
+    fails before the mode runs instead of leaving the option at its
+    default."""
+    cfg = _valid_config("walk", workdir)
+    cfg["stpes"] = 5
+    cfg_path = os.path.join(workdir, "typo.json")
+    _write(cfg_path, cfg)
+    out = os.path.join(workdir, "out")
+    code = main(["--json-errors", "walk", "--config", cfg_path, "--out", out])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "DefectcaError"
+    assert "'stpes'" in payload["message"]
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_keys_list_what_each_mode_reads(workdir, mode, monkeypatch):
+    """``KEYS`` names exactly the top-level keys a mode looks up."""
+    read = set()
+    contains = dio.Field.__contains__
+
+    def recording(field, key):
+        if not field.path:
+            read.add(key)
+        return contains(field, key)
+    monkeypatch.setattr(dio.Field, "__contains__", recording)
+    cfg_path = os.path.join(workdir, "cfg.json")
+    _write(cfg_path, _valid_config(mode, workdir))
+    assert main([mode, "--config", cfg_path, "--out",
+                 os.path.join(workdir, "out")]) == 0
+    assert read == {"mode", "seed", *KEYS[mode]}
+
+
+# Values a fuzzed field takes: each JSON type, numbers out of range and
+# strings that name no file, a file of the wrong kind or no label.
+FUZZ_VALUES = [None, True, -1, 0, 1, 2, 7, 0.5, "", "x", "0*", "nope.json",
+               "sea.json", [], [0], [[0, 1]], {}, {"wolfram": 300}, {"0": 1}]
+# The largest sizes a fuzzed config keeps, so that each run stays short.
+FUZZ_CAPS = {"steps": 20, "samples": 3, "macro_steps": 3, "max_core": 1}
+
+
+def _json_paths(node, prefix=()):
+    """The key and index path of every value below ``node``."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mutate(cfg, rng):
+    """Replace, delete or add one field of ``cfg``, in place."""
+    path = rng.choice(list(_json_paths(cfg)))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = rng.random()
+    if kind < 0.15 and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif kind < 0.25:
+        cfg[rng.choice(["stpes", "seed_config", "delta", "right_shift",
+                        "window", "W"])] = rng.choice(FUZZ_VALUES)
+    else:
+        parent[path[-1]] = rng.choice(FUZZ_VALUES)
+    for key, cap in FUZZ_CAPS.items():
+        value = cfg.get(key)
+        if isinstance(value, int) and not isinstance(value, bool) and value > cap:
+            cfg[key] = cap
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_fuzzed_configs_fail_as_bad_input(workdir, capsys, mode):
+    """Mutated configs run (exit 0 or 1) or fail as bad input (exit 2) with
+    a message naming a config field, a file or a flag; none is a fault
+    inside defectca (exit 3)."""
+    rng = random.Random(f"fuzz-{mode}")
+    cfg_path = os.path.join(workdir, "fuzzed.json")
+    out = os.path.join(workdir, "out")
+    for _ in range(40):
+        cfg = _valid_config(mode, workdir)
+        keys = set(cfg)
+        for _ in range(rng.randint(1, 2)):
+            _mutate(cfg, rng)
+        _write(cfg_path, cfg)
+        code = main(["--json-errors", mode, "--config", cfg_path, "--out", out])
+        report = json.loads(capsys.readouterr().out or "{}")
+        assert code in (0, 1, 2), (cfg, report)
+        if code == 2:
+            msg = report["message"]
+            assert any(f"'{key}" in msg for key in keys | set(cfg)) or \
+                cfg_path in msg or "--" in msg, (cfg, msg)

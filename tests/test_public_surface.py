@@ -1,6 +1,7 @@
 """Every ``from defectca... import name`` in the README's Python blocks, the
 demos and the benchmark harness names something that exists, and every
-public function of the package has a caller outside the tests.
+public function and public method of the package has a caller outside the
+tests.
 
 Tier-1 runs none of those files, so a renamed or deleted public name would
 otherwise surface only when a reader or the benchmark runs them.  The files
@@ -73,6 +74,10 @@ KEEP = {
     "turing.apda_to_lr": "an APDA as a machine with one frozen tape",
     "turing.run_apda": "the APDA oracle that runaway detection is checked on",
     "zoo.gstar_shift": "the worked G* background of ECA#184",
+    "lattice.Configuration.shifted":
+        "the shift sigma^k that rules and recodings commute with",
+    "shifts.MarkovShift.is_admissible":
+        "membership in the shift's language, the oracle for written words",
 }
 
 SRC = ROOT / "src" / "defectca"
@@ -101,8 +106,49 @@ def _uncalled():
             yield f"{path.stem}.{node.name}"
 
 
+def _unused_methods():
+    """Public methods and properties of top-level classes in ``src/`` that
+    no attribute outside their own definition names.  A receiver is known
+    when it is ``self`` or an annotated field of ``self``; such a use counts
+    only for that class, so ``self.right.shifted`` in ``Configuration``
+    names ``PeriodicBackground.shifted`` and not ``Configuration.shifted``.
+    A use on any other receiver counts for every class with the method."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    classes = [(path, cls) for path, tree in trees.items() for cls in tree.body
+               if isinstance(cls, ast.ClassDef)]
+    fields = {(cls.name, node.target.id): node.annotation.id
+              for _, cls in classes for node in cls.body
+              if isinstance(node, ast.AnnAssign) and
+              isinstance(node.annotation, ast.Name)}
+
+    def receiver(node, cls):
+        v = node.value
+        if isinstance(v, ast.Name) and v.id == "self":
+            return cls
+        if isinstance(v, ast.Attribute) and isinstance(v.value, ast.Name) and \
+                v.value.id == "self":
+            return fields.get((cls, v.attr))
+        return None
+
+    uses = []  # (path or None, line, attribute, receiver class or None)
+    for path, tree in list(trees.items()) + \
+            [(None, ast.parse(text)) for _, text in _sources()]:
+        for top in tree.body:
+            cls = top.name if isinstance(top, ast.ClassDef) else None
+            uses += [(path, node.lineno, node.attr, receiver(node, cls) if cls else None)
+                     for node in ast.walk(top) if isinstance(node, ast.Attribute)]
+    for path, cls in classes:
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                if not any(attr == node.name and rc in (None, cls.name) and
+                           not (where == path and start <= line <= node.end_lineno)
+                           for where, line, attr, rc in uses):
+                    yield f"{path.stem}.{cls.name}.{node.name}"
+
+
 def test_every_public_function_has_a_caller():
-    uncalled = set(_uncalled())
+    uncalled = set(_uncalled()) | set(_unused_methods())
     # call each of these, delete it, or keep it with a reason
     assert sorted(uncalled - KEEP.keys()) == []
     # these are gone or have a caller now: drop them from KEEP

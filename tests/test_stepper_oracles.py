@@ -1,6 +1,7 @@
 """Differential oracles for the window reader and the stepper.
 
-``Configuration.window`` and ``PeriodicBackground.cells`` read by slices;
+``Configuration.window`` and ``PeriodicBackground.cells`` read by slices,
+``Configuration.splice`` rewrites a span and moves the right background;
 ``apply_rule`` trims its core and ``track`` reads one window per step.  Each
 is checked here against the plainest definition: one ``cell`` call per
 cell, one rule-table lookup per neighbourhood, and a stepper that updates
@@ -130,6 +131,26 @@ class TestWindowOracle:
             for hi in range(lo - 2, e + 8):
                 assert cfg.window(lo, hi) == \
                     tuple(cfg.cell(z) for z in range(lo, hi)), (lo, hi)
+
+    @given(configurations(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_splice_matches_cells(self, cfg, data):
+        # inserts, deletes and equal-length writes with lo and hi inside,
+        # around and outside the core; the cells from hi on move by
+        # len(cells) - (hi - lo), background cells included
+        n = cfg.alphabet.size
+        drawn = data.draw(words(n, 1, 3))
+        o, e = cfg.origin, cfg.end
+        for lo in range(o - 5, e + 6):
+            for hi in range(lo, e + 7):
+                for cells in (drawn, (), drawn[:1] * (hi - lo)):
+                    new = cfg.splice(lo, hi, cells)
+                    end = lo + len(cells)
+                    move = end - hi
+                    want = tuple(cfg.cell(z) for z in range(o - 12, lo)) + cells + \
+                        tuple(cfg.cell(z - move) for z in range(end, e + move + 12))
+                    assert tuple(new.cell(z) for z in range(o - 12, e + move + 12)) == \
+                        want, (lo, hi, cells)
 
     @given(words(4), st.integers(-9, 9))
     @settings(max_examples=40, deadline=None)

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from defectca.errors import DefectcaError, InvalidMachineError
-from defectca.lattice import apply_rule, decode_config, encode_config
+from defectca.lattice import apply_rule, decode_config, encode_config, periodic_config
 from defectca.rules import from_wolfram_number, identity_rule
 from defectca.shifts import (
     Alphabet,
@@ -21,15 +21,11 @@ from defectca.turing import (
     build_cycle_encoder,
     ca_to_turing,
     classical_to_lr,
-    config_to_tapes,
     detect_runaway_cycle,
-    left_tape,
     regime_of,
-    right_tape,
     run_apda,
     runaway_cycles,
     step_lrtm,
-    tapes_to_config,
     turing_to_ca,
 )
 from defectca import zoo
@@ -45,77 +41,62 @@ def one_shift():
     return build_markov_shift(A2, [(1, 1)])
 
 
-A4 = Alphabet(("0", "1", "2", "3"))
+def state(left_bg, head, right_bg, left=(), right=(), alphabet=A2):
+    """The head at 0 between the cells ``left`` and ``right``; ``left_bg``
+    repeats leftward from left's first cell, ``right_bg`` rightward from
+    right's last."""
+    tape = periodic_config(alphabet, left_bg, tuple(left) + tuple(right), right_bg,
+                           -len(left), len(left), -len(right))
+    return MachineState(tape, head, 0)
 
 
-def _random_tape_args(rng):
-    """(bg, near, offset): words over A4 in left-to-right order and a
-    nonzero far-field offset."""
+def near(s, n):
+    """The n tape cells left of the head and the n right of it."""
+    return s.tape.window(s.z - n, s.z), s.tape.window(s.z, s.z + n)
+
+
+def _random_tape(rng):
+    """A tape over A2 with random backgrounds, phases, core and origin."""
     def word(least):
-        return tuple(rng.randrange(4) for _ in range(rng.randint(least, 4)))
-    return word(1), word(0), rng.choice([o for o in range(-7, 8) if o])
+        return tuple(rng.randrange(2) for _ in range(rng.randint(least, 4)))
+    return periodic_config(A2, word(1), word(0), word(1), rng.randrange(-5, 6),
+                           rng.randrange(-4, 5), rng.randrange(-4, 5))
 
 
-def _reference_read(side, bg, offset, near, n):
-    """Cell n from the head of a tape, by definition: ``near`` is in
-    left-to-right order and the far field continues ``bg`` away from it."""
-    k = len(near)
-    if side == "left":
-        return near[-n] if n <= k else bg[(offset - (n - k)) % len(bg)]
-    return near[n - 1] if n <= k else bg[(offset + (n - k) - 1) % len(bg)]
-
-
-class TestHalfTape:
-    def test_left_reads(self):
-        t = left_tape((0, 1), near=(1, 0, 0))
-        assert t.read_out(5) == (0, 0, 1, 1, 0)
-
-    def test_right_reads(self):
-        t = right_tape((0, 1), near=(1, 1))
-        assert t.read_out(5) == (1, 1, 0, 1, 0)
-
-    def test_push_pop_round_trip(self):
-        t = left_tape((0,), near=(1,))
-        assert t.push(0).pop().read_out(3) == t.read_out(3)
-
-    def test_pop_consumes_background(self):
-        t = right_tape((0, 1), near=())
-        popped = t.pop()
-        assert popped.read_out(4) == t.read_out(5)[1:]
-
-    def test_tapes_match_the_direct_definition(self):
-        # random pushes (cells from the head outward) and pops, mirrored on
-        # a left-to-right near word and a far-field offset
-        rng = random.Random(0)
-        for _ in range(200):
-            for side in ("left", "right"):
-                bg, near, offset = _random_tape_args(rng)
-                tape = (left_tape if side == "left" else right_tape)(bg, near, offset)
-                for _ in range(rng.randrange(9)):
-                    if rng.random() < 0.5:
-                        tape = tape.pop()
-                        if not near:
-                            offset += -1 if side == "left" else 1
-                        near = near[:-1] if side == "left" else near[1:]
-                    else:
-                        cells = tuple(rng.randrange(4) for _ in range(rng.randrange(3)))
-                        tape = tape.push(*cells)
-                        near = near + cells[::-1] if side == "left" else cells + near
-                    assert tape.read_out(12) == tuple(
-                        _reference_read(side, bg, offset, near, n) for n in range(1, 13))
+class TestHeadCodec:
+    def _check(self, emb, s, width):
+        # the head takes the cells [z, z + width), the tape cells beside it
+        # keep their order, and decoding takes exactly the head back out
+        config = emb.encode(s)
+        back = emb.decode(config)
+        z = s.z
+        assert (back.z, back.head) == (z, s.head)
+        assert config.window(z - 12, z) == s.tape.window(z - 12, z) == \
+            back.tape.window(z - 12, z)
+        assert config.window(z + width, z + width + 12) == \
+            s.tape.window(z, z + 12) == back.tape.window(z, z + 12)
+        return config
 
     def test_codec_places_tape_cells_beside_the_head(self):
         rng = random.Random(1)
+        m = _stationary_machine()
+        _, emb = turing_to_ca(m)
         for _ in range(200):
-            z, width = rng.randrange(-5, 6), rng.randint(1, 2)
-            state = MachineState(left_tape(*_random_tape_args(rng)), "h",
-                                 right_tape(*_random_tape_args(rng)), z)
-            config = tapes_to_config(A4, state, (0,) * width)
-            back = config_to_tapes(config, z, width, "h")
-            for n in range(1, 13):
-                assert config.cell(z - n) == state.left.read(n) == back.left.read(n)
-                assert config.cell(z + width - 1 + n) == state.right.read(n) == \
-                    back.right.read(n)
+            s = MachineState(_random_tape(rng), rng.choice(m.head_domain),
+                             rng.randrange(-8, 9))
+            config = self._check(emb, s, 1)
+            assert emb.is_head(config.cell(s.z))
+            assert config.alphabet == emb.alphabet
+            assert emb.decode(config).tape.alphabet == m.alphabet
+        machine, conj = ca_to_turing(from_wolfram_number(184), zero_shift(),
+                                     one_shift(), 0)
+        (zero,), (one,) = machine.left_shift.usable, machine.right_shift.usable
+        for _ in range(50):
+            i, j, z = rng.randrange(4), rng.randrange(4), rng.randrange(-8, 9)
+            tape = periodic_config(machine.alphabet, (zero,),
+                                   (zero,) * i + (one,) * j, (one,), z - i)
+            config = self._check(conj, MachineState(tape, (zero, one), z), 2)
+            assert config.window(z, z + 2) == (zero, one)
 
 
 def _stationary_machine():
@@ -133,11 +114,10 @@ def _stationary_machine():
 class TestStepLRTM:
     def test_stationary_flips_head_only(self):
         m = _stationary_machine()
-        s0 = MachineState(left_tape((0,)), "a", right_tape((1,)), 0)
+        s0 = state((0,), "a", (1,))
         s1 = step_lrtm(m, s0)
         assert s1.head == "b" and s1.z == 0
-        assert s1.left.read_out(4) == s0.left.read_out(4)
-        assert s1.right.read_out(4) == s0.right.read_out(4)
+        assert near(s1, 4) == near(s0, 4)
 
     def test_hand_traced_two_steps(self):
         # state a waits one step, then b marches right consuming the sea,
@@ -150,13 +130,13 @@ class TestStepLRTM:
             tau_R=lambda d, r1, r2: r1,
             upsilon=lambda l2, l1, d, r1, r2: "b",
             velocity=lambda l1, d, r1: 0 if d == "a" else 1)
-        s = MachineState(left_tape((0,)), "a", right_tape((1, 0), near=(1, 1)), 0)
+        s = state((0,), "a", (1, 0), right=(1, 1))
         s = step_lrtm(m, s)
         assert (s.head, s.z) == ("b", 0)
         s = step_lrtm(m, s)
         assert (s.head, s.z) == ("b", 1)
-        assert s.left.read_out(2) == (0, 0)
-        assert s.right.read(1) == 1  # the second sea cell is now adjacent
+        assert s.tape.window(s.z - 2, s.z) == (0, 0)
+        assert s.tape.cell(s.z) == 1  # the second sea cell is now adjacent
 
     def test_inadmissible_write_raises(self):
         m = LRTuringMachine(
@@ -166,14 +146,14 @@ class TestStepLRTM:
             tau_R=lambda d, r1, r2: r1,
             upsilon=lambda l2, l1, d, r1, r2: "a",
             velocity=lambda l1, d, r1: 0)
-        s = MachineState(left_tape((0,)), "a", right_tape((1,)), 0)
+        s = state((0,), "a", (1,))
         with pytest.raises(InvalidMachineError):
             step_lrtm(m, s)
 
 
 class TestCaToTuring:
     def beta_state(self, machine):
-        return MachineState(left_tape((0,)), (0, 1), right_tape((1,)), 0)
+        return state((0,), (0, 1), (1,), alphabet=machine.alphabet)
 
     def test_beta_machine_is_stationary(self):
         machine, conj = ca_to_turing(from_wolfram_number(184), zero_shift(),
@@ -182,7 +162,7 @@ class TestCaToTuring:
         for _ in range(5):
             s2 = step_lrtm(machine, s)
             assert (s2.z, s2.head) == (s.z, s.head)
-            assert s2.left.read_out(3) == s.left.read_out(3)
+            assert near(s2, 3)[0] == near(s, 3)[0]
             s = s2
 
     def test_identity_rule_machine_fixes_everything(self):
@@ -203,8 +183,7 @@ class TestCaToTuring:
         cfg = conj.encode(s)
         back = conj.decode(cfg)
         assert back.z == s.z and back.head == s.head
-        assert back.left.read_out(5) == s.left.read_out(5)
-        assert back.right.read_out(5) == s.right.read_out(5)
+        assert near(back, 5) == near(s, 5)
 
 
 def _right_mover():
@@ -225,7 +204,7 @@ class TestTuringToCA:
         m = _stationary_machine()
         rule, emb = turing_to_ca(m)
         from defectca.lattice import apply_rule
-        s = MachineState(left_tape((0,)), "a", right_tape((1,)), 0)
+        s = state((0,), "a", (1,))
         cfg = emb.encode(s)
         for t in range(10):
             cfg = apply_rule(rule, cfg)
@@ -235,8 +214,7 @@ class TestTuringToCA:
         m = _right_mover()
         rule, emb = turing_to_ca(m)
         from defectca.lattice import apply_rule
-        s = MachineState(left_tape((0,)), "m",
-                         right_tape((1, 1, 0), near=(0, 1, 1, 0, 1)), 0)
+        s = state((0,), "m", (1, 1, 0), right=(0, 1, 1, 0, 1))
         cfg = emb.encode(s)
         for t in range(20):
             s = step_lrtm(m, s)
@@ -244,8 +222,7 @@ class TestTuringToCA:
             got = emb.decode(cfg)
             assert got.z == s.z == t + 1
             assert got.head == s.head
-            assert got.left.read_out(6) == s.left.read_out(6)
-            assert got.right.read_out(6) == s.right.read_out(6)
+            assert near(got, 6) == near(s, 6)
 
     def test_round_trip_extraction_bisimulates(self):
         m = _right_mover()
@@ -254,8 +231,7 @@ class TestTuringToCA:
         L2 = build_markov_shift(ext, [(0, 0)])
         R2 = full_shift(ext, (0, 1))
         m2, conj = ca_to_turing(rule, L2, R2, 1)
-        s = MachineState(left_tape((0,)), "m",
-                         right_tape((1, 0), near=(0, 1, 1, 0)), 0)
+        s = state((0,), "m", (1, 0), right=(0, 1, 1, 0))
         cfg = emb.encode(s)
         s2 = conj.decode(encode_config(conj.coder, cfg))
         for t in range(30):
@@ -264,8 +240,7 @@ class TestTuringToCA:
             decoded = emb.decode(decode_config(conj.coder, conj.encode(s2)))
             assert decoded.z == s.z
             assert decoded.head == s.head
-            assert decoded.left.read_out(4) == s.left.read_out(4)
-            assert decoded.right.read_out(4) == s.right.read_out(4)
+            assert near(decoded, 4) == near(s, 4)
 
 
 
@@ -308,22 +283,18 @@ class TestSlotRuleOracle:
         for _ in range(40):
             m = _random_machine(rng)
             rule, emb = turing_to_ca(m)
-
-            def word(lo, hi):
-                return tuple(rng.randrange(2) for _ in range(rng.randint(lo, hi)))
-
-            s = MachineState(left_tape(word(1, 3), word(0, 4)), rng.choice(m.head_domain),
-                             right_tape(word(1, 3), word(0, 4)), 0)
+            s = MachineState(_random_tape(rng), rng.choice(m.head_domain),
+                             rng.randrange(-8, 9))
             cfg = emb.encode(s)
             for _ in range(25):
-                seen.add(m.velocity(s.left.read(1), s.head, s.right.read(1)))
+                seen.add(m.velocity(s.tape.cell(s.z - 1), s.head, s.tape.cell(s.z)))
                 s = step_lrtm(m, s)
                 cfg = apply_rule(rule, cfg)
                 got = emb.decode(cfg)
                 assert (got.z, got.head) == (s.z, s.head)
-                assert got.left.read_out(8) == s.left.read_out(8)
-                assert got.right.read_out(8) == s.right.read_out(8)
+                assert near(got, 8) == near(s, 8)
         assert seen == {-1, 0, 1}
+
 
 class TestCycleEncoder:
     def test_full_shift_blocks(self):
@@ -474,9 +445,9 @@ class TestAPDA:
             stack = [rng.randrange(apda.stack_size) for _ in range(200)]
             d0 = apda.head_domain[0]
             hist = run_apda(apda, d0, stack, 60)
-            lr_state = MachineState(
-                left_tape((null,)), (d0, stack[0]),
-                right_tape((1,), near=tuple(s + 1 for s in stack[1:])), 0)
+            lr_state = state((null,), (d0, stack[0]), (1,),
+                             right=tuple(s + 1 for s in stack[1:]),
+                             alphabet=machine.alphabet)
             for (d, t, v) in hist:
                 assert lr_state.head == (d, t)
                 nxt = step_lrtm(machine, lr_state)
@@ -487,11 +458,11 @@ class TestAPDA:
 class TestCheckedRun:
     def test_run_with_admissibility_checks(self):
         m = _right_mover()
-        s = MachineState(left_tape((0,)), "m",
-                         right_tape((1, 0), near=(1, 1, 0, 1)), 0)
+        s = state((0,), "m", (1, 0), right=(1, 1, 0, 1))
         for _ in range(10):
             s = step_lrtm(m, s)
             # the four cells beside the head on each side stay admissible
-            assert m.left_shift.is_admissible(s.left.read_out(4)[::-1])
-            assert m.right_shift.is_admissible(s.right.read_out(4))
+            left, right = near(s, 4)
+            assert m.left_shift.is_admissible(left)
+            assert m.right_shift.is_admissible(right)
         assert s.z == 10

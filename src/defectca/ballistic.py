@@ -32,14 +32,8 @@ class PeriodicComponentCode:
     permutations of the component's symbol set.
     """
 
-    shift: MarkovShift
-    symbols: tuple[int, ...]
     sigma: dict[int, int]
     phi: dict[int, int]
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
 
     def sigma_pow(self, s: int, k: int) -> int:
         cycle = self.cycle_through(s)
@@ -82,7 +76,7 @@ def build_periodic_code(component: MarkovShift,
     # Both maps permute the symbols, so connected means strongly connected.
     if len(strongly_connected(syms, lambda s: (sigma[s], phi[s]))) != 1:
         raise DefectcaError("component is not (shift, rule)-transitive")
-    return PeriodicComponentCode(component, syms, sigma, phi)
+    return PeriodicComponentCode(sigma, phi)
 
 
 @dataclass(frozen=True)
@@ -175,13 +169,17 @@ def verify_conjugacy(system: KinematicSystem, ptype: ParticleType,
         dz = last.z - traj.records[0].z
         if dz != ptype.period * ptype.velocity:
             return False
-        end_cfg = traj.configs[-1]
-        end_state = (end_cfg.cell(last.z - L - 1),
-                     end_cfg.window(last.z - L, last.z + R + 1),
-                     end_cfg.cell(last.z + R + 1))
-        if end_state != state:
+        if _padded_state(traj.configs[-1], last.z, L, R) != state:
             return False
     return True
+
+
+def _padded_state(config: Configuration, z: int, L: int, R: int) -> tuple:
+    """The kinematic state (left symbol, defect word, right symbol) of the
+    frame at ``z``: the window [z-L-1, z+R+2) split into its first cell, the
+    L+R+1 defect cells and its last cell."""
+    w = config.window(z - L - 1, z + R + 2)
+    return w[0], w[1:-1], w[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +252,8 @@ def _eventual_cycle(sys: RecodedSystem, traj, Lg: MarkovShift,
     recs = records[tail:]
     L = max(r.L for r in recs)
     R = max(r.R for r in recs)
-    states = []
-    for rec, cfg in zip(recs, configs[tail:]):
-        states.append(((cfg.cell(rec.z - L - 1),
-                        cfg.window(rec.z - L, rec.z + R + 1),
-                        cfg.cell(rec.z + R + 1)), rec.z, rec))
+    states = [(_padded_state(cfg, rec.z, L, R), rec.z, rec)
+              for rec, cfg in zip(recs, configs[tail:])]
     period = None
     n = len(states)
     for p in range(1, n // 2 + 1):

@@ -36,6 +36,7 @@ from .rules import LocalRule, check_invariance, is_right_resolving, mirror
 from .shifts import (
     MarkovShift,
     Word,
+    adjacency_matrix,
     perron,
     regularity,
     reverse,
@@ -119,11 +120,7 @@ def parry_measure(shift: MarkovShift) -> MarkovMeasure:
         raise DefectcaError(f"shift is reducible; components: {names}")
     syms = sorted(shift.usable)
     idx = {s: i for i, s in enumerate(syms)}
-    n = len(syms)
-    A = np.zeros((n, n))
-    for a in syms:
-        for b in shift.followers(a):
-            A[idx[a], idx[b]] = 1.0
+    A = adjacency_matrix(shift, syms)
     _, right = perron(A)
     lam, left = perron(A.T)
     kernel = {}
@@ -166,19 +163,16 @@ def pushforward_cylinders(rule: LocalRule, measure: MarkovMeasure,
 
 @dataclass(frozen=True)
 class ResolvingSystemReport:
-    """The four resolving-system conditions with failure witnesses."""
+    """The resolving-system check: one witness per failed condition, and
+    the two Parry measures when both exist."""
 
-    union_markov: bool
-    left_ok: bool
-    right_ok: bool
-    measures_ok: bool
     witnesses: tuple[str, ...]
     lam: Optional[MarkovMeasure]
     rho: Optional[MarkovMeasure]
 
     @property
     def passed(self) -> bool:
-        return self.union_markov and self.left_ok and self.right_ok and self.measures_ok
+        return not self.witnesses
 
 
 def verify_resolving_system(rule: LocalRule, L: MarkovShift,
@@ -186,28 +180,19 @@ def verify_resolving_system(rule: LocalRule, L: MarkovShift,
     """Check the quadruple conditions and attach the two Parry measures."""
     notes: list[str] = []
     if L.usable == R.usable:
-        union_ok = L.edges == R.edges
-        if not union_ok:
+        if L.edges != R.edges:
             notes.append("L and R share symbols but have different edges")
-    else:
-        union_ok = not (L.usable & R.usable)
-        if not union_ok:
-            notes.append("L and R overlap without being equal")
-
-    left = _side_notes(mirror(rule), reverse(L), "L", "left")
-    right = _side_notes(rule, R, "R", "right")
-    notes += left + right
-
+    elif L.usable & R.usable:
+        notes.append("L and R overlap without being equal")
+    notes += _side_notes(mirror(rule), reverse(L), "L", "left")
+    notes += _side_notes(rule, R, "R", "right")
     lam = rho = None
-    measures_ok = True
     try:
         lam = parry_measure(L)
         rho = parry_measure(R)
     except DefectcaError as e:
-        measures_ok = False
         notes.append(f"Parry measure unavailable: {e}")
-    return ResolvingSystemReport(union_ok, not left, not right, measures_ok,
-                                 tuple(notes), lam, rho)
+    return ResolvingSystemReport(tuple(notes), lam, rho)
 
 
 def _side_notes(rule: LocalRule, S: MarkovShift, name: str,
@@ -241,8 +226,6 @@ class WalkKernel:
     left: MarkovShift
     right: MarkovShift
     W: int
-    P_L: int
-    F_R: int
     states: tuple
     vel: dict
     rows: dict  # state -> {state: Fraction}
@@ -378,7 +361,7 @@ def build_walk_kernel(rule: LocalRule, L: MarkovShift, R: MarkovShift, W: int,
         work.extend(t for t in row if t not in rows and t not in vel)
     reachable = tuple(sorted(rows))
     vel = {s: vel[s] for s in reachable}
-    return WalkKernel(rule, L, R, W, P_L, F_R, reachable, vel, rows)
+    return WalkKernel(rule, L, R, W, reachable, vel, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +660,6 @@ def sample_kernel_chain(kernel: WalkKernel, delta: dict, T: int, n: int,
 
 @dataclass(frozen=True)
 class RowComparison:
-    state: object
     visits: int
     tv: float
     conclusive: bool
@@ -687,7 +669,6 @@ class RowComparison:
 @dataclass(frozen=True)
 class MarkovTestReport:
     rows: tuple[RowComparison, ...]
-    order1_rows: tuple[RowComparison, ...]
     passed: bool
     max_tv: Optional[float]  # None when no row was compared
 
@@ -709,7 +690,7 @@ def _compare_rows(counts: dict, expected_row) -> list[RowComparison]:
                      max(z * math.sqrt(p.get(t, 0.0) * (1 - p.get(t, 0.0)) / n_vis),
                          2.0 / n_vis)
                      for t in support)
-        out.append(RowComparison(state, n_vis, tv, n_vis >= 50, passed))
+        out.append(RowComparison(n_vis, tv, n_vis >= 50, passed))
     return out
 
 
@@ -730,7 +711,7 @@ def markov_property_test(stats: WalkStatistics,
     relevant = [r for r in rows + rows1 if r.conclusive]
     passed = all(r.passed for r in relevant) and bool(rows)
     max_tv = max((r.tv for r in rows), default=None)
-    return MarkovTestReport(tuple(rows), tuple(rows1), passed, max_tv)
+    return MarkovTestReport(tuple(rows), passed, max_tv)
 
 
 # ---------------------------------------------------------------------------

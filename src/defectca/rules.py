@@ -284,10 +284,6 @@ class RecodedSystem:
     shift: MarkovShift
     coder: BlockCoder
 
-    @property
-    def P(self) -> int:
-        return self.coder.P
-
 
 def normalize(rule: LocalRule, background) -> RecodedSystem:
     """Apply the standard reduction: the P = max(2r, q) block presentation.

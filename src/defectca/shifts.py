@@ -499,6 +499,18 @@ def choice_point(shift: MarkovShift) -> Optional[int]:
     return min((min(comp) for comp in _branching_sccs(shift)), default=None)
 
 
+def adjacency_matrix(shift: MarkovShift, vertices: Sequence[int]) -> np.ndarray:
+    """The dense 0/1 matrix of ``shift``'s edges among ``vertices``, rows
+    and columns in the order given."""
+    idx = {v: i for i, v in enumerate(vertices)}
+    A = np.zeros((len(idx), len(idx)))
+    for v in vertices:
+        for w in shift.followers(v):
+            if w in idx:
+                A[idx[v], idx[w]] = 1.0
+    return A
+
+
 def perron(M: np.ndarray) -> tuple[float, np.ndarray]:
     """Perron root and eigenvector (max entry 1) of an irreducible nonnegative matrix.
 
@@ -529,13 +541,7 @@ def entropy(shift: MarkovShift) -> float:
         return 0.0
     rad = 0.0
     for comp in comps:
-        idx = {v: i for i, v in enumerate(comp)}
-        A = np.zeros((len(comp), len(comp)))
-        for v in comp:
-            for w in shift.followers(v):
-                if w in idx:
-                    A[idx[v], idx[w]] = 1.0
-        rad = max(rad, perron(A)[0])
+        rad = max(rad, perron(adjacency_matrix(shift, comp))[0])
     return math.log2(rad)
 
 

@@ -200,12 +200,11 @@ def check_velocity_bounds(traj: DefectTrajectory) -> list[str]:
 class DefectAutomaton:
     """Empirical finite-automaton model of a constant-width defect.
 
-    Inputs are (left word of length L+2, state word of length W, right word
-    of length R+1); ``upsilon`` gives the next state word, ``velocity`` the
-    displacement.  Tables cover reached inputs only.
+    Inputs are (left word of length L+2, state word of length L+R+1, right
+    word of length R+1); ``upsilon`` gives the next state word, ``velocity``
+    the displacement.  Tables cover reached inputs only.
     """
 
-    W: int
     L: int
     R: int
     upsilon: dict
@@ -236,7 +235,6 @@ def extract_automaton(rule: LocalRule, shift: MarkovShift,
         trajs.append(traj)
     L = max(r.L for traj in trajs for r in traj.records)
     R = max(r.R for traj in trajs for r in traj.records)
-    W = L + R + 1
     upsilon: dict = {}
     velocity: dict = {}
     for traj in trajs:
@@ -254,4 +252,4 @@ def extract_automaton(rule: LocalRule, shift: MarkovShift,
                     f"input {key} maps to both {(seen, velocity[key])} and {out}")
             upsilon[key] = d_next
             velocity[key] = v
-    return DefectAutomaton(W, L, R, upsilon, velocity)
+    return DefectAutomaton(L, R, upsilon, velocity)

@@ -121,13 +121,11 @@ def _check_pointwise_fixed(rule: LocalRule, shift: MarkovShift) -> None:
 @dataclass(frozen=True)
 class CAConjugacy:
     """Coordinates of the machine <-> configuration correspondence: the
-    power-recoded rule, the stride-P ``coder`` from source configurations
-    to its alphabet, and the recoded tape shifts."""
+    stride-P ``coder`` from source configurations to the power-recoded
+    alphabet, and the ``union`` of the recoded tape shifts, off which the
+    head is located."""
 
-    rule: LocalRule
     coder: BlockCoder
-    left_shift: MarkovShift
-    right_shift: MarkovShift
     union: MarkovShift
 
     def encode(self, state: MachineState) -> Configuration:
@@ -184,7 +182,7 @@ def ca_to_turing(rule: LocalRule, L: MarkovShift, R: MarkovShift,
     machine = LRTuringMachine(phi.alphabet, domain, Lh, Rh,
                               tau_L, tau_C, tau_R, ups, vel,
                               name=f"machine[{rule.name}]")
-    return machine, CAConjugacy(phi, coder, Lh, Rh, union)
+    return machine, CAConjugacy(coder, union)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +266,6 @@ def turing_to_ca(machine: LRTuringMachine) -> tuple[LocalRule, TuringCAEmbedding
 class CycleEncoder:
     """Bit blocks from two equal-length cycles at a shared vertex."""
 
-    shift: MarkovShift
     P: int
     w0: Word
     w1: Word
@@ -310,7 +307,7 @@ class CycleEncoder:
 
 def build_cycle_encoder(shift: MarkovShift) -> CycleEncoder:
     P, c0, c1 = equal_length_cycles(shift)
-    return CycleEncoder(shift, P, c0, c1)
+    return CycleEncoder(P, c0, c1)
 
 
 @dataclass(frozen=True)
@@ -419,8 +416,8 @@ def classical_to_lr(tm: ClassicalTM, L: MarkovShift,
     encR = build_cycle_encoder(R)
     if encL.P != encR.P:
         P = math.lcm(encL.P, encR.P)
-        encL = CycleEncoder(L, P, encL.w0 * (P // encL.P), encL.w1 * (P // encL.P))
-        encR = CycleEncoder(R, P, encR.w0 * (P // encR.P), encR.w1 * (P // encR.P))
+        encL = CycleEncoder(P, encL.w0 * (P // encL.P), encL.w1 * (P // encL.P))
+        encR = CycleEncoder(P, encR.w0 * (P // encR.P), encR.w1 * (P // encR.P))
     bits = max(1, (tm.tape_size - 1).bit_length())
     C = bits * encL.P
 

@@ -42,6 +42,7 @@ from defectca.shifts import (
     full_shift,
     higher_block,
     pack_word,
+    regularity,
 )
 from defectca.tracking import check_velocity_bounds, extract_automaton, locate_defect, track
 from defectca.turing import (
@@ -179,7 +180,7 @@ def _diffusive_kernel():
 def test_criterion_5_kernel_exactness():
     with criterion(5, "diffusive kernel: exact quarters, exact row sums", 5.0):
         rule, sea, delta, kernel = _diffusive_kernel()
-        assert kernel.P_L == 2 and kernel.F_R == 2
+        assert regularity(sea).P_S == 2 and regularity(sea).F_S == 2
         assert len(kernel.states) > 0
         for s in kernel.states:
             row = kernel.rows[s]

@@ -31,6 +31,7 @@ from defectca.shifts import (
     build_markov_shift,
     entropy,
     full_shift,
+    regularity,
     reverse,
 )
 from defectca import zoo
@@ -148,7 +149,25 @@ class TestResolvingSystem:
         L = build_markov_shift(A2, [(0, 0)])
         R = full_shift(A2)
         rep = verify_resolving_system(from_linear(2, (1, 1, 1)), L, R)
-        assert not rep.union_markov
+        assert not rep.passed
+        assert "L and R overlap without being equal" in rep.witnesses
+
+    @pytest.mark.parametrize("rule,L,R,witness", [
+        (from_linear(2, (1, 1, 1)), build_markov_shift(A2, [(0, 0)]),
+         full_shift(A2), "L and R overlap without being equal"),
+        (identity_rule(A2), golden_mean(), golden_mean(), "R is not right-regular"),
+        (from_wolfram_number(1), build_markov_shift(A2, [(0, 0)]),
+         build_markov_shift(A2, [(0, 0)]), "rule does not preserve R"),
+        (identity_rule(A2), full_shift(A2), full_shift(A2),
+         "R is not right-resolving"),
+        # regular, invariant and resolving, but reducible
+        (identity_rule(A2), build_markov_shift(A2, [(0, 0), (1, 1)]),
+         build_markov_shift(A2, [(0, 0), (1, 1)]), "Parry measure unavailable: shift is reducible"),
+    ], ids=["union", "regular", "invariant", "resolving", "parry"])
+    def test_each_failure_names_its_witness(self, rule, L, R, witness):
+        rep = verify_resolving_system(rule, L, R)
+        assert not rep.passed
+        assert any(witness in w for w in rep.witnesses), rep.witnesses
 
 
 class TestWalkKernel:
@@ -161,7 +180,8 @@ class TestWalkKernel:
 
     def test_every_entry_is_one_quarter(self):
         k = self.kernel()
-        assert k.P_L == 2 and k.F_R == 2
+        sea = regularity(zoo.diffusive_background())
+        assert sea.P_S == 2 and sea.F_S == 2
         for s in k.states:
             row = k.rows[s]
             assert sum(row.values()) == 1
@@ -218,7 +238,7 @@ class TestWalkKernel:
     def test_wall_kernel_left_rows_are_deterministic(self):
         k = build_walk_kernel(zoo.wall_rule(), zoo.wall_left_shift(),
                               zoo.wall_right_shift(), 0)
-        assert k.P_L == 1 and k.F_R == 2
+        assert regularity(k.left).P_S == 1 and regularity(k.right).F_S == 2
         for s in k.states:
             if k.vel[s] == -1:
                 assert list(k.rows[s].values()) == [Fraction(1)]

@@ -52,7 +52,7 @@ class TestShiftIO:
         rule = from_wolfram_number(184)
         sys_rec = normalize(rule, sft)
         assert sys_rec.shift.edges == edges
-        assert sys_rec.P == 1 and sys_rec.rule is rule
+        assert sys_rec.coder.P == 1 and sys_rec.rule is rule
 
     def test_empty_radius_one_sft_rejected(self):
         with pytest.raises(DefectcaError, match="shift.admissible.*empty"):

@@ -1,7 +1,12 @@
 """Every ``from defectca... import name`` in the README's Python blocks, the
-demos and the benchmark harness names something that exists, and every
-public function and public method of the package has a caller outside the
-tests.
+demos and the benchmark harness names something that exists, every public
+function and public method of the package has a caller outside the tests,
+and every field of its dataclasses and NamedTuples has a reader there.
+
+A use of a method or field counts for a class when its receiver has that
+class as static type (see :class:`_Types`).  A receiver whose type cannot be
+worked out counts for every class with an attribute of that name, so a
+shared name can still hide an unread field or unused method.
 
 Tier-1 runs none of those files, so a renamed or deleted public name would
 otherwise surface only when a reader or the benchmark runs them.  The files
@@ -9,9 +14,11 @@ are parsed, never executed.
 """
 
 import ast
+import functools
 import importlib
 import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -54,8 +61,9 @@ def test_imported_name_resolves(where, module, name):
         f"{where} imports {name!r} from {module}, which has no such name"
 
 
-# Public functions that nothing outside the tests calls, kept because each is
-# a construct of the paper or an oracle the tests check the library against.
+# Public functions, methods and fields that nothing outside the tests uses,
+# kept because each is a construct of the paper or an oracle the tests check
+# the library against.
 KEEP = {
     "ballistic.verify_conjugacy":
         "the kinematic system is conjugate to the CA over one period",
@@ -78,14 +86,21 @@ KEEP = {
         "the shift sigma^k that rules and recodings commute with",
     "shifts.MarkovShift.is_admissible":
         "membership in the shift's language, the oracle for written words",
+    "diffusive.RecurrentClassStats.stationary":
+        "the exact stationary law of the class, which STATIONARY_DIGESTS pins",
+    "diffusive.RecurrentClassStats.states": "the closed class the law lives on",
+    "diffusive.RowComparison.visits": "criterion 6's visit total per row",
 }
 
 SRC = ROOT / "src" / "defectca"
+TREES = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+CLASSES = [(path, node) for path, tree in TREES.items() for node in tree.body
+           if isinstance(node, ast.ClassDef)]
 
 
 def _public_functions():
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    for path, tree in TREES.items():
+        for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 yield path, node
 
@@ -106,45 +121,194 @@ def _uncalled():
             yield f"{path.stem}.{node.name}"
 
 
-def _unused_methods():
-    """Public methods and properties of top-level classes in ``src/`` that
-    no attribute outside their own definition names.  A receiver is known
-    when it is ``self`` or an annotated field of ``self``; such a use counts
-    only for that class, so ``self.right.shifted`` in ``Configuration``
-    names ``PeriodicBackground.shifted`` and not ``Configuration.shifted``.
-    A use on any other receiver counts for every class with the method."""
-    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    classes = [(path, cls) for path, tree in trees.items() for cls in tree.body
-               if isinstance(cls, ast.ClassDef)]
-    fields = {(cls.name, node.target.id): node.annotation.id
-              for _, cls in classes for node in cls.body
-              if isinstance(node, ast.AnnAssign) and
-              isinstance(node.annotation, ast.Name)}
+class _Types:
+    """Static types of the receivers of attribute uses.
 
-    def receiver(node, cls):
-        v = node.value
-        if isinstance(v, ast.Name) and v.id == "self":
-            return cls
-        if isinstance(v, ast.Attribute) and isinstance(v.value, ast.Name) and \
-                v.value.id == "self":
-            return fields.get((cls, v.attr))
+    A type is the name of a top-level class of ``src/``, a tuple of types,
+    ``"defectca.<module>"`` for a module of the package, or None when
+    unknown.  A receiver is typed from ``self`` (the enclosing class), from
+    an annotated field or property of a typed receiver, from a parameter
+    annotation, and from the annotated return type of the called function,
+    class or method; ``a, b = f()`` unpacks a tuple return element by
+    element.  A name bound in one scope to two types, or once to an unknown
+    one, is unknown.
+    """
+
+    def __init__(self):
+        self.classes = {node.name: node for _, node in CLASSES}
+        defs = [(path.stem, node) for path, tree in TREES.items()
+                for node in tree.body if isinstance(node, ast.FunctionDef)]
+        self.functions = {(stem, node.name): node for stem, node in defs}
+        names = Counter(node.name for _, node in defs)
+        # a bare name resolves only when a single module defines it
+        self.functions.update({node.name: node for _, node in defs
+                               if names[node.name] == 1})
+
+    def annotation(self, node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            node = ast.parse(node.value, mode="eval").body
+        if isinstance(node, ast.Name):
+            return node.id if node.id in self.classes else None
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
+            if node.value.id == "Optional":
+                return self.annotation(node.slice)
+            elts = node.slice.elts if isinstance(node.slice, ast.Tuple) else ()
+            if node.value.id == "tuple" and elts and not any(
+                    isinstance(e, ast.Constant) and e.value is Ellipsis for e in elts):
+                return tuple(self.annotation(e) for e in elts)
         return None
 
-    uses = []  # (path or None, line, attribute, receiver class or None)
-    for path, tree in list(trees.items()) + \
-            [(None, ast.parse(text)) for _, text in _sources()]:
-        for top in tree.body:
-            cls = top.name if isinstance(top, ast.ClassDef) else None
-            uses += [(path, node.lineno, node.attr, receiver(node, cls) if cls else None)
-                     for node in ast.walk(top) if isinstance(node, ast.Attribute)]
-    for path, cls in classes:
+    def member(self, cls, name):
+        """The annotated field, method or property ``name`` of class ``cls``."""
+        for node in getattr(self.classes.get(cls), "body", ()):
+            if isinstance(node, ast.AnnAssign) and node.target.id == name or \
+                    isinstance(node, ast.FunctionDef) and node.name == name:
+                return node
+        return None
+
+    def of(self, node, env):
+        """The type of the expression ``node`` where ``env`` types names."""
+        if isinstance(node, ast.Name):
+            return env.get(node.id)
+        if isinstance(node, ast.Attribute):
+            m = self.member(self.of(node.value, env), node.attr)
+            if isinstance(m, ast.AnnAssign):
+                return self.annotation(m.annotation)
+            if isinstance(m, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "property"
+                    for d in m.decorator_list):
+                return self.annotation(m.returns)
+            return None
+        if not isinstance(node, ast.Call):
+            return None
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in self.classes:
+            return f.id
+        if isinstance(f, ast.Name):
+            fn = self.functions.get(f.id)
+        elif isinstance(f, ast.Attribute):
+            owner = self.of(f.value, env)
+            fn = self.functions.get((owner.removeprefix("defectca."), f.attr)) \
+                if str(owner).startswith("defectca.") else self.member(owner, f.attr)
+        else:
+            return None
+        return self.annotation(fn.returns) if isinstance(fn, ast.FunctionDef) else None
+
+    def uses(self, scope, outer, cls=None):
+        """Yield each attribute node in ``scope`` (a module, class, function
+        or lambda) and in the scopes nested in it, with its receiver's type.
+        ``outer`` types the names visible around ``scope``; ``cls`` is the
+        class whose method ``scope`` is."""
+        env = dict(outer)
+        bound: dict = {}
+
+        def bind(target, typ):
+            if isinstance(target, ast.Name):
+                bound.setdefault(target.id, []).append(typ)
+                env[target.id] = typ
+            elif isinstance(target, (ast.Tuple, ast.List)):
+                n = len(target.elts)
+                parts = typ if isinstance(typ, tuple) and len(typ) == n else (None,) * n
+                for t, p in zip(target.elts, parts):
+                    bind(t, p)
+
+        if isinstance(scope, (ast.FunctionDef, ast.Lambda)):
+            a = scope.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs + \
+                    [x for x in (a.vararg, a.kwarg) if x]:
+                bind(ast.Name(arg.arg), cls if cls and arg.arg == "self" else
+                     self.annotation(arg.annotation))
+        nodes = list(_local_nodes(scope))
+        typed = set()  # the names an assignment or import has bound
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                typ = self.of(node.value, env)
+                for target in node.targets:
+                    bind(target, typ)
+                    typed.update(id(n) for n in ast.walk(target))
+            elif isinstance(node, ast.AnnAssign) and not isinstance(scope, ast.ClassDef):
+                bind(node.target, self.annotation(node.annotation))
+                typed.add(id(node.target))
+            elif isinstance(node, ast.ImportFrom) and \
+                    (node.level or node.module == "defectca"):
+                for alias in node.names:
+                    if (SRC / f"{alias.name}.py").exists():  # a module
+                        bind(ast.Name(alias.asname or alias.name),
+                             f"defectca.{alias.name}")
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load) \
+                    and id(node) not in typed:
+                bind(node, None)  # a loop, comprehension, with, += or := target
+        env.update({k: v[0] if len(set(v)) == 1 else None for k, v in bound.items()})
+        for node in nodes:
+            if isinstance(node, ast.Attribute):
+                yield node, self.of(node.value, env)
+            elif isinstance(node, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+                # a class body's names are not visible in its methods
+                in_class = isinstance(scope, ast.ClassDef)
+                yield from self.uses(node, outer if in_class else env,
+                                     scope.name if in_class else None)
+
+
+def _local_nodes(scope):
+    """The nodes of ``scope``, without entering the scopes nested in it."""
+    for child in ast.iter_child_nodes(scope):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+            yield from _local_nodes(child)
+
+
+@functools.cache
+def _uses():
+    """(path, line, attribute, is a read, receiver type) for every attribute
+    in ``src/`` and, with path None, in the files :func:`_sources` scans."""
+    types = _Types()
+    return [(path, node.lineno, node.attr, isinstance(node.ctx, ast.Load), rtype)
+            for path, tree in list(TREES.items()) +
+            [(None, ast.parse(text)) for _, text in _sources()]
+            for node, rtype in types.uses(tree, {})]
+
+
+def _counts_for(cls, rtype):
+    """Whether a use on a receiver of type ``rtype`` counts for ``cls``: a
+    receiver :class:`_Types` cannot type counts for every class with that
+    attribute name."""
+    return rtype is None or rtype == cls
+
+
+def _unused_methods():
+    """Public methods and properties of top-level classes in ``src/`` that
+    no attribute outside their own definition names on a receiver of that
+    class, or of unknown type."""
+    for path, cls in CLASSES:
         for node in cls.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                if not any(attr == node.name and rc in (None, cls.name) and
+                if not any(attr == node.name and _counts_for(cls.name, rtype) and
                            not (where == path and start <= line <= node.end_lineno)
-                           for where, line, attr, rc in uses):
+                           for where, line, attr, _, rtype in _uses()):
                     yield f"{path.stem}.{cls.name}.{node.name}"
+
+
+def _is_record(cls):
+    """Whether ``cls`` is a dataclass or a NamedTuple."""
+    names = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(isinstance(n, ast.Name) and n.id in ("dataclass", "NamedTuple")
+               for n in names + cls.bases)
+
+
+FIELDS = {f"{path.stem}.{cls.name}.{node.target.id}": cls.name
+          for path, cls in CLASSES if _is_record(cls)
+          for node in cls.body if isinstance(node, ast.AnnAssign)}
+
+
+def _unread_fields():
+    """Fields of the dataclasses and NamedTuples of ``src/`` that nothing
+    reads on a receiver of that class, or of unknown type."""
+    for key, cls in FIELDS.items():
+        name = key.rsplit(".", 1)[1]
+        if not any(attr == name and read and _counts_for(cls, rtype)
+                   for _, _, attr, read, rtype in _uses()):
+            yield key
 
 
 def test_every_public_function_has_a_caller():
@@ -152,4 +316,12 @@ def test_every_public_function_has_a_caller():
     # call each of these, delete it, or keep it with a reason
     assert sorted(uncalled - KEEP.keys()) == []
     # these are gone or have a caller now: drop them from KEEP
-    assert sorted(KEEP.keys() - uncalled) == []
+    assert sorted(KEEP.keys() - FIELDS.keys() - uncalled) == []
+
+
+def test_every_field_has_a_reader():
+    unread = set(_unread_fields())
+    # read each of these, delete it, or keep it with a reason
+    assert sorted(unread - KEEP.keys()) == []
+    # these are gone or have a reader now: drop them from KEEP
+    assert sorted(KEEP.keys() & FIELDS.keys() - unread) == []

@@ -269,7 +269,7 @@ class TestTravellingWaves:
 class TestRecoding:
     def test_normalize_g_has_three_phi_components(self):
         sys = normalize(from_wolfram_number(184), build_sft(A2, 3, G3))
-        assert sys.P == 3
+        assert sys.coder.P == 3
         assert len(sys.shift.usable) == 4
         groups = phi_orbit_components(sys.rule, sys.shift)
         assert len(groups) == 3
@@ -280,7 +280,7 @@ class TestRecoding:
             for k in range(4):
                 b_words.add(tuple(w[(i + k) % 4] for i in range(4)))
         sys = normalize(from_wolfram_number(54), build_sft(A2, 4, b_words))
-        assert sys.P == 4
+        assert sys.coder.P == 4
         assert len(sys.shift.usable) == 8
         groups = phi_orbit_components(sys.rule, sys.shift)
         assert len(groups) == 1

@@ -169,14 +169,14 @@ class TestExtractAutomaton:
         rule = identity_rule(A2)
         cfg = gamma_plus()
         aut = extract_automaton(rule, gstar(), [cfg], 20)
-        assert aut.W == 0
+        assert aut.L + aut.R + 1 == 0
         for key, d_next in aut.upsilon.items():
             assert d_next == ()
             assert aut.velocity[key] == 0
 
     def test_gamma_plus_constant_velocity(self):
         aut = extract_automaton(from_wolfram_number(184), gstar(), [gamma_plus()], 50)
-        assert aut.W == 0
+        assert aut.L + aut.R + 1 == 0
         assert set(aut.velocity.values()) == {1}
 
     def test_eca184_g_particles(self):
@@ -194,7 +194,7 @@ class TestExtractAutomaton:
             cfg = periodic_config(alpha, lw, core, rw, left_phase=lp, right_phase=rp)
             seeds.append(encode_config(sys.coder, cfg))
         aut = extract_automaton(sys.rule, sys.shift, seeds, 40)
-        assert aut.W == 1
+        assert aut.L + aut.R + 1 == 1
         # defect word constant along each trajectory; velocities in {-1, +1}
         assert set(aut.velocity.values()) <= {-1, 1}
         for key, d_next in aut.upsilon.items():

@@ -377,7 +377,10 @@ class TestClassicalToLR:
         tm = zoo.binary_increment_tm()
         comp = classical_to_lr(tm, L, R)
         assert comp.enc_left.P == comp.enc_right.P == 6
-        assert comp.enc_left.shift == L and comp.enc_right.shift == R
+        for enc, shift in ((comp.enc_left, L), (comp.enc_right, R)):
+            # code blocks, alone and side by side, are words of their side
+            assert all(shift.is_admissible(a + b)
+                       for a, b in product((enc.w0, enc.w1), repeat=2))
         tape0 = {-3: 0, -2: 0, -1: 1, 0: 1}
         ctape, cd, cz = dict(tape0), "start", 0
         s = comp.initial_state(tape0, "start", 0, window=8)

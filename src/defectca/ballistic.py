@@ -96,12 +96,12 @@ class KinematicSystem:
     xi: dict
     vel: dict
 
-    def state_config(self, state, z: int = 0) -> Configuration:
+    def state_config(self, state) -> Configuration:
         l, d, r = state
         L, R = self.automaton.L, self.automaton.R
-        left = self.left.background(l, z - L - 1)
-        right = self.right.background(r, z + R + 1)
-        return Configuration(self.rule.alphabet, left, d, right, z - L)
+        left = self.left.background(l, -L - 1)
+        right = self.right.background(r, R + 1)
+        return Configuration(self.rule.alphabet, left, d, right, -L)
 
 
 def build_kinematic_system(rule: LocalRule, left: PeriodicComponentCode,
@@ -161,7 +161,7 @@ def verify_conjugacy(system: KinematicSystem, ptype: ParticleType,
     L, R = system.automaton.L, system.automaton.R
     for phase in range(ptype.period):
         state = ptype.orbit[phase]
-        cfg = system.state_config(state, z=0)
+        cfg = system.state_config(state)
         traj = track(system.rule, shift, cfg, ptype.period, keep_configs=True)
         if not traj.verdict.is_particle:
             return False

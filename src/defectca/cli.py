@@ -33,7 +33,8 @@ from .errors import DefectcaError
 from .lattice import apply_rule, encode_config
 from .rules import (check_invariance, is_left_resolving, is_right_resolving,
                     normalize, recode_rule)
-from .shifts import MarkovShift, entropy, regularity, sft_to_markov, transitive_components
+from .shifts import (MarkovShift, entropy, markov_presentation, regularity,
+                     transitive_components)
 from .tracking import track
 from .turing import classical_to_lr, regime_of, turing_to_ca
 
@@ -91,7 +92,7 @@ def _rejects(*keys: str):
 def _markov(shift):
     """A shift's Markov presentation, with its block coder for an SFT."""
     return (shift, None) if isinstance(shift, MarkovShift) \
-        else sft_to_markov(shift)
+        else markov_presentation(shift)
 
 
 # ---------------------------------------------------------------------------

@@ -719,14 +719,14 @@ def markov_property_test(stats: WalkStatistics,
 # ---------------------------------------------------------------------------
 
 def subsampled_walk(rule: LocalRule, L: MarkovShift, R: MarkovShift,
-                   fixed_side: str, delta: dict, T: int, n: int, seed: int,
-                   *, W: int = 0
+                   fixed_side: str, T: int, n: int, seed: int
                    ) -> list[tuple[float, list[list[int]], WalkStatistics]]:
     """Random walks with one frozen side.
 
     The frozen side must satisfy Phi = id and sigma = id pointwise; it
     decomposes into fixed points, and each contributes one walk component
-    weighted by its share, sampled by :func:`sample_walks`.
+    weighted by its share, sampled by :func:`sample_walks` from the junction
+    of the two backgrounds (W=0).
     """
     if fixed_side not in ("left", "right"):
         raise ValueError("fixed_side must be 'left' or 'right'")
@@ -743,6 +743,6 @@ def subsampled_walk(rule: LocalRule, L: MarkovShift, R: MarkovShift,
     for j, comp in enumerate(comps):
         Lc = comp if fixed_side == "left" else L
         Rc = comp if fixed_side == "right" else R
-        trajs, stats = sample_walks(rule, Lc, Rc, delta, T, n, seed + j, W=W)
+        trajs, stats = sample_walks(rule, Lc, Rc, {}, T, n, seed + j, W=0)
         out.append((weight, trajs, stats))
     return out

@@ -151,12 +151,6 @@ def _alphabet(f: Field) -> Alphabet:
         return Alphabet(tuple(str(l.value) for l in f.list()))
 
 
-def _format_word(alphabet: Alphabet, word: Sequence[int]):
-    if all(len(l) == 1 for l in alphabet.labels):
-        return "".join(alphabet.labels[s] for s in word)
-    return list(word)
-
-
 # ---------------------------------------------------------------------------
 # Shifts
 # ---------------------------------------------------------------------------
@@ -185,7 +179,7 @@ def save_shift(shift) -> dict:
         return {"alphabet": list(shift.alphabet.labels),
                 "edges": sorted([a, b] for a, b in shift.edges)}
     return {"alphabet": list(shift.alphabet.labels), "radius": shift.q,
-            "admissible": sorted(_format_word(shift.alphabet, w)
+            "admissible": sorted(shift.alphabet.word_to_text(w)
                                  for w in shift.admissible)}
 
 

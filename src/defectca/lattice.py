@@ -12,8 +12,8 @@ span of cells with a word of any length, moving the right background along.
 
 :func:`encode_config` and :func:`decode_config` recode configurations
 through a :class:`~defectca.shifts.BlockCoder`: block cell z holds the
-source window [stride*z + phase, stride*z + phase + P), so the source shift
-by ``stride`` cells is the block shift by one.
+source window [stride*z, stride*z + P), so the source shift by ``stride``
+cells is the block shift by one.
 """
 
 from __future__ import annotations
@@ -137,23 +137,22 @@ def apply_rule(rule: LocalRule, config: Configuration) -> Configuration:
 def encode_config(coder: BlockCoder, config: Configuration) -> Configuration:
     """Recode a configuration into the coder's block presentation.
 
-    Block cell z holds the source window [s*z + c, s*z + c + P) for stride
-    s and coder phase c.  The core holds every block that touches the
-    source core.
+    Block cell z holds the source window [s*z, s*z + P) for stride s.  The
+    core holds every block that touches the source core.
     """
-    P, s, c = coder.P, coder.stride, coder.phase
+    P, s = coder.P, coder.stride
 
     def block_bg(bg: PeriodicBackground) -> PeriodicBackground:
-        # word j holds the block at s*(j - phase) + c, so the block phase
-        # is the source phase
+        # word j holds the block at s*(j - phase), so the block phase is
+        # the source phase
         m = math.lcm(len(bg.word), s) // s
-        lo = c - s * bg.phase
+        lo = -s * bg.phase
         return PeriodicBackground(coder.encode_word(bg.cells(lo, lo + s * (m - 1) + P)),
                                   bg.phase)
 
-    lo = -((c + P - 1 - config.origin) // s)  # ceil: first block touching the core
-    hi = -((c - config.end) // s)  # ceil: one past the last
-    cells = config.window(s * lo + c, s * hi + c + P - s)
+    lo = -((P - 1 - config.origin) // s)  # ceil: first block touching the core
+    hi = -(-config.end // s)  # ceil: one past the last
+    cells = config.window(s * lo, s * hi + P - s)
     core = tuple(coder.pack(cells[s * k:s * k + P]) for k in range(hi - lo))
     return Configuration(coder.target, block_bg(config.left), core,
                          block_bg(config.right), lo)
@@ -161,12 +160,12 @@ def encode_config(coder: BlockCoder, config: Configuration) -> Configuration:
 
 def decode_config(coder: BlockCoder, config: Configuration) -> Configuration:
     """Invert :func:`encode_config` on consistent block configurations."""
-    s, c = coder.stride, coder.phase
+    s = coder.stride
 
     def unblock_bg(bg: PeriodicBackground) -> PeriodicBackground:
         word = tuple(x for b in bg.word for x in coder.unpack(b)[:s])
-        return PeriodicBackground(word, s * bg.phase - c)
+        return PeriodicBackground(word, s * bg.phase)
 
     return Configuration(coder.source, unblock_bg(config.left),
                          coder.decode_word(config.core), unblock_bg(config.right),
-                         s * config.origin + c)
+                         s * config.origin)

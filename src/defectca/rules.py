@@ -27,7 +27,6 @@ from .shifts import (
     markov_to_sft,
     pack_word,
     reverse,
-    sft_to_markov,
     strongly_connected,
     transitive_components,
     unpack_word,
@@ -166,16 +165,10 @@ def is_right_permutative(rule: LocalRule, subalphabet: Iterable[int]) -> bool:
     return True
 
 
-def is_left_resolving(rule: LocalRule, shift: MarkovShift,
-                      witness: Optional[list] = None) -> bool:
+def is_left_resolving(rule: LocalRule, shift: MarkovShift) -> bool:
     """For each admissible (b,c,d), predecessors of b map injectively under
     a -> phi(a,b,c) into the predecessors of phi(b,c,d)."""
-    mirrored: list = []
-    if is_right_resolving(mirror(rule), reverse(shift), mirrored):
-        return True
-    if witness is not None:
-        witness.append(mirrored[0][::-1])
-    return False
+    return is_right_resolving(mirror(rule), reverse(shift))
 
 
 def is_right_resolving(rule: LocalRule, shift: MarkovShift,
@@ -198,11 +191,11 @@ def is_right_resolving(rule: LocalRule, shift: MarkovShift,
     return True
 
 
-def is_surjective_on(rule: LocalRule, shift: MarkovShift, length: int = 3) -> bool:
-    """Check Phi(S) = S on words: every admissible word has an admissible preimage."""
-    r = rule.radius
-    images = {rule.image_word(w) for w in shift.words(length + 2 * r)}
-    return set(shift.words(length)) <= images
+def is_surjective_on(rule: LocalRule, shift: MarkovShift) -> bool:
+    """Check Phi(S) = S on 3-words: every admissible 3-word has an
+    admissible preimage."""
+    images = {rule.image_word(w) for w in shift.words(3 + 2 * rule.radius)}
+    return set(shift.words(3)) <= images
 
 
 def find_travelling_wave_backgrounds(rule: LocalRule, p: int, v: int,
@@ -240,7 +233,7 @@ def find_travelling_wave_backgrounds(rule: LocalRule, p: int, v: int,
 def recode_rule(rule: LocalRule, coder: BlockCoder) -> LocalRule:
     """Lift a rule to the coder's block alphabet as a radius-1 rule.
 
-    Block z holds the source window [s*z + c, s*z + c + P) for stride s, so
+    Block z holds the source window [s*z, s*z + P) for stride s, so
     a block neighbourhood (u, v, w) fuses to the source cells
     ``u[:s] + v[:s] + w`` and the new v is the image of their middle; that
     needs radius r <= s.  One block step is one application of the rule.
@@ -286,14 +279,14 @@ class RecodedSystem:
 
 
 def normalize(rule: LocalRule, background) -> RecodedSystem:
-    """Apply the standard reduction: the P = max(2r, q) block presentation.
+    """Apply the standard reduction to a radius-1 rule over a Markov shift.
 
-    Already-Markov backgrounds with radius<=1 rules are left untouched.
-    Rules of radius > 1 raise :class:`DefectcaError`, so P = q for q > 2.
+    An SFT of radius q > 2 is read in overlapping q-blocks (P = q); a Markov
+    background (q <= 2) keeps its alphabet (P = 1).  Rules of radius > 1
+    raise :class:`DefectcaError`.
     """
     sft = _as_sft(background)
-    shift, coder = sft_to_markov(sft) if sft.q <= 2 else \
-        markov_presentation(sft, sft.q)
+    shift, coder = markov_presentation(sft, sft.q if sft.q > 2 else 1)
     return RecodedSystem(rule, recode_rule(rule, coder), shift, coder)
 
 

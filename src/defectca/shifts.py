@@ -5,14 +5,15 @@ meaning travels with the container (shift, configuration, coder) rather than
 with each word.  A Markov subshift is a digraph on the alphabet: its points
 are the bi-infinite directed paths.  An SFT of radius ``q`` is given by its
 set of admissible ``q``-words and can always be recoded to a Markov subshift
-over an alphabet of overlapping windows (:func:`sft_to_markov`,
+over an alphabet of overlapping windows (:func:`markov_presentation`,
 :func:`higher_block`).
 
 Every block presentation is one :class:`BlockCoder`: block z holds the
-source window ``[stride*z + phase, stride*z + phase + P)``, with stride 1
-for overlapping blocks (:func:`higher_block`) and stride P for
-non-overlapping powers (:func:`higher_power`).  :func:`reverse` reads a
-Markov shift on the mirrored line, where followers become predecessors.
+source window ``[stride*z, stride*z + P)``, with stride 1 for overlapping
+blocks (:func:`higher_block`) and stride P for non-overlapping powers
+(:func:`higher_power`).  At P = 1 the block alphabet is the source
+alphabet.  :func:`reverse` reads a Markov shift on the mirrored line, where
+followers become predecessors.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ def periodic_orbit_sft(alphabet: Alphabet, word: Sequence[int]) -> SFT:
 # ---------------------------------------------------------------------------
 
 def _block_label(alphabet: Alphabet, word: Word) -> str:
-    if all(len(l) == 1 for l in alphabet.labels):
+    if len(word) == 1 or all(len(l) == 1 for l in alphabet.labels):
         return "".join(alphabet.labels[s] for s in word)
     return "(" + ",".join(alphabet.labels[s] for s in word) + ")"
 
@@ -278,12 +279,12 @@ def unpack_word(alphabet: Alphabet, index: int, P: int) -> Word:
 class BlockCoder:
     """Recoding between an alphabet and its length-``P`` words.
 
-    Block z holds the source window ``[stride*z + phase, stride*z + phase +
-    P)``, so one target shift step equals ``stride`` source steps and
-    consecutive blocks overlap in ``P - stride`` cells.  ``stride=1`` is the
-    overlapping higher block (de Bruijn) presentation, ``stride=P`` the
-    non-overlapping higher power presentation (Lind & Marcus, *An
-    Introduction to Symbolic Dynamics and Coding*, sections 1.4 and 2.3).
+    Block z holds the source window ``[stride*z, stride*z + P)``, so one
+    target shift step equals ``stride`` source steps and consecutive blocks
+    overlap in ``P - stride`` cells.  ``stride=1`` is the overlapping
+    higher block (de Bruijn) presentation, ``stride=P`` the non-overlapping
+    higher power presentation (Lind & Marcus, *An Introduction to Symbolic
+    Dynamics and Coding*, sections 1.4 and 2.3).
     Each block owns its first ``stride`` cells; decoding inverts encoding on
     consistent sequences.
     """
@@ -292,7 +293,6 @@ class BlockCoder:
     target: Alphabet
     P: int
     stride: int = 1
-    phase: int = 0
 
     def pack(self, word: Sequence[int]) -> int:
         return pack_word(self.source, word)
@@ -318,11 +318,7 @@ class BlockCoder:
         return tuple(x for b in bs[:-1] for x in b[:s]) + bs[-1]
 
 
-def identity_coder(alphabet: Alphabet) -> BlockCoder:
-    return BlockCoder(alphabet, block_alphabet(alphabet, 1), 1)
-
-
-def _lift(sft: SFT, P: int, stride: int, phase: int) -> tuple[MarkovShift, BlockCoder]:
+def _lift(sft: SFT, P: int, stride: int) -> tuple[MarkovShift, BlockCoder]:
     """The Markov shift on the locally admissible ``P``-words of an SFT read
     at ``stride``: u -> v iff v is the last P symbols of a locally
     admissible extension of u by ``stride`` symbols."""
@@ -342,7 +338,7 @@ def _lift(sft: SFT, P: int, stride: int, phase: int) -> tuple[MarkovShift, Block
     edges = [(pack_word(A, u), pack_word(A, x[stride:]))
              for u in extend([()], P) for x in extend([u], stride)]
     target = block_alphabet(A, P)
-    return build_markov_shift(target, edges), BlockCoder(A, target, P, stride, phase)
+    return build_markov_shift(target, edges), BlockCoder(A, target, P, stride)
 
 
 def markov_presentation(sft: SFT, P: Optional[int] = None) -> tuple[MarkovShift, BlockCoder]:
@@ -358,20 +354,7 @@ def markov_presentation(sft: SFT, P: Optional[int] = None) -> tuple[MarkovShift,
         P = max(sft.q - 1, 1)
     if P < sft.q - 1:
         raise ValueError(f"window {P} too small for SFT of radius {sft.q}")
-    return _lift(sft, P, 1, 0)
-
-
-def sft_to_markov(sft: SFT) -> tuple[MarkovShift, BlockCoder]:
-    """The minimal Markov presentation of an SFT (identity when q <= 2)."""
-    if sft.q == 1:
-        alpha = sft.alphabet
-        syms = [w[0] for w in sft.admissible]
-        shift = full_shift(alpha, syms)
-        return shift, identity_coder(alpha)
-    if sft.q == 2:
-        shift = build_markov_shift(sft.alphabet, [(w[0], w[1]) for w in sft.admissible])
-        return shift, identity_coder(sft.alphabet)
-    return markov_presentation(sft)
+    return _lift(sft, P, 1)
 
 
 def markov_to_sft(shift: MarkovShift) -> SFT:
@@ -382,24 +365,18 @@ def higher_block(shift: MarkovShift, P: int) -> tuple[MarkovShift, BlockCoder]:
     """The overlapping P-block presentation of a Markov shift (stride 1)."""
     if P < 1:
         raise ValueError("block length must be >= 1")
-    if P == 1:
-        return shift, identity_coder(shift.alphabet)
-    return _lift(markov_to_sft(shift), P, 1, 0)
+    return _lift(markov_to_sft(shift), P, 1)
 
 
-def higher_power(shift: MarkovShift, W: int, phase: int = 0) -> tuple[MarkovShift, BlockCoder]:
+def higher_power(shift: MarkovShift, W: int) -> tuple[MarkovShift, BlockCoder]:
     """The non-overlapping W-power presentation of a Markov shift (stride W).
 
-    One target shift step equals W source steps; a source point has W
-    distinct phase representations, selected by ``phase``.
+    One target shift step equals W source steps; block z holds the source
+    cells [W*z, W*z + W).
     """
     if W < 1:
         raise ValueError("power must be >= 1")
-    if not (0 <= phase < W):
-        raise ValueError("phase must lie in [0, W)")
-    if W == 1:
-        return shift, identity_coder(shift.alphabet)
-    return _lift(markov_to_sft(shift), W, W, phase)
+    return _lift(markov_to_sft(shift), W, W)
 
 
 # ---------------------------------------------------------------------------

@@ -219,8 +219,7 @@ def automaton_key(config: Configuration, z: int, L: int, R: int):
 
 
 def extract_automaton(rule: LocalRule, shift: MarkovShift,
-                      seeds: Sequence[Configuration], T: int,
-                      width_cap: int = 64) -> DefectAutomaton:
+                      seeds: Sequence[Configuration], T: int) -> DefectAutomaton:
     """Enumerate (left, state, right) -> (state', velocity) from tracked seeds.
 
     All seeds must track as particles; the common frame (L, R) is the
@@ -229,7 +228,7 @@ def extract_automaton(rule: LocalRule, shift: MarkovShift,
     """
     trajs = []
     for seed in seeds:
-        traj = track(rule, shift, seed, T, width_cap=width_cap, keep_configs=True)
+        traj = track(rule, shift, seed, T, keep_configs=True)
         if not traj.verdict.is_particle:
             raise ValueError(f"seed did not track as a particle: {traj.verdict}")
         trajs.append(traj)

@@ -163,7 +163,9 @@ class TestResolvingSystem:
         # regular, invariant and resolving, but reducible
         (identity_rule(A2), build_markov_shift(A2, [(0, 0), (1, 1)]),
          build_markov_shift(A2, [(0, 0), (1, 1)]), "Parry measure unavailable: shift is reducible"),
-    ], ids=["union", "regular", "invariant", "resolving", "parry"])
+        (identity_rule(A2), full_shift(A2), golden_mean(),
+         "L and R share symbols but have different edges"),
+    ], ids=["union", "regular", "invariant", "resolving", "parry", "shared"])
     def test_each_failure_names_its_witness(self, rule, L, R, witness):
         rep = verify_resolving_system(rule, L, R)
         assert not rep.passed
@@ -655,20 +657,31 @@ class TestMarkovProperty:
 class TestSubsampledWalk:
     def test_wall_walk_with_frozen_side(self):
         walks = subsampled_walk(zoo.wall_rule(), zoo.wall_left_shift(),
-                               zoo.wall_right_shift(), "left", {},
-                               1500, 20, 21, W=0)
+                               zoo.wall_right_shift(), "left", 1500, 20, 21)
         assert len(walks) == 1
         weight, trajs, stats = walks[0]
         assert weight == 1.0
         assert abs(stats.empirical_drift - (-1 / 7)) < 0.1
+
+    def test_wall_walk_frozen_on_the_right(self):
+        # the mirrored wall walker: the wall is the right side, and the
+        # drift changes sign
+        rule = mirror(zoo.wall_rule())
+        L, R = reverse(zoo.wall_right_shift()), reverse(zoo.wall_left_shift())
+        k = build_walk_kernel(rule, L, R, 0)
+        assert [c.drift for c in stationary_and_drift(k)] == [Fraction(1, 7)]
+        walks = subsampled_walk(rule, L, R, "right", 1500, 20, 21)
+        assert len(walks) == 1
+        weight, trajs, stats = walks[0]
+        assert weight == 1.0
+        assert abs(stats.empirical_drift - 1 / 7) < 0.1
 
     def test_p1q1_reduces_to_sample_walks(self):
         direct, dstats = sample_walks(zoo.wall_rule(), zoo.wall_left_shift(),
                                       zoo.wall_right_shift(), {}, 200, 5, 21,
                                       W=0)
         walks = subsampled_walk(zoo.wall_rule(), zoo.wall_left_shift(),
-                               zoo.wall_right_shift(), "left", {},
-                               200, 5, 21, W=0)
+                               zoo.wall_right_shift(), "left", 200, 5, 21)
         assert walks[0][1] == direct
 
     def test_mixture_over_two_fixed_points(self):
@@ -685,7 +698,7 @@ class TestSubsampledWalk:
         rule = LocalRule(alpha, 1, fn, name="two-walls")
         L = build_markov_shift(alpha, [(0, 0), (1, 1)])
         R = full_shift(alpha, (2, 3))
-        walks = subsampled_walk(rule, L, R, "left", {}, 800, 10, 31, W=0)
+        walks = subsampled_walk(rule, L, R, "left", 800, 10, 31)
         assert len(walks) == 2
         assert [w for w, _, _ in walks] == [0.5, 0.5]
         for _, _, stats in walks:

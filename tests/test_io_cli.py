@@ -11,7 +11,8 @@ from defectca.cli import KEYS, MODES, main, run
 from defectca.errors import DefectcaError
 from defectca.lattice import periodic_config
 from defectca.rules import LocalRule, from_wolfram_number, normalize
-from defectca.shifts import SFT, binary_alphabet, build_markov_shift
+from defectca.shifts import (SFT, Alphabet, binary_alphabet, build_markov_shift,
+                              build_sft)
 from defectca.tracking import track
 
 A2 = binary_alphabet()
@@ -28,6 +29,15 @@ class TestShiftIO:
         again = dio.load_shift(dio.save_shift(sft))
         assert isinstance(again, SFT)
         assert again.admissible == sft.admissible
+
+    def test_sft_round_trip_with_long_labels(self):
+        # words of multi-character labels are written comma-separated
+        alpha = Alphabet(("ab", "c", "dd"))
+        sft = build_sft(alpha, 2, [(0, 1), (1, 2), (2, 0), (0, 0)])
+        saved = dio.save_shift(sft)
+        assert saved["admissible"] == ["ab,ab", "ab,c", "c,dd", "dd,ab"]
+        again = dio.load_shift(saved)
+        assert again.alphabet == alpha and again.admissible == sft.admissible
 
     def test_word_strings(self):
         spec = {"alphabet": ["0", "1"], "radius": 3,

@@ -1,12 +1,14 @@
 """Every ``from defectca... import name`` in the README's Python blocks, the
 demos and the benchmark harness names something that exists, every public
 function and public method of the package has a caller outside the tests,
-and every field of its dataclasses and NamedTuples has a reader there.
+every field of its dataclasses and NamedTuples has a reader there, and
+every defaulted parameter and field is set there to another value.
 
-A use of a method or field counts for a class when its receiver has that
-class as static type (see :class:`_Types`).  A receiver whose type cannot be
-worked out counts for every class with an attribute of that name, so a
-shared name can still hide an unread field or unused method.
+A use of a method or field, or a call of a method, counts for a class when
+its receiver has that class as static type (see :class:`_Types`).  A
+receiver whose type cannot be worked out counts for every class with an
+attribute of that name, so a shared name can still hide an unread field,
+an unused method or an unset parameter.
 
 Tier-1 runs none of those files, so a renamed or deleted public name would
 otherwise surface only when a reader or the benchmark runs them.  The files
@@ -20,6 +22,7 @@ import importlib.util
 import re
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -82,6 +85,8 @@ KEEP = {
     "turing.apda_to_lr": "an APDA as a machine with one frozen tape",
     "turing.run_apda": "the APDA oracle that runaway detection is checked on",
     "zoo.gstar_shift": "the worked G* background of ECA#184",
+    "lattice.decode_config":
+        "the inverse recoding, which checks that encode_config is a conjugacy",
     "lattice.Configuration.shifted":
         "the shift sigma^k that rules and recodings commute with",
     "shifts.MarkovShift.is_admissible":
@@ -105,19 +110,20 @@ def _public_functions():
                 yield path, node
 
 
+def _start(node):
+    """The first line of a definition, its decorators included."""
+    return min([node.lineno] + [d.lineno for d in node.decorator_list])
+
+
 def _uncalled():
-    """Public top-level functions whose name appears nowhere in ``src/``
+    """Public top-level functions that no name or attribute in ``src/``
     outside their own definition, nor in a demo, a README Python block or
-    the benchmark's workloads."""
-    outside = "\n".join(text for _, text in _sources())
-    texts = {path: path.read_text() for path in SRC.glob("*.py")}
+    the benchmark's workloads, reads."""
     for path, node in _public_functions():
-        lines = texts[path].splitlines()
-        start = min([node.lineno] + [d.lineno for d in node.decorator_list]) - 1
-        own = "\n".join(lines[:start] + lines[node.end_lineno:])
-        word = re.compile(rf"\b{node.name}\b")
-        if not any(word.search(text) for text in
-                   [outside, own] + [t for p, t in texts.items() if p != path]):
+        start = _start(node)
+        if not any(use.name == node.name and use.read and
+                   not (use.path == path and start <= use.line <= node.end_lineno)
+                   for use in _uses()):
             yield f"{path.stem}.{node.name}"
 
 
@@ -257,15 +263,40 @@ def _local_nodes(scope):
             yield from _local_nodes(child)
 
 
+class _Use(NamedTuple):
+    path: Optional[Path]  # a file of src/ or tests/, or None for _sources()
+    line: int
+    name: str  # the attribute, or a bare name as the package defines it
+    attr: bool  # an attribute of a receiver, not a bare name
+    read: bool
+    rtype: object  # the receiver's type, for an attribute
+    call: Optional[ast.Call]  # the call this names the callee of
+
+
 @functools.cache
-def _uses():
-    """(path, line, attribute, is a read, receiver type) for every attribute
-    in ``src/`` and, with path None, in the files :func:`_sources` scans."""
+def _uses(tests=False):
+    """Every attribute and every bare name read in ``src/``, in the files
+    :func:`_sources` scans and, with ``tests``, in ``tests/``.  A bare name
+    bound by ``from ... import name as alias`` is recorded as ``name``."""
     types = _Types()
-    return [(path, node.lineno, node.attr, isinstance(node.ctx, ast.Load), rtype)
-            for path, tree in list(TREES.items()) +
-            [(None, ast.parse(text)) for _, text in _sources()]
-            for node, rtype in types.uses(tree, {})]
+    files = list(TREES.items()) + [(None, ast.parse(text)) for _, text in _sources()]
+    if tests:
+        files += [(path, ast.parse(path.read_text()))
+                  for path in sorted((ROOT / "tests").glob("*.py"))]
+    out = []
+    for path, tree in files:
+        nodes = list(ast.walk(tree))
+        aliases = {a.asname: a.name for node in nodes
+                   if isinstance(node, ast.ImportFrom) for a in node.names if a.asname}
+        calls = {id(node.func): node for node in nodes if isinstance(node, ast.Call)}
+        out += [_Use(path, node.lineno, node.attr, True, isinstance(node.ctx, ast.Load),
+                     rtype, calls.get(id(node)))
+                for node, rtype in types.uses(tree, {})]
+        out += [_Use(path, node.lineno, aliases.get(node.id, node.id), False, True,
+                     None, calls.get(id(node)))
+                for node in nodes
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+    return out
 
 
 def _counts_for(cls, rtype):
@@ -282,10 +313,11 @@ def _unused_methods():
     for path, cls in CLASSES:
         for node in cls.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                if not any(attr == node.name and _counts_for(cls.name, rtype) and
-                           not (where == path and start <= line <= node.end_lineno)
-                           for where, line, attr, _, rtype in _uses()):
+                start = _start(node)
+                if not any(use.attr and use.name == node.name and
+                           _counts_for(cls.name, use.rtype) and
+                           not (use.path == path and start <= use.line <= node.end_lineno)
+                           for use in _uses()):
                     yield f"{path.stem}.{cls.name}.{node.name}"
 
 
@@ -306,9 +338,116 @@ def _unread_fields():
     reads on a receiver of that class, or of unknown type."""
     for key, cls in FIELDS.items():
         name = key.rsplit(".", 1)[1]
-        if not any(attr == name and read and _counts_for(cls, rtype)
-                   for _, _, attr, read, rtype in _uses()):
+        if not any(use.attr and use.name == name and use.read and
+                   _counts_for(cls, use.rtype) for use in _uses()):
             yield key
+
+
+class _Signature(NamedTuple):
+    key: str  # module.function, module.Class.method, or module.Class
+    positional: list  # the parameter names a positional argument binds, in order
+    defaults: dict  # each defaulted parameter's default expression
+    span: Optional[tuple]  # (path, first, last line) of a function's own definition
+
+
+def _signature(key, args, skip, span):
+    named = args.posonlyargs + args.args
+    defaults = dict(zip([a.arg for a in named[len(named) - len(args.defaults):]],
+                        args.defaults))
+    defaults.update({a.arg: d for a, d in zip(args.kwonlyargs, args.kw_defaults) if d})
+    return _Signature(key, [a.arg for a in named[skip:]], defaults, span)
+
+
+def _record_signature(key, cls):
+    """The constructor of a dataclass or NamedTuple: its fields, without
+    those declared ``field(init=False)``."""
+    positional, defaults = [], {}
+    for node in cls.body:
+        if not isinstance(node, ast.AnnAssign):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            kw = {k.arg: k.value for k in value.keywords}
+            if getattr(kw.get("init"), "value", True) is False:
+                continue
+            value = kw.get("default", kw.get("default_factory"))
+        positional.append(node.target.id)
+        if value is not None:
+            defaults[node.target.id] = value
+    return _Signature(key, positional, defaults, None)
+
+
+def _signatures():
+    """The signature of each public function, public method and public
+    class of ``src/``; a class's is its constructor's."""
+    for path, tree in TREES.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                    node.name.startswith("_"):
+                continue
+            key = f"{path.stem}.{node.name}"
+            if isinstance(node, ast.FunctionDef):
+                yield _signature(key, node.args, 0, (path, _start(node), node.end_lineno))
+                continue
+            if _is_record(node):
+                yield _record_signature(key, node)
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and (m.name == "__init__" or
+                                                       not m.name.startswith("_")):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in m.decorator_list)
+                    sig = _signature(f"{key}.{m.name}", m.args, 0 if static else 1,
+                                     (path, _start(m), m.end_lineno))
+                    # a class is called through its __init__
+                    yield sig._replace(key=key) if m.name == "__init__" else sig
+
+
+SIGNATURES = {sig.key: sig for sig in _signatures()}
+
+
+def _callees(use):
+    """The signatures that the call ``use`` names may resolve to: a bare name
+    to every public function or class of that name, an attribute of a module
+    to that module's, and an attribute of any other receiver to the methods
+    of that name of each class the use counts for."""
+    if not use.attr:
+        return [sig for key, sig in SIGNATURES.items()
+                if key.count(".") == 1 and key.endswith(f".{use.name}")]
+    if str(use.rtype).startswith("defectca."):
+        sig = SIGNATURES.get(f"{use.rtype.removeprefix('defectca.')}.{use.name}")
+        return [sig] if sig else []
+    return [SIGNATURES[f"{path.stem}.{cls.name}.{use.name}"] for path, cls in CLASSES
+            if f"{path.stem}.{cls.name}.{use.name}" in SIGNATURES and
+            _counts_for(cls.name, use.rtype)]
+
+
+def _set_by(call, sig):
+    """The defaulted parameters of ``sig`` that ``call`` passes a value
+    other than the default expression; a ``*args`` or ``**kwargs`` may pass
+    any of them."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or \
+            any(k.arg is None for k in call.keywords):
+        return set(sig.defaults)
+    given = dict(zip(sig.positional, call.args)) | {k.arg: k.value for k in call.keywords}
+    return {p for p, default in sig.defaults.items()
+            if p in given and ast.dump(given[p]) != ast.dump(default)}
+
+
+def _unset_parameters():
+    """Defaulted parameters of the public functions, methods and classes of
+    ``src/`` that no call outside their own definition sets: outside the
+    tests, or also inside them for a name in ``KEEP``."""
+    set_ = set()
+    for use in _uses(tests=True):
+        if use.call is None:
+            continue
+        in_tests = use.path is not None and use.path.parent == ROOT / "tests"
+        for sig in _callees(use):
+            own = sig.span and use.path == sig.span[0] and \
+                sig.span[1] <= use.line <= sig.span[2]
+            if not own and (not in_tests or sig.key in KEEP):
+                set_ |= {f"{sig.key}.{p}" for p in _set_by(use.call, sig)}
+    return {f"{sig.key}.{p}" for sig in SIGNATURES.values() for p in sig.defaults} - set_
 
 
 def test_every_public_function_has_a_caller():
@@ -325,3 +464,9 @@ def test_every_field_has_a_reader():
     assert sorted(unread - KEEP.keys()) == []
     # these are gone or have a reader now: drop them from KEEP
     assert sorted(KEEP.keys() & FIELDS.keys() - unread) == []
+
+
+def test_every_parameter_is_set():
+    # a default that every caller keeps is a constant: inline it and drop
+    # the parameter, or pass another value where a caller needs one
+    assert sorted(_unset_parameters()) == []

@@ -23,7 +23,6 @@ from defectca.shifts import (
     period_of,
     periodic_orbit_sft,
     regularity,
-    sft_to_markov,
     strongly_connected,
     transitive_components,
     unpack_word,
@@ -73,11 +72,18 @@ class TestBuildMarkovShift:
         assert gstar().is_admissible(())
 
 
+class TestBuildSft:
+    def test_prunes_words_in_no_point(self):
+        # no admissible word starts with 11, so 011 goes, and then 001
+        sft = build_sft(A2, 3, [(0, 0, 0), (0, 0, 1), (0, 1, 1)])
+        assert sft.admissible == frozenset({(0, 0, 0)})
+
+
 class TestSftToMarkov:
     def test_golden_mean_q2_is_identity(self):
         sft = build_sft(A2, 2, [(0, 0), (0, 1), (1, 0)])
-        shift, coder = sft_to_markov(sft)
-        assert coder.P == 1
+        shift, coder = markov_presentation(sft)
+        assert coder.P == 1 and coder.target == A2
         assert shift.edges == golden_mean().edges
 
     def test_eca184_background_has_three_components(self):
@@ -93,12 +99,12 @@ class TestSftToMarkov:
 
     def test_full_shift_radius2_is_de_bruijn(self):
         sft = build_sft(A2, 2, [(a, b) for a in (0, 1) for b in (0, 1)])
-        shift, coder = sft_to_markov(sft)
+        shift, coder = markov_presentation(sft)
         assert len(shift.edges) == 4 and coder.P == 1
 
     def test_minimal_presentation_of_radius3(self):
         g3 = [(0, 0, 0), (1, 1, 1), (1, 0, 1), (0, 1, 0)]
-        shift, coder = sft_to_markov(build_sft(A2, 3, g3))
+        shift, coder = markov_presentation(build_sft(A2, 3, g3))
         assert coder.P == 2
         assert len(transitive_components(shift)) == 3
 
@@ -365,12 +371,12 @@ class TestInvariants:
                 assert t.followers(v) and t.predecessors(v)
 
     @given(small_shifts(), st.integers(min_value=1, max_value=3), st.booleans(),
-           st.integers(0, 2), st.integers(0, 30))
+           st.integers(0, 30))
     @settings(max_examples=150, deadline=None)
-    def test_block_coding_round_trip(self, s, P, power, phase, seed):
-        # stride 1 (higher block) or P (higher power, at a drawn phase)
+    def test_block_coding_round_trip(self, s, P, power, seed):
+        # stride 1 (higher block) or P (higher power)
         rng = random.Random(seed)
-        lifted, coder = higher_power(s, P, phase % P) if power else higher_block(s, P)
+        lifted, coder = higher_power(s, P) if power else higher_block(s, P)
         assert coder.stride == (P if power else 1)
         # random admissible word of length P + k*stride
         w = [rng.choice(sorted(s.usable))]

@@ -14,9 +14,13 @@ from defectca.lattice import (
 from defectca.rules import from_wolfram_number, identity_rule, normalize
 from defectca.shifts import binary_alphabet, build_markov_shift, build_sft
 from defectca.tracking import (
+    DefectRecord,
+    DefectTrajectory,
+    Verdict,
     check_velocity_bounds,
     extract_automaton,
     locate_defect,
+    next_frame,
     track,
 )
 
@@ -59,6 +63,10 @@ class TestLocate:
                               right_phase=0)
         with pytest.raises(MultipleDefectsError):
             locate_defect(cfg, gstar())
+
+    def test_two_runs_split_the_next_frame(self):
+        # 0 0 1 0 1 1 over 0 <-> 1: the bad transitions 00 and 11 are apart
+        assert next_frame((0, 0, 1, 0, 1, 1), gstar().edges, 0) == "split"
 
     def test_record_conventions(self):
         cfg = periodic_config(A2, (0, 1), (1, 1, 1), (0, 1), origin=0,
@@ -135,6 +143,13 @@ class TestTrack:
         traj = track(from_wolfram_number(184), gstar(), gamma_plus(), 60)
         assert check_velocity_bounds(traj) == []
 
+    def test_velocity_bounds_name_a_jump(self):
+        # a width-1 frame that jumps five cells in one step breaks both bounds
+        records = (DefectRecord(0, 0, 0, 0, (0,)), DefectRecord(1, 5, 0, 0, (0,)))
+        traj = DefectTrajectory(records, Verdict("particle", width=1))
+        assert [v.split(":")[0] for v in check_velocity_bounds(traj)] == \
+            ["(a) violated at t=0", "(b) violated at t=0"]
+
     def test_mean_velocity_in_unit_range(self):
         traj = track(from_wolfram_number(184), gstar(), gamma_plus(), 60)
         zs = [r.z for r in traj.records]
@@ -206,8 +221,7 @@ class TestExtractAutomaton:
         shift = build_markov_shift(A2, [(0, 0)])
         cfg = periodic_config(A2, (0,), (1,), (0,))
         with pytest.raises(ValueError):
-            extract_automaton(from_wolfram_number(30), shift, [cfg], 100,
-                              width_cap=8)
+            extract_automaton(from_wolfram_number(30), shift, [cfg], 100)
 
 
 class TestFuzzVelocityLemma:

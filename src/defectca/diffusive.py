@@ -13,7 +13,11 @@ fit the frame, and check their inputs in one place.
 The sampler checks the kernel cell by cell: each sample keeps a fixed 18-cell
 window [z-8, z+10) around its frame start z and draws two fresh cells on the
 left, then two on the right, per step.  The window's margin fixes the order
-of the random draws, so changing it changes every sampled trajectory.
+of the random draws, so changing it changes every sampled trajectory.  Each
+sample reads a buffered list of uniforms from its own (seed, index) stream,
+each law is a table of cumulative masses searched by bisection, and a step
+scans for inadmissible transitions only in the light cone of the last
+defect run.
 Kernels and stationary laws are exact rationals; floats appear only in
 eigendata, empirical statistics and the float solve that proposes each
 stationary law before an exact check proves it.  The Markov-property test
@@ -23,11 +27,12 @@ compares sampled rows with the kernel's entry by entry, at 4.5 sigma.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product, repeat
-from typing import Iterable, Optional, Sequence
+from itertools import accumulate, islice, product
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +49,7 @@ from .shifts import (
     transitive_components,
     union_shift,
 )
-from .tracking import bad_transitions, frame_moves, next_frame
+from .tracking import bad_transitions, frame_moves
 
 
 # ---------------------------------------------------------------------------
@@ -499,23 +504,27 @@ class WalkStatistics:
         return None if self.theoretical is None else [c.drift for c in self.theoretical]
 
 
-class _NoiseSource:
-    """Per-sample uniforms from a deterministic (seed, index) stream, drawn
-    in batches of 4096."""
+def _uniforms(seed: int, index: int) -> Iterator[float]:
+    """One sample's uniforms: the stream of ``default_rng([seed, index])``,
+    drawn 4096 at a time into a list that is then read in order."""
+    rng = np.random.default_rng([seed, index])
+    while True:
+        yield from rng.random(4096).tolist()
 
-    def __init__(self, master_seed: int, index: int):
-        rng = np.random.default_rng([master_seed, index])
-        self._uniforms = (u for _ in repeat(None)
-                          for u in rng.random(4096).tolist())
 
-    def choose(self, options_probs) -> int:
-        u = next(self._uniforms)
-        acc = 0.0
-        for sym, p in options_probs:
-            acc += p
-            if u < acc:
-                return sym
-        return options_probs[-1][0]
+def _inverse_cdf(law) -> tuple[list, list[float]]:
+    """(symbols, cumulative masses) of a law given as (symbol, mass) pairs.
+
+    The masses are added up left to right from 0.0 and the last sum is
+    replaced by inf, so ``symbols[bisect_right(cum, u)]`` is the first
+    symbol whose running sum exceeds ``u``, and the last symbol when
+    rounding leaves ``u`` at or above every sum.  A zero-mass symbol is
+    never drawn, unless it is that last one.
+    """
+    syms = [s for s, _ in law]
+    cum = [float(c) for c in accumulate((p for _, p in law), initial=0.0)][1:]
+    cum[-1] = math.inf
+    return syms, cum
 
 
 # Share of samples allowed to vanish or split before sample_walks gives up.
@@ -545,6 +554,15 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
     six state cells need less room, but the margin fixes which draw lands
     in which cell: changing it changes every trajectory.
 
+    Sample i reads its uniforms in order from the stream of
+    ``default_rng([seed, i])``, buffered 4096 at a time, and turns each
+    into a cell through the cumulative table of its law (see
+    :func:`_inverse_cdf`).  A step scans only the image transitions in the
+    light cone of the last defect run, those whose four cells meet it:
+    fresh cells extend the backgrounds and the rule preserves both, so no
+    other transition can be inadmissible.  States are counted by index and
+    turned back into six-cell tuples once, at the end.
+
     Samples whose defect vanishes or splits are excluded; exceeding
     :data:`MAX_EXCLUDED_FRAC`, or keeping no sample, aborts the run with a
     :class:`DefectcaError`.  So does a frame that moves by more than one
@@ -553,60 +571,79 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
     report = _check_walk(rule, L, R, W, delta)
     lam, rho = report.lam, report.rho
     edges = union_shift(L, R).edges
-    fwd = {s: rho.forward_row(s) for s in R.usable}
-    bwd = {s: lam.backward_row(s) for s in L.usable}
+    fwd = {s: _inverse_cdf(rho.forward_row(s)) for s in R.usable}
+    bwd = {s: _inverse_cdf(lam.backward_row(s)) for s in L.usable}
     draws = [(0, sorted(lam.initial.items())), (1 + W, sorted(rho.initial.items()))]
     if W == 1:
         draws = [(1, [(w[0], p) for w, p in sorted(delta.items())])] + draws[::-1]
-
-    def grow(noise: _NoiseSource, cells, left: int, right: int) -> list:
-        cells = list(cells)
-        for _ in range(left):
-            cells.insert(0, noise.choose(bwd[cells[0]]))
-        for _ in range(right):
-            cells.append(noise.choose(fwd[cells[-1]]))
-        return cells
+    draws = [(j, _inverse_cdf(law)) for j, law in draws]
+    # cones[w]: the transitions of the next image that read a cell of the
+    # last run, of width w, once the window is centred on the run's frame
+    cones = [range(max(8 - (w + 1) // 2, 0), min(10 + w // 2, 18) + 1)
+             for w in range(19)]
 
     trajectories: list[list[int]] = []
     counts: dict = {}
     pair_counts: dict = {}
-    seen: dict = {}  # one stored copy per distinct state
+    ids: dict = {}  # state -> its index in order of first visit
     for i in range(n):
-        noise = _NoiseSource(seed, i)
+        noise = _uniforms(seed, i)
         # the junction covers [-W, 2), the frame [0, 1]; the walk measure lives
         # on defect-carrying junctions, so the draw repeats until it has one
         for _ in range(10_000):
             cells = [0] * (W + 2)
-            for j, law in draws:
-                cells[j] = noise.choose(law)
+            for (j, (syms, cum)), u in zip(draws, noise):
+                cells[j] = syms[bisect_right(cum, u)]
             if bad_transitions(cells, edges):
                 break
         else:
             raise DefectcaError(_NO_DEFECT)
-        cells = grow(noise, cells, 8 - W, 8)
-        zs = [0]
-        states = []
-        for t in range(T):
-            img = rule.image_word(grow(noise, cells, 2, 2))  # [z-9, z+11)
-            v = next_frame(img, edges, -9)
-            if isinstance(v, str):  # the defect vanished or split
-                break
-            if abs(v) > 1:
+        for u in islice(noise, 8 - W):
+            syms, cum = bwd[cells[0]]
+            cells.insert(0, syms[bisect_right(cum, u)])
+        for u in islice(noise, 8):
+            syms, cum = fwd[cells[-1]]
+            cells.append(syms[bisect_right(cum, u)])
+        cells = tuple(cells)
+        cone = cones[W]  # the junction's: the frame starts as if w = W
+        vs = []
+        path = []
+        for t, u1, u2, u3, u4 in zip(range(T), noise, noise, noise, noise):
+            syms, cum = bwd[cells[0]]
+            l1 = syms[bisect_right(cum, u1)]
+            syms, cum = bwd[l1]
+            l2 = syms[bisect_right(cum, u2)]
+            syms, cum = fwd[cells[-1]]
+            r1 = syms[bisect_right(cum, u3)]
+            syms, cum = fwd[r1]
+            img = rule.image_word((l2, l1) + cells + (r1, syms[bisect_right(cum, u4)]))
+            # img is [z-9, z+11); transition j joins cells z-9+j and z-8+j
+            bad = [j for j in cone if (img[j], img[j + 1]) not in edges]
+            if not bad or bad[-1] - bad[0] != len(bad) - 1:
+                break  # the defect vanished or split
+            w = bad[-1] - bad[0]
+            v = bad[0] - 9 + (w + 1) // 2  # tracking.frame_of's start, less z
+            if not -1 <= v <= 1:
                 raise DefectcaError(f"frame moved by {v} at step {t} of "
                                     f"sample {i}; not a width-2 walk")
-            zs.append(zs[-1] + v)
-            state = img[v + 7:v + 13]
-            states.append(seen.setdefault(state, state))
+            vs.append(v)
+            path.append(ids.setdefault(img[v + 7:v + 13], len(ids)))
             cells = img[v + 1:v + 19]
+            cone = cones[w]
         else:
-            trajectories.append(zs)
-        _tally(counts, states, states[1:])
-        _tally(pair_counts, zip(states, states[1:]), states[2:])
+            trajectories.append(list(accumulate(vs, initial=0)))
+        _tally(counts, path, path[1:])
+        _tally(pair_counts, zip(path, path[1:]), path[2:])
         excluded = i + 1 - len(trajectories)
         if excluded > max(1, MAX_EXCLUDED_FRAC * n) or excluded == n:
             raise DefectcaError(
                 f"{excluded} of {i + 1} samples vanished or split; "
                 "the system is not behaving as a persistent walk")
+    states = list(ids)
+    counts = {states[a]: {states[b]: c for b, c in row.items()}
+              for a, row in counts.items()}
+    pair_counts = {(states[a], states[b]): {states[c]: k for c, k in row.items()}
+                   for (a, b), row in pair_counts.items()}
     moved = [tr[-1] - tr[0] for tr in trajectories]
     drift = float(np.mean([d / T for d in moved]))
     var = float(np.var(moved) / T)
@@ -639,15 +676,19 @@ def sample_kernel_chain(kernel: WalkKernel, delta: dict, T: int, n: int,
         raise DefectcaError("'delta' puts no mass on any state of the kernel")
     total = sum(p for _, p in init)
     init = [(s, p / total) for s, p in init]
-    laws = {s: [(t, float(p)) for t, p in sorted(row.items())]
+    init_syms, init_cum = _inverse_cdf(init)
+    laws = {s: _inverse_cdf([(t, float(p)) for t, p in sorted(row.items())])
             for s, row in kernel.rows.items()}
     trajectories = []
     counts: dict = {}
     for i in range(n):
-        noise = _NoiseSource(seed, i)
-        path = [noise.choose(init)]
-        for _ in range(T):
-            path.append(noise.choose(laws[path[-1]]))
+        noise = _uniforms(seed, i)
+        s = init_syms[bisect_right(init_cum, next(noise))]
+        path = [s]
+        for u in islice(noise, T):
+            syms, cum = laws[s]
+            s = syms[bisect_right(cum, u)]
+            path.append(s)
         _tally(counts, path, path[1:])
         trajectories.append(list(accumulate((kernel.vel[s] for s in path[:-1]),
                                             initial=0)))

@@ -50,6 +50,8 @@ class LocalRule:
         self._fn = fn
         self._memo: dict[Word, int] = {}
         self._images: dict[Word, Word] = {}
+        # word[d:] for each offset d of a neighbourhood
+        self._offsets = tuple(slice(d, None) for d in range(2 * radius + 1))
 
     def __repr__(self):
         return f"LocalRule({self.name or 'anonymous'}, radius={self.radius})"
@@ -68,11 +70,11 @@ class LocalRule:
 
     def image_word(self, word: Sequence[int]) -> Word:
         """Apply the rule along a word; output is shorter by 2r."""
-        cols = [word[d:] for d in range(2 * self.radius + 1)]
-        out = tuple(map(self._memo.get, zip(*cols)))
-        if None in out:  # a neighbourhood not yet memoised
-            out = tuple(self(key) for key in zip(*cols))
-        return out
+        try:
+            return tuple(map(self._memo.__getitem__,
+                             zip(*map(word.__getitem__, self._offsets))))
+        except KeyError:  # a neighbourhood not yet memoised
+            return tuple(map(self, zip(*map(word.__getitem__, self._offsets))))
 
     def periodic_image(self, word: Word) -> Word:
         """One period of the image of the periodic point ...word word...,

@@ -1,10 +1,9 @@
-"""The fast demos print, and write, exactly what they did when these digests
+"""The demos print, and write, exactly what they did when these digests
 were taken.
 
 Each demo runs in a subprocess from a copy in a temporary directory, so the
 PBMs that ``spacetime_diagrams`` writes land in that directory's
-``output/`` and not in the repository.  ``random_walk`` is left out: it
-samples for several seconds.
+``output/`` and not in the repository.
 """
 
 import hashlib
@@ -27,6 +26,8 @@ STDOUT_DIGESTS = {
         "795f5ae42de9f8841a9848bcf8ef52454493a4bf2914f2b5a93e8832362ff782",
     "spacetime_diagrams":
         "0cc5520debea34c47467fbbf1de0c4c595cc39112daf1b063fc140edbac30434",
+    "random_walk":
+        "0c6258ece8b3423785083e99216a5d6f769b311e410bc3302c7e59046815f210",
 }
 
 OUTPUT_DIGESTS = {

@@ -1,9 +1,13 @@
 import hashlib
 import math
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from defectca import diffusive
 from defectca.diffusive import (
@@ -33,7 +37,9 @@ from defectca.shifts import (
     full_shift,
     regularity,
     reverse,
+    union_shift,
 )
+from defectca.tracking import bad_transitions, next_frame
 from defectca import zoo
 
 A2 = binary_alphabet()
@@ -515,6 +521,15 @@ def _fading_rule():
     return LocalRule(zoo.DIFFUSIVE_ALPHABET, 1, fn, name="fading-walker")
 
 
+def _splitting_rule():
+    # the marked walker, except that a marked 1 left of two unmarked 1s also
+    # marks the cell right of it, so some sampled defects split in two
+    def fn(w):
+        out = zoo._diffusive_fn(w)
+        return out | 2 if w == (3, 1, 1) else out
+    return LocalRule(zoo.DIFFUSIVE_ALPHABET, 1, fn, name="splitting-walker")
+
+
 def _walk_case(name):
     """(rule, L, R, delta, W) of a named sampler input."""
     sea = zoo.diffusive_background()
@@ -530,6 +545,7 @@ def _walk_case(name):
         "wall-W1-uniform": (*wall, {(s,): 1 / 3 for s in range(3)}, 1),
         "eca184-gstar-W0": (from_wolfram_number(184), gstar, gstar, {}, 0),
         "fading-W1": (_fading_rule(), sea, sea, marked, 1),
+        "splitting-W1": (_splitting_rule(), sea, sea, marked, 1),
     }[name]
 
 
@@ -610,6 +626,149 @@ class TestSamplerDigests:
             trajs, counts = sample_kernel_chain(k, delta, T, n, seed)
             return _digest(trajs, _sorted_rows(counts))
         assert _outcome(run) == expected
+
+
+def _ref_choose(law, u):
+    """The plainest draw from (symbol, mass) pairs: the first symbol whose
+    running sum exceeds u, or the last symbol when none does."""
+    acc = 0.0
+    for sym, p in law:
+        acc += p
+        if u < acc:
+            return sym
+    return law[-1][0]
+
+
+def _ref_tally(counts, keys, nexts):
+    for key, nxt in zip(keys, nexts):
+        row = counts.setdefault(key, {})
+        row[nxt] = row.get(nxt, 0) + 1
+
+
+def _ref_sample_walks(rule, L, R, delta, T, n, seed, W):
+    """(trajectories, excluded, transition counts, pair counts) the plain
+    way: a running-sum draw per uniform of the (seed, i) stream, every
+    transition of every image scanned by next_frame, and counts keyed by
+    state tuples.  Raises the errors sample_walks raises."""
+    report = verify_resolving_system(rule, L, R)
+    lam, rho = report.lam, report.rho
+    edges = union_shift(L, R).edges
+    draws = [(0, sorted(lam.initial.items())), (1 + W, sorted(rho.initial.items()))]
+    if W == 1:
+        draws = [(1, [(w[0], p) for w, p in sorted(delta.items())])] + draws[::-1]
+    trajectories, counts, pair_counts = [], {}, {}
+    for i in range(n):
+        rng = np.random.default_rng([seed, i])
+        stream = (u for _ in iter(int, 1) for u in rng.random(4096).tolist())
+
+        def grow(cells, left, right):
+            cells = list(cells)
+            for _ in range(left):
+                cells.insert(0, _ref_choose(lam.backward_row(cells[0]), next(stream)))
+            for _ in range(right):
+                cells.append(_ref_choose(rho.forward_row(cells[-1]), next(stream)))
+            return cells
+
+        for _ in range(10_000):
+            cells = [0] * (W + 2)
+            for j, law in draws:
+                cells[j] = _ref_choose(law, next(stream))
+            if bad_transitions(cells, edges):
+                break
+        else:
+            raise DefectcaError("no seeded junction breaks admissibility; "
+                                "no defect to track")
+        cells = grow(cells, 8 - W, 8)
+        zs, states = [0], []
+        for t in range(T):
+            img = rule.image_word(tuple(grow(cells, 2, 2)))
+            v = next_frame(img, edges, -9)
+            if isinstance(v, str):
+                break
+            if abs(v) > 1:
+                raise DefectcaError(f"frame moved by {v} at step {t} of "
+                                    f"sample {i}; not a width-2 walk")
+            zs.append(zs[-1] + v)
+            states.append(img[v + 7:v + 13])
+            cells = img[v + 1:v + 19]
+        else:
+            trajectories.append(zs)
+        _ref_tally(counts, states, states[1:])
+        _ref_tally(pair_counts, zip(states, states[1:]), states[2:])
+        excluded = i + 1 - len(trajectories)
+        if excluded > max(1, diffusive.MAX_EXCLUDED_FRAC * n) or excluded == n:
+            raise DefectcaError(
+                f"{excluded} of {i + 1} samples vanished or split; "
+                "the system is not behaving as a persistent walk")
+    return trajectories, n - len(trajectories), counts, pair_counts
+
+
+class TestSamplerOracle:
+    """sample_walks against :func:`_ref_sample_walks` on every named input:
+    the buffered inverse-CDF draws, the light-cone scan and the integer
+    tallies change no trajectory, count or error."""
+
+    @given(st.sampled_from(["marked-W1", "marked-W1-uniform", "marked-W0",
+                            "wall-W0", "wall-W1-uniform", "eca184-gstar-W0",
+                            "fading-W1", "splitting-W1"]),
+           st.integers(1, 60), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @example("wall-W1-uniform", 50, 5, 0)  # the frame jumps two cells
+    @example("fading-W1", 4, 4, 1)  # too many samples vanish
+    @example("fading-W1", 4, 4, 0)  # one sample vanishes
+    @example("splitting-W1", 5, 6, 4)  # one sample splits
+    @settings(max_examples=80, deadline=None)
+    def test_sample_walks_matches_reference(self, case, T, n, seed):
+        rule, L, R, delta, W = _walk_case(case)
+
+        def run():
+            trajs, st = sample_walks(rule, L, R, delta, T, n, seed, W=W)
+            return trajs, st.excluded, st.transition_counts, st.pair_counts
+        want = _outcome(lambda: _ref_sample_walks(rule, L, R, delta, T, n, seed, W))
+        assert _outcome(run) == want
+
+    @pytest.mark.parametrize("law", [
+        [(s, 0.1) for s in range(10)],  # sums to 1 - 2**-53
+        [(0, 0.7), (1, 0.1), (2, 0.1), (3, 0.1)],
+        [(0, 0.5), (1, 0.5)],
+    ])
+    def test_u_at_or_above_the_rounded_last_sum_draws_the_last_symbol(self, law):
+        total = 0.0
+        for _, p in law:
+            total += p
+        syms, cum = diffusive._inverse_cdf(law)
+        for u in (total, math.nextafter(total, math.inf)):
+            assert syms[bisect_right(cum, u)] == _ref_choose(law, u) == law[-1][0]
+
+    def test_zero_mass_entries_are_never_drawn(self):
+        law = [(0, 0.0), (1, 0.25), (2, 0.0), (3, 0.0), (4, 0.75)]
+        syms, cum = diffusive._inverse_cdf(law)
+        us = [0.0, 0.25, math.nextafter(0.25, 0), math.nextafter(0.25, 1),
+              math.nextafter(1.0, 0)] + np.random.default_rng(5).random(2000).tolist()
+        drawn = [syms[bisect_right(cum, u)] for u in us]
+        assert drawn == [_ref_choose(law, u) for u in us]
+        assert set(drawn) == {1, 4}
+
+
+class TestScanCost:
+    def test_walk_scans_the_light_cone_not_the_window(self, monkeypatch):
+        # each image has 19 transitions; the marked walker's run is the two
+        # transitions around its mark, whose light cone holds four
+        tests = Counter()
+
+        class CountingEdges(frozenset):
+            def __contains__(self, pair):
+                tests["edges"] += 1
+                return frozenset.__contains__(self, pair)
+
+        def union(L, R):
+            return SimpleNamespace(edges=CountingEdges(union_shift(L, R).edges))
+        monkeypatch.setattr(diffusive, "union_shift", union)
+        T, n = 200, 4
+        trajs, _ = sample_walks(zoo.diffusive_rule(), zoo.diffusive_background(),
+                                zoo.diffusive_background(), _uniform_marked_delta(),
+                                T, n, 3)
+        assert len(trajs) == n
+        assert 0 < tests["edges"] <= 5 * n * T
 
 
 class TestMarkovProperty:

@@ -20,6 +20,7 @@ import functools
 import importlib
 import importlib.util
 import re
+import textwrap
 from collections import Counter
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -263,6 +264,84 @@ def _local_nodes(scope):
             yield from _local_nodes(child)
 
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _params(args):
+    return args.posonlyargs + args.args + args.kwonlyargs + \
+        [a for a in (args.vararg, args.kwarg) if a]
+
+
+def _bindings(scope):
+    """(assigned, defined): the names the module, function, lambda or
+    comprehension ``scope`` binds by storing to them, and those it binds as
+    parameters, comprehension targets, ``def``, ``class`` or import names.
+    Bindings in the scopes nested in it do not count, nor do names it
+    declares global."""
+    assigned, defined, declared = set(), set(), set()
+    if isinstance(scope, _COMPREHENSIONS):
+        nodes = [g.target for g in scope.generators]
+    else:
+        if isinstance(scope, _FUNCTIONS):
+            defined |= {a.arg for a in _params(scope.args)}
+        nodes = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            assigned.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            assigned.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.Global):
+            declared |= set(node.names)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)  # its body is a scope of its own
+        elif not isinstance(node, (ast.Lambda, *_COMPREHENSIONS)):
+            nodes.extend(ast.iter_child_nodes(node))
+    return assigned - declared, defined - declared
+
+
+def _module_loads(tree):
+    """The bare-name loads of the module ``tree`` that read a module-level
+    name: no function, lambda or comprehension around the load binds the
+    name, and the module does not bind it by assignment alone, as it binds
+    its variables.  Decorators, defaults, annotations and a comprehension's
+    first iterable are read in the enclosing scope."""
+    assigned, defined = _bindings(tree)
+    found = []
+
+    def visit(node, bound):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load) and node.id not in bound:
+                found.append(node)
+            return
+        if isinstance(node, _COMPREHENSIONS + _FUNCTIONS):
+            inner = bound.union(*_bindings(node))
+            if isinstance(node, _COMPREHENSIONS):
+                first, *rest = node.generators
+                outside = [first.iter]
+                inside = [*first.ifs, *rest] + [getattr(node, f) for f in
+                                                ("elt", "key", "value") if hasattr(node, f)]
+            else:
+                a = node.args
+                outside = [*getattr(node, "decorator_list", ()), *a.defaults,
+                           *a.kw_defaults, getattr(node, "returns", None)]
+                outside += [p.annotation for p in _params(a)]
+                inside = node.body if isinstance(node.body, list) else [node.body]
+            for child in filter(None, outside):
+                visit(child, bound)
+            for child in inside:
+                visit(child, inner)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, frozenset(assigned - defined))
+    return found
+
+
 class _Use(NamedTuple):
     path: Optional[Path]  # a file of src/ or tests/, or None for _sources()
     line: int
@@ -275,7 +354,8 @@ class _Use(NamedTuple):
 
 @functools.cache
 def _uses(tests=False):
-    """Every attribute and every bare name read in ``src/``, in the files
+    """Every attribute, and every bare name read that resolves to a
+    module-level name (see :func:`_module_loads`), in ``src/``, in the files
     :func:`_sources` scans and, with ``tests``, in ``tests/``.  A bare name
     bound by ``from ... import name as alias`` is recorded as ``name``."""
     types = _Types()
@@ -294,8 +374,7 @@ def _uses(tests=False):
                 for node, rtype in types.uses(tree, {})]
         out += [_Use(path, node.lineno, aliases.get(node.id, node.id), False, True,
                      None, calls.get(id(node)))
-                for node in nodes
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+                for node in _module_loads(tree)]
     return out
 
 
@@ -448,6 +527,20 @@ def _unset_parameters():
             if not own and (not in_tests or sig.key in KEEP):
                 set_ |= {f"{sig.key}.{p}" for p in _set_by(use.call, sig)}
     return {f"{sig.key}.{p}" for sig in SIGNATURES.values() for p in sig.defaults} - set_
+
+
+def test_bare_names_resolve_to_their_binding_scope():
+    # a local, parameter, comprehension target or module variable that
+    # shares a public function's name is no use of that function
+    tree = ast.parse(textwrap.dedent("""
+        from m import f, g
+        h = 1
+        def k(run, x=f):
+            total = g(run)
+            return [step for step in run] + [h, x, total, helper]
+        helper = lambda step: step + f
+    """))
+    assert sorted(node.id for node in _module_loads(tree)) == ["f", "f", "g"]
 
 
 def test_every_public_function_has_a_caller():

@@ -531,6 +531,13 @@ def _inverse_cdf(law) -> tuple[list, list[float]]:
 MAX_EXCLUDED_FRAC = 0.001
 
 
+def _check_sampling(T: int, n: int) -> None:
+    """Walks last at least one step, and at least one is sampled."""
+    for name, value in (("T", T), ("n", n)):
+        if value < 1:
+            raise DefectcaError(f"{name} must be >= 1, got {value}")
+
+
 def _tally(counts: dict, keys: Iterable, nexts: Iterable) -> None:
     """Add each (key, next) pair to ``counts``, a dict of per-key dicts."""
     for (key, nxt), c in Counter(zip(keys, nexts)).items():
@@ -566,8 +573,10 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
     Samples whose defect vanishes or splits are excluded; exceeding
     :data:`MAX_EXCLUDED_FRAC`, or keeping no sample, aborts the run with a
     :class:`DefectcaError`.  So does a frame that moves by more than one
-    cell in a step: that is not a width-2 walk.
+    cell in a step: that is not a width-2 walk.  ``T`` and ``n`` must be at
+    least 1.
     """
+    _check_sampling(T, n)
     report = _check_walk(rule, L, R, W, delta)
     lam, rho = report.lam, report.rho
     edges = union_shift(L, R).edges
@@ -657,9 +666,12 @@ def sample_kernel_chain(kernel: WalkKernel, delta: dict, T: int, n: int,
     """Sample the kernel chain directly: an independent sampler of the same
     process, used to cross-validate the cellular simulation.
 
-    ``delta`` is checked as :func:`sample_walks` checks it; a law that puts
-    no mass on any kernel state raises :class:`DefectcaError`.
+    ``delta``, ``T`` and ``n`` are checked as :func:`sample_walks` checks
+    them; a law that puts no mass on any kernel state raises
+    :class:`DefectcaError`, and so does a chain that reaches a state with no
+    kernel row, where the walk leaves its regime.
     """
+    _check_sampling(T, n)
     report = _check_walk(kernel.rule, kernel.left, kernel.right, kernel.W, delta)
     lam, rho = report.lam, report.rho
     init = []
@@ -685,10 +697,15 @@ def sample_kernel_chain(kernel: WalkKernel, delta: dict, T: int, n: int,
         noise = _uniforms(seed, i)
         s = init_syms[bisect_right(init_cum, next(noise))]
         path = [s]
-        for u in islice(noise, T):
-            syms, cum = laws[s]
-            s = syms[bisect_right(cum, u)]
-            path.append(s)
+        try:
+            for u in islice(noise, T):
+                syms, cum = laws[s]
+                s = syms[bisect_right(cum, u)]
+                path.append(s)
+        except KeyError:
+            raise DefectcaError(f"the chain reached state {s}, which has no "
+                                "kernel row: there the walk leaves its "
+                                "regime") from None
         _tally(counts, path, path[1:])
         trajectories.append(list(accumulate((kernel.vel[s] for s in path[:-1]),
                                             initial=0)))

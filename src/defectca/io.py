@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import operator
 import os
 from contextlib import contextmanager
 from typing import Optional, Sequence
@@ -307,60 +308,143 @@ def trajectory_summary(traj: DefectTrajectory) -> dict:
 # Spacetime bitmaps
 # ---------------------------------------------------------------------------
 
+# bytes 0 and 1 to the digits "0" and "1", every other byte to NUL, which
+# no digit is
+_DIGITS = b"01" + bytes(254)
+
+def _width(rows: Sequence[Sequence[int]], what: str) -> int:
+    """The one length of every row, which must be at least 1."""
+    if not rows:
+        raise DefectcaError(f"{what} has no rows")
+    width = len(rows[0])
+    if not width:
+        raise DefectcaError(f"{what} row 0 is empty")
+    for i, r in enumerate(rows):
+        if len(r) != width:
+            raise DefectcaError(f"{what} row {i} has {len(r)} cells, "
+                                f"row 0 has {width}")
+    return width
+
+
+def _bad_cell(rows: Sequence[Sequence[int]], n: int,
+              what: str) -> DefectcaError:
+    """The error naming the first cell of ``rows`` that is not in 0..n-1."""
+    for i, r in enumerate(rows):
+        for v in r:
+            try:
+                if 0 <= operator.index(v) < n:
+                    continue
+            except TypeError:
+                pass
+            return DefectcaError(f"{what} row {i} holds {v!r}, "
+                                 f"not a value in 0..{n - 1}")
+    return DefectcaError(f"{what} rows do not read as one byte per cell")
+
+
+def _pbm(rows: Sequence[Sequence[int]], width: int, what: str) -> bytes:
+    """A P1 image of 0/1 rows of ``width`` cells: the rows joined into one
+    byte string, translated to digits and interleaved with separators."""
+    try:
+        digits = b"".join(map(bytes, rows)).translate(_DIGITS)
+    except (TypeError, ValueError):
+        digits = b""
+    if len(digits) != width * len(rows) or b"\0" in digits:
+        raise _bad_cell(rows, 2, what)
+    text = bytearray(b" ") * (2 * len(digits))
+    text[::2] = digits
+    text[2 * width - 1::2 * width] = b"\n" * len(rows)
+    return f"P1\n{width} {len(rows)}\n".encode() + text
+
+
 def render_spacetime(rows: Sequence[Sequence[int]], alphabet: Alphabet,
-                     highlight: Optional[Sequence[Sequence[bool]]] = None
+                     highlight: Optional[Sequence[Sequence[int]]] = None
                      ) -> tuple[bytes, Optional[bytes]]:
     """Rows of symbols to a PBM (binary alphabets) or PGM image.
 
-    Time increases downward.  An optional boolean mask of the same shape is
-    rendered as a companion PBM.
+    Time increases downward.  An optional 0/1 mask of the same shape (rows
+    of bools, ints or ``bytes``, as :func:`spacetime_rows` gives them) is
+    rendered as a companion PBM.  Raises :class:`DefectcaError`, naming
+    the row, when there are no rows, a row is empty or of another length,
+    a cell is not a symbol of ``alphabet`` or a mask cell is not 0 or 1.
     """
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise DefectcaError("ragged spacetime rows")
-    lines: list[str]
+    width = _width(rows, "spacetime diagram")
     if alphabet.size == 2:
-        lines = [f"P1", f"{width} {len(rows)}"]
-        for r in rows:
-            lines.append(" ".join(str(int(s)) for s in r))
+        image = _pbm(rows, width, "spacetime diagram")
     else:
         levels = alphabet.size - 1
-        lines = [f"P2", f"{width} {len(rows)}", "255"]
-        for r in rows:
-            lines.append(" ".join(str(int(round(255 * s / levels))) for s in r))
-    image = ("\n".join(lines) + "\n").encode()
-    mask_bytes = None
-    if highlight is not None:
-        mlines = ["P1", f"{width} {len(rows)}"]
-        for r in highlight:
-            mlines.append(" ".join("1" if b else "0" for b in r))
-        mask_bytes = ("\n".join(mlines) + "\n").encode()
-    return image, mask_bytes
+        gray = {s: str(int(round(255 * s / levels))).encode()
+                for s in range(alphabet.size)}
+        try:
+            lines = [b" ".join(map(gray.__getitem__, r)) for r in rows]
+        except (KeyError, TypeError):
+            raise _bad_cell(rows, alphabet.size, "spacetime diagram") from None
+        image = f"P2\n{width} {len(rows)}\n255\n".encode() + \
+            b"\n".join(lines) + b"\n"
+    if highlight is None:
+        return image, None
+    if len(highlight) != len(rows) or _width(highlight, "mask") != width:
+        raise DefectcaError(f"mask is not {width} by {len(rows)} cells, "
+                            "the shape of the diagram")
+    return image, _pbm(highlight, width, "mask")
+
+
+def _defect_mask(config: Configuration, edges, lo: int, hi: int,
+                 blank: bytes) -> bytes:
+    """The cells [lo, hi) next to an inadmissible transition, as 0/1 bytes.
+
+    Transition p joins cells p and p + 1; the row's are p in [lo - 1, hi).
+    Those touching the core are scanned in its window [origin - 1,
+    end + 1), clipped to the row; those inside a background repeat with
+    its period, so its word is scanned once, cyclically, and each bad
+    residue is tiled across the background's part of the row.
+    """
+    o, e = config.origin, config.end
+    bad = []
+    for bg, start, stop in ((config.left, lo - 1, min(o - 1, hi)),
+                            (config.right, max(e, lo - 1), hi)):
+        if start < stop:
+            w = bg.word
+            for k in bad_transitions(w + w[:1], edges):
+                bad.extend(range(start + (k - bg.phase - start) % len(w),
+                                 stop, len(w)))
+    a, b = max(o - 1, lo - 1), min(e + 1, hi + 1)
+    if b - a > 1:
+        bad.extend(a + j for j in bad_transitions(config.window(a, b), edges))
+    if not bad:
+        return blank
+    mask = bytearray(blank)
+    for p in bad:
+        if p >= lo:
+            mask[p - lo] = 1
+        if p + 1 < hi:
+            mask[p + 1 - lo] = 1
+    return bytes(mask)
 
 
 def spacetime_rows(rule: LocalRule, config: Configuration, steps: int,
                    lo: int, hi: int,
                    shift: Optional[MarkovShift] = None
-                   ) -> tuple[list[Word], list[list[bool]]]:
-    """Evolve a configuration and collect a window per step.
+                   ) -> tuple[list[Word], list[bytes]]:
+    """Evolve a configuration and collect the window [lo, hi) per step.
 
-    When a background shift is given, the mask flags cells adjacent to an
-    inadmissible transition (the defect cells); otherwise it holds all-False
-    rows.
+    Each step also gives a mask row of ``hi - lo`` bytes: with a background
+    shift, 1 marks a cell next to a transition the shift forbids (a defect
+    cell) and 0 every other cell.  It is exact whether or not the
+    backgrounds are admissible, but scans only the core's transitions and
+    one period of each background.  Without a shift every mask row is the
+    same all-0 row.  Raises :class:`DefectcaError` when the window holds no
+    cell.
     """
+    if hi <= lo:
+        raise DefectcaError(f"spacetime window [{lo}, {hi}) holds no cell")
+    blank = bytes(hi - lo)
     rows = []
     masks = []
     cur = config
-    for t in range(steps):
-        row = cur.window(lo - 1, hi + 1)
-        rows.append(row[1:-1])
-        if shift is not None:
-            bad = [False] * (len(row) - 1)
-            for j in bad_transitions(row, shift.edges):
-                bad[j] = True
-            masks.append([bad[j] or bad[j + 1] for j in range(hi - lo)])
-        else:
-            masks.append([False] * (hi - lo))
+    for _ in range(steps):
+        rows.append(cur.window(lo, hi))
+        masks.append(blank if shift is None else
+                     _defect_mask(cur, shift.edges, lo, hi, blank))
         cur = apply_rule(rule, cur)
     return rows, masks
 

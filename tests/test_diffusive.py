@@ -627,6 +627,25 @@ class TestSamplerDigests:
             return _digest(trajs, _sorted_rows(counts))
         assert _outcome(run) == expected
 
+    @pytest.mark.parametrize("T,n,bad", [(0, 3, "T must be >= 1, got 0"),
+                                         (-2, 3, "T must be >= 1, got -2"),
+                                         (5, 0, "n must be >= 1, got 0")])
+    def test_empty_runs_rejected(self, T, n, bad):
+        rule, L, R, delta, W = _walk_case("marked-W1")
+        k = build_walk_kernel(rule, L, R, W, delta_support=list(delta))
+        with pytest.raises(DefectcaError, match=bad):
+            sample_walks(rule, L, R, delta, T, n, 0, W=W)
+        with pytest.raises(DefectcaError, match=bad):
+            sample_kernel_chain(k, delta, T, n, 0)
+
+    def test_kernel_chain_names_the_state_that_leaves_the_kernel(self):
+        # a fading mark leaves a state whose defect vanishes: it has no row
+        rule, L, R, delta, W = _walk_case("fading-W1")
+        k = build_walk_kernel(rule, L, R, W, delta_support=list(delta))
+        with pytest.raises(DefectcaError, match=r"reached state "
+                           r"\(1, 1, 2, 1, 0, 0\), which has no kernel row"):
+            sample_kernel_chain(k, delta, 50, 20, 0)
+
 
 def _ref_choose(law, u):
     """The plainest draw from (symbol, mass) pairs: the first symbol whose

@@ -17,10 +17,11 @@ from itertools import product
 from typing import Optional
 
 from .errors import DefectcaError, MultipleDefectsError
-from .lattice import Configuration, PeriodicBackground, encode_config, periodic_config
+from .lattice import (Configuration, PeriodicBackground, apply_rule, encode_config,
+                      periodic_config)
 from .rules import LocalRule, RecodedSystem, normalize, phi_orbit_components
 from .shifts import MarkovShift, Word, map_cycles, strongly_connected
-from .tracking import DefectAutomaton, locate_defect, track
+from .tracking import DefectAutomaton, frame_of, locate_defect, track
 
 
 @dataclass(frozen=True)
@@ -206,9 +207,13 @@ def classify_junctions(rule: LocalRule, background, *, max_core: int = 2,
 
     Seeds every ordered pair of (shift, rule)-transitive periodic components
     with every phase pair and every junk core up to ``max_core`` source
-    cells, tracks each single-defect seed, and collects the eventual state
-    cycles of the particles.
+    cells.  The state determines the future, so a type is the cycle closed
+    by the first repeat of a seed's configuration, seen from its defect
+    frame.  ``T`` and ``width_cap`` are caps: a seed unrepeated by step T,
+    or wider than ``width_cap`` cells, is unsettled and yields no type.
     """
+    if T < 0:
+        raise DefectcaError(f"T must be >= 0, got {T}")
     sys = normalize(rule, background)
     groups = []
     for g in phi_orbit_components(sys.rule, sys.shift):
@@ -225,17 +230,8 @@ def classify_junctions(rule: LocalRule, background, *, max_core: int = 2,
                     for core in product(range(rule.alphabet.size), repeat=clen):
                         cfg = periodic_config(rule.alphabet, lw, core, rw,
                                               left_phase=lp, right_phase=rp)
-                        enc = encode_config(sys.coder, cfg)
-                        try:
-                            if locate_defect(enc, sys.shift) is None:
-                                continue
-                        except MultipleDefectsError:
-                            continue
-                        traj = track(sys.rule, sys.shift, enc, T,
-                                     width_cap=width_cap, keep_configs=True)
-                        if not traj.verdict.is_particle:
-                            continue
-                        item = _eventual_cycle(sys, traj, Lg, Rg)
+                        item = _first_cycle(sys, encode_config(sys.coder, cfg),
+                                            T, width_cap, Lg, Rg)
                         if item is not None:
                             found.setdefault((item.left_vertices,
                                               item.right_vertices,
@@ -245,39 +241,43 @@ def classify_junctions(rule: LocalRule, background, *, max_core: int = 2,
                                  t.defect_words))
 
 
-def _eventual_cycle(sys: RecodedSystem, traj, Lg: MarkovShift,
-                    Rg: MarkovShift) -> Optional[ClassifiedType]:
-    records, configs = traj.records, traj.configs
-    tail = len(records) // 2
-    recs = records[tail:]
-    L = max(r.L for r in recs)
-    R = max(r.R for r in recs)
-    states = [(_padded_state(cfg, rec.z, L, R), rec.z, rec)
-              for rec, cfg in zip(recs, configs[tail:])]
-    period = None
-    n = len(states)
-    for p in range(1, n // 2 + 1):
-        ok = all(states[i][0] == states[i + p][0] and
-                 states[i + p][1] - states[i][1] == states[p][1] - states[0][1]
-                 for i in range(n - p))
-        if ok:
-            period = p
+def _first_cycle(sys: RecodedSystem, cur: Configuration, T: int, width_cap: int,
+                 Lg: MarkovShift, Rg: MarkovShift) -> Optional[ClassifiedType]:
+    # a step's key is its configuration seen from the frame start z, each
+    # background written as the period of cells next to the core
+    seen: dict = {}
+    for t in range(T + 1):
+        if t:
+            cur = apply_rule(sys.rule, cur)
+        try:
+            run = locate_defect(cur, sys.shift)
+        except MultipleDefectsError:
+            return None
+        if run is None or run.w > width_cap:
+            return None
+        z, L, R = frame_of(run)
+        key = (cur.origin - z, cur.left.cells(cur.origin - len(cur.left.word), cur.origin),
+               cur.core, cur.right.cells(cur.end, cur.end + len(cur.right.word)))
+        if key in seen:
             break
-    if period is None:
+        seen[key] = (cur, z, L, R)
+    else:
         return None
-    dz = states[period][1] - states[0][1]
-    cyc_states = tuple(s for s, _, _ in states[:period])
-    k = min(range(period), key=lambda i: cyc_states[i])
-    orbit = cyc_states[k:] + cyc_states[:k]
+    cycle = list(seen.values())[list(seen).index(key):]
+    period = len(cycle)
+    L = max(l for _, _, l, _ in cycle)
+    R = max(r for _, _, _, r in cycle)
+    states = [_padded_state(cfg, zc, L, R) for cfg, zc, _, _ in cycle]
+    k = states.index(min(states))
+    orbit = tuple(states[k:] + states[:k])
     # flanking components must match the seeded pair; otherwise the defect
     # wandered off (e.g. decayed against a different background)
-    if states[0][0][0] not in Lg.usable or states[0][0][2] not in Rg.usable:
+    if orbit[0][0] not in Lg.usable or orbit[0][2] not in Rg.usable:
         return None
-    words = [sys.coder.decode_word(states[(k + i) % period][2].word)
-             for i in range(period)]
-    return ClassifiedType(frozenset(Lg.usable), frozenset(Rg.usable),
-                          period, Fraction(dz, period),
-                          L + R + 1, tuple(words), orbit)
+    words = tuple(sys.coder.decode_word(cfg.window(zc - l, zc + r + 1))
+                  for cfg, zc, l, r in cycle[k:] + cycle[:k])
+    return ClassifiedType(frozenset(Lg.usable), frozenset(Rg.usable), period,
+                          Fraction(z - cycle[0][1], period), L + R + 1, words, orbit)
 
 
 def marked_cell_presentation(config: Configuration, shift: MarkovShift,

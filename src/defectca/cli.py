@@ -136,8 +136,8 @@ def run_classify(cfg: dio.Field, seed: int, em: _Emitter) -> int:
         "defect_words": ["".join(map(str, w)) for w in t.defect_words],
         "orbit": [[s[0], list(s[1]), s[2]] for s in t.orbit],
     } for t in types],
-        # junction classification reports settled cycles; padding-phase
-        # transients decay into them within the tracked prefix
+        # always empty, since a type is a cycle; kept only because deleting
+        # it moves the classify.json digests that the benchmark pins
         "transients": []}
     em.write_json("classify.json", report)
     return 0

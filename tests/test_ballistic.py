@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from defectca import ballistic, zoo
 from defectca.ballistic import (
     build_kinematic_system,
     build_periodic_code,
@@ -11,7 +12,7 @@ from defectca.ballistic import (
     verify_conjugacy,
 )
 from defectca.errors import DefectcaError
-from defectca.lattice import encode_config, periodic_config
+from defectca.lattice import apply_rule, encode_config, periodic_config
 from defectca.rules import from_wolfram_number, identity_rule, normalize, phi_orbit_components
 from defectca.shifts import (
     binary_alphabet,
@@ -217,3 +218,43 @@ class TestClassify184:
         assert got == expected
         assert all(t.period == 1 for t in types)
         assert len(types) == 7
+
+
+SYSTEMS = [(184, zoo.eca184_background, 11), (54, zoo.eca54_background, 3),
+           (110, zoo.eca110_ether, 5)]
+
+
+class TestClassifyRecurrence:
+    @pytest.mark.parametrize("number,background,n_types", SYSTEMS[1:])
+    def test_types_do_not_depend_on_the_horizon(self, number, background, n_types):
+        # every seed of these systems repeats its state by step 12, and each
+        # type has a seed that repeats by step 8
+        rule, bg = from_wolfram_number(number), background()
+        types = classify_junctions(rule, bg, max_core=1)
+        assert len(types) == n_types
+        assert classify_junctions(rule, bg, max_core=1, T=8) == types
+
+    @pytest.mark.parametrize("number,background,n_types", SYSTEMS)
+    def test_no_seed_is_stepped_past_its_first_repeat(self, monkeypatch, number,
+                                                      background, n_types):
+        # steps[i] counts the rule applications to the i-th seed; the cap T
+        # is 64, and the slowest seed, on #110, repeats at step 12
+        steps = []
+
+        def encode(coder, cfg):
+            steps.append(0)
+            return encode_config(coder, cfg)
+
+        def step(rule, cfg):
+            steps[-1] += 1
+            return apply_rule(rule, cfg)
+        monkeypatch.setattr(ballistic, "encode_config", encode)
+        monkeypatch.setattr(ballistic, "apply_rule", step)
+        types = classify_junctions(from_wolfram_number(number), background(),
+                                   max_core=1)
+        assert len(types) == n_types
+        assert 0 < max(steps) <= 16
+
+    def test_negative_horizon_is_rejected(self):
+        with pytest.raises(DefectcaError, match="T must be >= 0"):
+            classify_junctions(from_wolfram_number(184), zoo.eca184_background(), T=-1)

@@ -5,18 +5,7 @@ road, the empty road, the full jam); each ordered pair of components meets in
 a small menagerie of defect particles, each locked to a constant velocity.
 """
 
-from defectca import (
-    build_kinematic_system,
-    build_periodic_code,
-    classify_junctions,
-    enumerate_particle_types,
-    extract_automaton,
-    from_wolfram_number,
-    normalize,
-    periodic_config,
-    phi_orbit_components,
-)
-from defectca.lattice import encode_config
+from defectca import classify_junctions, from_wolfram_number
 from defectca import zoo
 
 # --- the seven particles of ECA #184 ----------------------------------------
@@ -33,19 +22,10 @@ for t in types:
           f"velocity={int(t.velocity):+d}  period={t.period}")
 
 # --- the gamma dislocations of ECA #54 --------------------------------------
-sys54 = normalize(from_wolfram_number(54), zoo.eca54_background())
-group, = phi_orbit_components(sys54.rule, sys54.shift)
-code = build_periodic_code(group, sys54.rule)
-
-gamma_plus = periodic_config(sys54.base_rule.alphabet, (0, 0, 1, 0), (),
-                             (1, 1, 0, 1), left_phase=0, right_phase=3)
-gamma_minus = periodic_config(sys54.base_rule.alphabet, (0, 0, 1, 0), (0,),
-                              (1, 1, 0, 1), left_phase=0, right_phase=1)
-seeds = [encode_config(sys54.coder, c) for c in (gamma_plus, gamma_minus)]
-automaton = extract_automaton(sys54.rule, sys54.shift, seeds, 40)
-system = build_kinematic_system(sys54.rule, code, code, automaton)
-orbits, _ = enumerate_particle_types(system)
+gammas = [t for t in classify_junctions(from_wolfram_number(54), zoo.eca54_background(),
+                                        max_core=1)
+          if t.period == 2]
 print("\nECA#54 gamma dislocations (period-2 orbits of the kinematic system):")
-for t in orbits:
+for t in gammas:
     print(f"  velocity={int(t.velocity):+d}  period={t.period}  "
           f"orbit states={len(t.orbit)}")

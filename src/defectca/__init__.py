@@ -24,15 +24,10 @@ from .shifts import (
     regularity,
     transitive_components,
 )
-from .rules import from_wolfram_number, normalize, phi_orbit_components
+from .rules import from_wolfram_number, normalize
 from .lattice import apply_rule, encode_config, periodic_config
-from .tracking import extract_automaton, track
-from .ballistic import (
-    build_kinematic_system,
-    build_periodic_code,
-    classify_junctions,
-    enumerate_particle_types,
-)
+from .tracking import track
+from .ballistic import classify_junctions
 from .diffusive import (
     build_walk_kernel,
     markov_property_test,

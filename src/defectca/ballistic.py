@@ -1,12 +1,11 @@
-"""The ballistic regime: periodic background codes, the finite kinematic
-system, and particle-type enumeration.
+"""The ballistic regime: particle types by junction classification.
 
 Over a sigma-periodic, jointly (shift, rule)-transitive background, each
 half-infinite background is determined by its innermost symbol, so a tracked
-defect becomes an autonomous finite dynamical system: a state is
-(left symbol, padded defect word, right symbol), and its update composes the
-defect automaton with the shift/rule permutations of the two codes.
-Particle types are the cycles of that system.
+defect is an autonomous finite dynamical system: a state is (left symbol,
+padded defect word, right symbol), and the state determines its future.
+Particle types are the cycles of that system; :func:`classify_junctions`
+closes each one at the first repeat of a seed's state.
 """
 
 from __future__ import annotations
@@ -17,162 +16,10 @@ from itertools import product
 from typing import Optional
 
 from .errors import DefectcaError, MultipleDefectsError
-from .lattice import (Configuration, PeriodicBackground, apply_rule, encode_config,
-                      periodic_config)
+from .lattice import Configuration, apply_rule, encode_config, periodic_config
 from .rules import LocalRule, RecodedSystem, normalize, phi_orbit_components
-from .shifts import MarkovShift, Word, map_cycles, strongly_connected
-from .tracking import DefectAutomaton, frame_of, locate_defect, track
-
-
-@dataclass(frozen=True)
-class PeriodicComponentCode:
-    """Shift and rule actions on the symbols of a periodic component.
-
-    ``sigma`` maps each symbol to its unique follower; ``phi`` maps it to the
-    rule image read off the unique bi-infinite point through it.  Both are
-    permutations of the component's symbol set.
-    """
-
-    sigma: dict[int, int]
-    phi: dict[int, int]
-
-    def sigma_pow(self, s: int, k: int) -> int:
-        cycle = self.cycle_through(s)
-        return cycle[k % len(cycle)]
-
-    def cycle_through(self, s: int) -> Word:
-        out = [s]
-        cur = self.sigma[s]
-        while cur != s:
-            out.append(cur)
-            cur = self.sigma[cur]
-        return tuple(out)
-
-    def background(self, s: int, anchor: int) -> PeriodicBackground:
-        """The periodic background through ``s`` with cell(anchor) = s."""
-        word = self.cycle_through(s)
-        return PeriodicBackground(word, (-anchor) % len(word))
-
-
-def build_periodic_code(component: MarkovShift,
-                        rule: LocalRule) -> PeriodicComponentCode:
-    """Build the code for a sigma-periodic, jointly transitive component.
-
-    ``component`` may be a union of sigma-cycles provided the rule and shift
-    actions together act transitively on its symbols (a single
-    (shift, rule)-orbit).
-    """
-    if rule.radius != 1:
-        raise ValueError("radius must be 1 (recode first)")
-    syms = tuple(sorted(component.usable))
-    for s in syms:
-        if len(component.followers(s)) != 1 or len(component.predecessors(s)) != 1:
-            raise DefectcaError("component not periodic")
-    sigma = {s: component.followers(s)[0] for s in syms}
-    pred = {s: component.predecessors(s)[0] for s in syms}
-    phi = {s: rule((pred[s], s, sigma[s])) for s in syms}
-    if sorted(phi.values()) != list(syms):
-        raise DefectcaError("rule does not permute the component's symbols")
-    # joint transitivity: sigma- and phi-edges must connect all symbols.
-    # Both maps permute the symbols, so connected means strongly connected.
-    if len(strongly_connected(syms, lambda s: (sigma[s], phi[s]))) != 1:
-        raise DefectcaError("component is not (shift, rule)-transitive")
-    return PeriodicComponentCode(sigma, phi)
-
-
-@dataclass(frozen=True)
-class KinematicSystem:
-    """The finite system (X, xi, V) of a width-W particle family.
-
-    States are (left symbol, padded defect word, right symbol); xi applies
-    the defect automaton and advances both background codes by the rule and
-    by sigma^velocity.
-    """
-
-    rule: LocalRule
-    left: PeriodicComponentCode
-    right: PeriodicComponentCode
-    automaton: DefectAutomaton
-    states: tuple
-    xi: dict
-    vel: dict
-
-    def state_config(self, state) -> Configuration:
-        l, d, r = state
-        L, R = self.automaton.L, self.automaton.R
-        left = self.left.background(l, -L - 1)
-        right = self.right.background(r, R + 1)
-        return Configuration(self.rule.alphabet, left, d, right, -L)
-
-
-def build_kinematic_system(rule: LocalRule, left: PeriodicComponentCode,
-                           right: PeriodicComponentCode,
-                           automaton: DefectAutomaton) -> KinematicSystem:
-    """Assemble xi(l, d, r) = (sigma^v phi(l), Upsilon(l,d,r), sigma^v phi(r))."""
-    L, R = automaton.L, automaton.R
-    xi: dict = {}
-    vel: dict = {}
-    for (lw, d, rw), d_next in automaton.upsilon.items():
-        l, r = lw[-1], rw[0]
-        state = (l, d, r)
-        v = automaton.velocity[(lw, d, rw)]
-        xi[state] = (left.sigma_pow(left.phi[l], v), d_next,
-                     right.sigma_pow(right.phi[r], v))
-        vel[state] = v
-    # keep the states whose forward orbit stays in the observed table: the
-    # ones whose orbit runs into a cycle of xi
-    kept = map_cycles(xi, xi.get)[1]
-    xi = {s: t for s, t in xi.items() if s in kept}
-    vel = {s: vel[s] for s in xi}
-    if not xi:
-        raise DefectcaError("no kinematic states survive pruning")
-    return KinematicSystem(rule, left, right, automaton,
-                           tuple(sorted(xi)), xi, vel)
-
-
-@dataclass(frozen=True)
-class ParticleType:
-    """A xi-cycle: the orbit, its period, and its average velocity."""
-
-    orbit: tuple
-    period: int
-    velocity: Fraction
-
-
-def enumerate_particle_types(system: KinematicSystem) -> tuple[list[ParticleType], dict]:
-    """All xi-cycles, plus a map from each transient state to its cycle index."""
-    cycles, cycle_of = map_cycles(system.states, system.xi.get)
-    types = []
-    for cyc in cycles:
-        total = sum(system.vel[s] for s in cyc)
-        vbar = Fraction(total, len(cyc))
-        if not -1 <= vbar <= 1:
-            raise DefectcaError(f"orbit velocity {vbar} outside [-1, 1]; "
-                                "the extracted automaton is inconsistent")
-        types.append(ParticleType(cyc, len(cyc), vbar))
-    on_cycle = {s for cyc in cycles for s in cyc}
-    transients = {s: cycle_of[s] for s in system.states if s not in on_cycle}
-    return types, transients
-
-
-def verify_conjugacy(system: KinematicSystem, ptype: ParticleType,
-                     shift: MarkovShift) -> bool:
-    """Direct simulation over one period returns to the same padded state
-    displaced by exactly period * velocity."""
-    L, R = system.automaton.L, system.automaton.R
-    for phase in range(ptype.period):
-        state = ptype.orbit[phase]
-        cfg = system.state_config(state)
-        traj = track(system.rule, shift, cfg, ptype.period, keep_configs=True)
-        if not traj.verdict.is_particle:
-            return False
-        last = traj.records[-1]
-        dz = last.z - traj.records[0].z
-        if dz != ptype.period * ptype.velocity:
-            return False
-        if _padded_state(traj.configs[-1], last.z, L, R) != state:
-            return False
-    return True
+from .shifts import MarkovShift, Word, map_cycles
+from .tracking import frame_of, locate_defect
 
 
 def _padded_state(config: Configuration, z: int, L: int, R: int) -> tuple:

@@ -21,13 +21,5 @@ class MultipleDefectsError(DefectcaError):
     """Raised when a configuration contains more than one separated defect."""
 
 
-class NotAFunctionError(DefectcaError):
-    """Raised when empirical automaton extraction sees two outputs for one input.
-
-    Usually means the tracking width cap was too small, so distinct internal
-    states were collapsed onto the same padded key.
-    """
-
-
 class InvalidMachineError(DefectcaError):
     """Raised when a tape rule output would violate background admissibility."""

@@ -274,7 +274,6 @@ class RecodedSystem:
     symbols.
     """
 
-    base_rule: LocalRule
     rule: LocalRule
     shift: MarkovShift
     coder: BlockCoder
@@ -289,7 +288,7 @@ def normalize(rule: LocalRule, background) -> RecodedSystem:
     """
     sft = _as_sft(background)
     shift, coder = markov_presentation(sft, sft.q if sft.q > 2 else 1)
-    return RecodedSystem(rule, recode_rule(rule, coder), shift, coder)
+    return RecodedSystem(recode_rule(rule, coder), shift, coder)
 
 
 def phi_orbit_components(rule: LocalRule, shift: MarkovShift) -> list[MarkovShift]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import DefectcaError, MultipleDefectsError, NotAFunctionError
+from .errors import DefectcaError, MultipleDefectsError
 from .lattice import Configuration, apply_rule
 from .rules import LocalRule
 from .shifts import MarkovShift, Word
@@ -69,7 +69,6 @@ class Verdict:
 class DefectTrajectory:
     records: tuple[DefectRecord, ...]
     verdict: Verdict
-    configs: Optional[tuple[Configuration, ...]] = None
 
 
 def frame_of(interval: DefectInterval) -> tuple[int, int, int]:
@@ -140,7 +139,7 @@ def locate_defect(config: Configuration, shift: MarkovShift) -> Optional[DefectI
 
 
 def track(rule: LocalRule, shift: MarkovShift, config: Configuration, T: int,
-          width_cap: int = 64, keep_configs: bool = False) -> DefectTrajectory:
+          width_cap: int = 64) -> DefectTrajectory:
     """Track a single defect for T steps.
 
     Verdicts: ``particle`` if the width never exceeds ``width_cap`` through
@@ -151,7 +150,6 @@ def track(rule: LocalRule, shift: MarkovShift, config: Configuration, T: int,
     if T < 0:
         raise DefectcaError(f"T must be >= 0, got {T}")
     records: list[DefectRecord] = []
-    configs: list[Configuration] = []
     cur = config
     for t in range(T + 1):
         if t:
@@ -172,12 +170,9 @@ def track(rule: LocalRule, shift: MarkovShift, config: Configuration, T: int,
         z, L, R = frame_of(interval)
         records.append(DefectRecord(t, z, L, R,
                                     word[interval.i + 1 - lo:interval.k + 1 - lo]))
-        if keep_configs:
-            configs.append(cur)
     else:
         verdict = Verdict("particle", width=max(r.width for r in records))
-    return DefectTrajectory(tuple(records), verdict,
-                            tuple(configs) if keep_configs else None)
+    return DefectTrajectory(tuple(records), verdict)
 
 
 def check_velocity_bounds(traj: DefectTrajectory) -> list[str]:
@@ -194,61 +189,3 @@ def check_velocity_bounds(traj: DefectTrajectory) -> list[str]:
         if not (a.z - a.L - 2 <= b.z <= a.z + a.R + 1):
             bad.append(f"(b) violated at t={a.t}: {a} -> {b}")
     return bad
-
-
-@dataclass(frozen=True)
-class DefectAutomaton:
-    """Empirical finite-automaton model of a constant-width defect.
-
-    Inputs are (left word of length L+2, state word of length L+R+1, right
-    word of length R+1); ``upsilon`` gives the next state word, ``velocity``
-    the displacement.  Tables cover reached inputs only.
-    """
-
-    L: int
-    R: int
-    upsilon: dict
-    velocity: dict
-
-
-def automaton_key(config: Configuration, z: int, L: int, R: int):
-    lw = config.window(z - L - (L + 2), z - L)
-    d = config.window(z - L, z + R + 1)
-    rw = config.window(z + R + 1, z + 2 * R + 2)
-    return lw, d, rw
-
-
-def extract_automaton(rule: LocalRule, shift: MarkovShift,
-                      seeds: Sequence[Configuration], T: int) -> DefectAutomaton:
-    """Enumerate (left, state, right) -> (state', velocity) from tracked seeds.
-
-    All seeds must track as particles; the common frame (L, R) is the
-    componentwise maximum over every record.  Seeing two outputs for one
-    input raises :class:`NotAFunctionError` (width cap too small).
-    """
-    trajs = []
-    for seed in seeds:
-        traj = track(rule, shift, seed, T, keep_configs=True)
-        if not traj.verdict.is_particle:
-            raise ValueError(f"seed did not track as a particle: {traj.verdict}")
-        trajs.append(traj)
-    L = max(r.L for traj in trajs for r in traj.records)
-    R = max(r.R for traj in trajs for r in traj.records)
-    upsilon: dict = {}
-    velocity: dict = {}
-    for traj in trajs:
-        for (a, b), cfg_a, cfg_b in zip(zip(traj.records, traj.records[1:]),
-                                        traj.configs, traj.configs[1:]):
-            key = automaton_key(cfg_a, a.z, L, R)
-            d_next = cfg_b.window(b.z - L, b.z + R + 1)
-            v = b.z - a.z
-            if not (-L - 2 <= v <= R + 1):
-                raise NotAFunctionError(f"velocity {v} outside [-L-2, R+1]")
-            out = (d_next, v)
-            seen = upsilon.get(key)
-            if seen is not None and (seen, velocity[key]) != out:
-                raise NotAFunctionError(
-                    f"input {key} maps to both {(seen, velocity[key])} and {out}")
-            upsilon[key] = d_next
-            velocity[key] = v
-    return DefectAutomaton(L, R, upsilon, velocity)

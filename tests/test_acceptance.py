@@ -11,13 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from defectca import zoo
-from defectca.ballistic import (
-    build_kinematic_system,
-    build_periodic_code,
-    classify_junctions,
-    enumerate_particle_types,
-    verify_conjugacy,
-)
+from defectca.ballistic import _padded_state, classify_junctions
 from defectca.diffusive import (
     build_walk_kernel,
     markov_property_test,
@@ -44,7 +38,7 @@ from defectca.shifts import (
     pack_word,
     regularity,
 )
-from defectca.tracking import check_velocity_bounds, extract_automaton, locate_defect, track
+from defectca.tracking import check_velocity_bounds, frame_of, locate_defect, track
 from defectca.turing import (
     APDA,
     classical_to_lr,
@@ -94,11 +88,12 @@ def test_criterion_1_eca184_particle_table():
             [Fraction(v) for v in (-1, 1, -1, 1, -1, 1, 0)])
 
 
-def test_criterion_2_eca54_gamma_orbits():
+def test_criterion_2_eca54_gamma_orbits(conjugacy):
     with criterion(2, "ECA#54 gamma dislocations and code permutations", 5.0):
         sys = normalize(from_wolfram_number(54), zoo.eca54_background())
         group, = phi_orbit_components(sys.rule, sys.shift)
-        code = build_periodic_code(group, sys.rule)
+        sigma = {s: group.followers(s)[0] for s in group.usable}
+        phi = {s: sys.rule((group.predecessors(s)[0], s, sigma[s])) for s in group.usable}
         word = lambda s: pack_word(A2, tuple(int(c) for c in s))
         sigma_expected = {"0001": "0010", "0010": "0100", "0100": "1000",
                           "1000": "0001", "1110": "1101", "1101": "1011",
@@ -106,25 +101,31 @@ def test_criterion_2_eca54_gamma_orbits():
         phi_expected = {"0001": "1011", "1011": "0100", "0100": "1110",
                         "1110": "0001", "0010": "0111", "0111": "1000",
                         "1000": "1101", "1101": "0010"}
-        assert code.sigma == {word(a): word(b) for a, b in sigma_expected.items()}
-        assert code.phi == {word(a): word(b) for a, b in phi_expected.items()}
+        assert sigma == {word(a): word(b) for a, b in sigma_expected.items()}
+        assert phi == {word(a): word(b) for a, b in phi_expected.items()}
 
+        # the gamma dislocations are the period-2 junction types
+        types = [t for t in classify_junctions(from_wolfram_number(54),
+                                               zoo.eca54_background(), max_core=1)
+                 if t.period == 2]
+        assert len(types) == 2
+        by_vel = {int(t.velocity): t for t in types}
+        assert set(by_vel) == {-1, 1}
+        for v, t in by_vel.items():  # V is identically +-1 on each orbit
+            for _, steps in conjugacy(sys, t):
+                assert steps == [v] * t.period
+
+        # no transients: each gamma seed starts on its type's orbit
         gp = periodic_config(A2, (0, 0, 1, 0), (), (1, 1, 0, 1),
                              left_phase=0, right_phase=3)
         gm = periodic_config(A2, (0, 0, 1, 0), (0,), (1, 1, 0, 1),
                              left_phase=0, right_phase=1)
-        seeds = [encode_config(sys.coder, c) for c in (gp, gm)]
-        aut = extract_automaton(sys.rule, sys.shift, seeds, 40)
-        system = build_kinematic_system(sys.rule, code, code, aut)
-        types, transients = enumerate_particle_types(system)
-        assert len(types) == 2 and transients == {}
-        assert all(t.period == 2 for t in types)
-        by_vel = {int(t.velocity): t for t in types}
-        assert set(by_vel) == {-1, 1}
-        for v, t in by_vel.items():  # V is identically +-1 on each orbit
-            assert all(system.vel[s] == v for s in t.orbit)
-        for t in types:
-            assert verify_conjugacy(system, t, sys.shift)
+        for seed, v in ((gp, 1), (gm, -1)):
+            cfg = encode_config(sys.coder, seed)
+            z = frame_of(locate_defect(cfg, sys.shift))[0]
+            t = by_vel[v]
+            L, R = (t.width + 1) // 2 - 1, t.width // 2
+            assert _padded_state(cfg, z, L, R) in t.orbit
 
 
 def test_criterion_3_background_facts():

@@ -69,15 +69,13 @@ def test_imported_name_resolves(where, module, name):
 # kept because each is a construct of the paper or an oracle the tests check
 # the library against.
 KEEP = {
-    "ballistic.verify_conjugacy":
-        "the kinematic system is conjugate to the CA over one period",
     "ballistic.marked_cell_presentation":
         "a block-space particle state in source cells, as the paper prints it",
     "diffusive.pushforward_cylinders": "the Parry measure is Phi-invariant",
     "diffusive.subsampled_walk":
         "the walk with one frozen side, a mixture over its fixed points",
     "io.save_rule": "writes rule specs; the inverse of load_rule",
-    "rules.identity_rule": "the trivial rule, whose kinematics are xi = upsilon",
+    "rules.identity_rule": "the trivial rule, under which every defect is at rest",
     "rules.is_left_permutative": "the left half of the permutativity pair",
     "rules.is_surjective_on": "Phi(S) = S on words",
     "rules.find_travelling_wave_backgrounds":

@@ -233,10 +233,8 @@ class TestStepperOracle:
         # hypothesis favours small draws; map them to wide caps
         width_cap = data.draw(st.integers(0, 6).map(lambda c: 6 - c))
         want_records, want_verdict = ref_track(run, shift.edges, width_cap)
-        traj = track(rule, shift, cfg, T, width_cap=width_cap, keep_configs=True)
+        traj = track(rule, shift, cfg, T, width_cap=width_cap)
         assert [(rec.t, rec.z, rec.L, rec.R, rec.word) for rec in traj.records] == \
             want_records
         v = traj.verdict
         assert (v.kind, v.width, v.t) == want_verdict
-        for kept, (t, lo, cells, _, _) in zip(traj.configs, run):
-            assert kept.window(lo, lo + len(cells)) == cells, t

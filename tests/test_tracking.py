@@ -11,14 +11,13 @@ from defectca.lattice import (
     encode_config,
     periodic_config,
 )
-from defectca.rules import from_wolfram_number, identity_rule, normalize
+from defectca.rules import from_wolfram_number, normalize
 from defectca.shifts import binary_alphabet, build_markov_shift, build_sft
 from defectca.tracking import (
     DefectRecord,
     DefectTrajectory,
     Verdict,
     check_velocity_bounds,
-    extract_automaton,
     locate_defect,
     next_frame,
     track,
@@ -177,51 +176,6 @@ class TestReadCost:
         # compares a side per step
         assert calls["Configuration"] == 0
         assert calls["PeriodicBackground"] <= 4 * (T + 1)
-
-
-class TestExtractAutomaton:
-    def test_identity_rule_automaton(self):
-        rule = identity_rule(A2)
-        cfg = gamma_plus()
-        aut = extract_automaton(rule, gstar(), [cfg], 20)
-        assert aut.L + aut.R + 1 == 0
-        for key, d_next in aut.upsilon.items():
-            assert d_next == ()
-            assert aut.velocity[key] == 0
-
-    def test_gamma_plus_constant_velocity(self):
-        aut = extract_automaton(from_wolfram_number(184), gstar(), [gamma_plus()], 50)
-        assert aut.L + aut.R + 1 == 0
-        assert set(aut.velocity.values()) == {1}
-
-    def test_eca184_g_particles(self):
-        # in the 3-block presentation all seven particles have constant word
-        sys = normalize(from_wolfram_number(184), build_sft(A2, 3, G3))
-        from defectca.lattice import encode_config
-        alpha = A2
-        seeds_bits = [
-            ((0, 1), 0, (), (1, 1), 0),   # alpha-: G* | G1
-            ((0, 1), 0, (), (0, 0), 0),   # alpha+: G* | G0
-            ((0, 0), 0, (), (1, 0), 0),   # omega+: G0 | G*
-        ]
-        seeds = []
-        for lw, lp, core, rw, rp in seeds_bits:
-            cfg = periodic_config(alpha, lw, core, rw, left_phase=lp, right_phase=rp)
-            seeds.append(encode_config(sys.coder, cfg))
-        aut = extract_automaton(sys.rule, sys.shift, seeds, 40)
-        assert aut.L + aut.R + 1 == 1
-        # defect word constant along each trajectory; velocities in {-1, +1}
-        assert set(aut.velocity.values()) <= {-1, 1}
-        for key, d_next in aut.upsilon.items():
-            assert d_next == key[1]
-
-    def test_inconsistent_cap_raises(self):
-        # two seeds colliding onto one key with different outputs is hard to
-        # fabricate with honest dynamics; instead check the particle precheck
-        shift = build_markov_shift(A2, [(0, 0)])
-        cfg = periodic_config(A2, (0,), (1,), (0,))
-        with pytest.raises(ValueError):
-            extract_automaton(from_wolfram_number(30), shift, [cfg], 100)
 
 
 class TestFuzzVelocityLemma:

@@ -17,7 +17,9 @@ of the random draws, so changing it changes every sampled trajectory.  Each
 sample reads a buffered list of uniforms from its own (seed, index) stream,
 each law is a table of cumulative masses searched by bisection, and a step
 scans for inadmissible transitions only in the light cone of the last
-defect run.
+defect run.  The images of the two half-windows and each step's result are
+memoised for the length of one call: each distinct half-window is imaged,
+and each distinct step scanned, once.
 Kernels and stationary laws are exact rationals; floats appear only in
 eigendata, empirical statistics and the float solve that proposes each
 stationary law before an exact check proves it.  The Markov-property test
@@ -570,6 +572,19 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
     other transition can be inadmissible.  States are counted by index and
     turned back into six-cell tuples once, at the end.
 
+    Three memos, made afresh by each call and freed when it returns, make
+    the step cheap and change no result.  The rule has radius 1, so the
+    window's cells [0, 12) determine image cells [0, 10) and its cells
+    [10, 22) image cells [10, 20): each half is imaged once per distinct
+    half and the two images are joined.  Everything after the image, the
+    cone scan, the vanish/split test, the frame move v, the next cone and
+    the state img[v+7:v+13], reads only img[lo:hi], with lo = min(cone[0], 6)
+    and hi = max(cone[-1] + 2, 14), so the step's result, or that the
+    defect vanished or split, is kept under the last run's width and that
+    slice.  A state's index is given, and a frame jump raised, the first
+    time its window occurs, so both match a step-by-step scan.  The memos
+    grow with the distinct windows visited, not with n*T.
+
     Samples whose defect vanishes or splits are excluded; exceeding
     :data:`MAX_EXCLUDED_FRAC`, or keeping no sample, aborts the run with a
     :class:`DefectcaError`.  So does a frame that moves by more than one
@@ -590,6 +605,12 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
     # last run, of width w, once the window is centred on the run's frame
     cones = [range(max(8 - (w + 1) // 2, 0), min(10 + w // 2, 18) + 1)
              for w in range(19)]
+    # spans[w]: the image cells a step reads after a run of width w, the
+    # cone's transitions and the six state cells [6, 14) at any move
+    spans = [(min(c[0], 6), max(c[-1] + 2, 14)) for c in cones]
+    lefts: dict = {}  # (l2, l1) + cells[:10] -> image cells [0, 10)
+    rights: dict = {}  # cells[8:] + (r1, r2) -> image cells [10, 20)
+    steps: dict = {}  # (w, img[spans[w]]) -> (v, next w, state id), or ()
 
     trajectories: list[list[int]] = []
     counts: dict = {}
@@ -614,31 +635,47 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
             syms, cum = fwd[cells[-1]]
             cells.append(syms[bisect_right(cum, u)])
         cells = tuple(cells)
-        cone = cones[W]  # the junction's: the frame starts as if w = W
+        w = W  # the junction's: the frame starts as if its run had width W
         vs = []
         path = []
         for t, u1, u2, u3, u4 in zip(range(T), noise, noise, noise, noise):
             syms, cum = bwd[cells[0]]
             l1 = syms[bisect_right(cum, u1)]
             syms, cum = bwd[l1]
-            l2 = syms[bisect_right(cum, u2)]
+            half = (syms[bisect_right(cum, u2)], l1) + cells[:10]
+            left = lefts.get(half)
+            if left is None:
+                left = lefts[half] = rule.image_word(half)
             syms, cum = fwd[cells[-1]]
             r1 = syms[bisect_right(cum, u3)]
             syms, cum = fwd[r1]
-            img = rule.image_word((l2, l1) + cells + (r1, syms[bisect_right(cum, u4)]))
+            half = cells[8:] + (r1, syms[bisect_right(cum, u4)])
+            right = rights.get(half)
+            if right is None:
+                right = rights[half] = rule.image_word(half)
             # img is [z-9, z+11); transition j joins cells z-9+j and z-8+j
-            bad = [j for j in cone if (img[j], img[j + 1]) not in edges]
-            if not bad or bad[-1] - bad[0] != len(bad) - 1:
-                break  # the defect vanished or split
-            w = bad[-1] - bad[0]
-            v = bad[0] - 9 + (w + 1) // 2  # tracking.frame_of's start, less z
-            if not -1 <= v <= 1:
-                raise DefectcaError(f"frame moved by {v} at step {t} of "
-                                    f"sample {i}; not a width-2 walk")
+            img = left + right
+            lo, hi = spans[w]
+            key = (w, img[lo:hi])
+            step = steps.get(key)
+            if step is None:  # the first visit of this window
+                bad = [j for j in cones[w] if (img[j], img[j + 1]) not in edges]
+                if not bad or bad[-1] - bad[0] != len(bad) - 1:
+                    step = ()  # the defect vanished or split
+                else:
+                    nw = bad[-1] - bad[0]
+                    v = bad[0] - 9 + (nw + 1) // 2  # tracking.frame_of's start, less z
+                    if not -1 <= v <= 1:
+                        raise DefectcaError(f"frame moved by {v} at step {t} of "
+                                            f"sample {i}; not a width-2 walk")
+                    step = (v, nw, ids.setdefault(img[v + 7:v + 13], len(ids)))
+                steps[key] = step
+            if not step:
+                break
+            v, w, state = step
             vs.append(v)
-            path.append(ids.setdefault(img[v + 7:v + 13], len(ids)))
+            path.append(state)
             cells = img[v + 1:v + 19]
-            cone = cones[w]
         else:
             trajectories.append(list(accumulate(vs, initial=0)))
         _tally(counts, path, path[1:])

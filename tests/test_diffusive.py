@@ -735,6 +735,8 @@ class TestSamplerOracle:
     @example("fading-W1", 4, 4, 1)  # too many samples vanish
     @example("fading-W1", 4, 4, 0)  # one sample vanishes
     @example("splitting-W1", 5, 6, 4)  # one sample splits
+    @example("marked-W1", 2000, 3, 7)  # memoised windows recur across samples
+    @example("fading-W1", 4, 4, 20)  # the second vanishing reads a stored one
     @settings(max_examples=80, deadline=None)
     def test_sample_walks_matches_reference(self, case, T, n, seed):
         rule, L, R, delta, W = _walk_case(case)
@@ -788,6 +790,27 @@ class TestScanCost:
                                 T, n, 3)
         assert len(trajs) == n
         assert 0 < tests["edges"] <= 5 * n * T
+
+
+class TestSamplerCost:
+    def test_walk_images_each_half_window_once(self):
+        # a step images its 22 cells as two 12-cell halves, each memoised
+        # for the call; the marked walker has 4096 of each, so about 8200
+        # image_word calls serve the n * T = 40000 steps, not one per step
+        rule = zoo.diffusive_rule()
+        calls = Counter()
+        image_word = rule.image_word
+
+        def counting(word):
+            calls["image_word"] += 1
+            return image_word(word)
+        rule.image_word = counting
+        T, n = 10_000, 4
+        trajs, _ = sample_walks(rule, zoo.diffusive_background(),
+                                zoo.diffusive_background(), _uniform_marked_delta(),
+                                T, n, 3)
+        assert len(trajs) == n
+        assert 0 < calls["image_word"] <= 10_000
 
 
 class TestMarkovProperty:

@@ -5,7 +5,11 @@ half-infinite background is determined by its innermost symbol, so a tracked
 defect is an autonomous finite dynamical system: a state is (left symbol,
 padded defect word, right symbol), and the state determines its future.
 Particle types are the cycles of that system; :func:`classify_junctions`
-closes each one at the first repeat of a seed's state.
+closes each one at the first repeat of a seed's configuration as seen from
+its core.  Since that configuration determines the future, the seeds of one
+call share one window stepper (:class:`~defectca.tracking._Stepper`): each
+configuration is stepped by the rule once per call however many seeds pass
+through it, and each cycle's orbit, words and velocity are built once.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .errors import DefectcaError, MultipleDefectsError
-from .lattice import Configuration, apply_rule, encode_config, periodic_config
-from .rules import LocalRule, RecodedSystem, normalize, phi_orbit_components
-from .shifts import MarkovShift, Word, map_cycles
-from .tracking import frame_of, locate_defect
+from .errors import DefectcaError
+from .lattice import Configuration, encode_config, periodic_config
+from .rules import LocalRule, normalize, phi_orbit_components
+from .shifts import BlockCoder, MarkovShift, Word, map_cycles
+from .tracking import _Stepper
 
 
 def _padded_state(config: Configuration, z: int, L: int, R: int) -> tuple:
@@ -55,9 +59,9 @@ def classify_junctions(rule: LocalRule, background, *, max_core: int = 2,
     Seeds every ordered pair of (shift, rule)-transitive periodic components
     with every phase pair and every junk core up to ``max_core`` source
     cells.  The state determines the future, so a type is the cycle closed
-    by the first repeat of a seed's configuration, seen from its defect
-    frame.  ``T`` and ``width_cap`` are caps: a seed unrepeated by step T,
-    or wider than ``width_cap`` cells, is unsettled and yields no type.
+    by the first repeat of a seed's configuration, seen from its core.
+    ``T`` and ``width_cap`` are caps: a seed unrepeated by step T, or wider
+    than ``width_cap`` cells, is unsettled and yields no type.
     """
     if T < 0:
         raise DefectcaError(f"T must be >= 0, got {T}")
@@ -67,64 +71,77 @@ def classify_junctions(rule: LocalRule, background, *, max_core: int = 2,
         if all(len(g.followers(v)) == 1 for v in g.usable):
             # each sigma-cycle of a block component, decoded to a source word
             cycles, _ = map_cycles(sorted(g.usable), lambda v: g.followers(v)[0])
-            words = [tuple(sys.coder.unpack(b)[0] for b in cyc) for cyc in cycles]
-            groups.append((g, words))
+            words = [tuple(map(sys.coder.first_symbol, cyc)) for cyc in cycles]
+            groups.append((frozenset(g.usable), words))
+    stepper = _Stepper(sys.rule, sys.shift, width_cap)
+    shapes: dict = {}
     found: dict = {}
-    for (Lg, lwords), (Rg, rwords) in product(groups, repeat=2):
+    for (lv, lwords), (rv, rwords) in product(groups, repeat=2):
         for lw, rw in product(lwords, rwords):
             for lp, rp in product(range(len(lw)), range(len(rw))):
                 for clen in range(max_core + 1):
                     for core in product(range(rule.alphabet.size), repeat=clen):
                         cfg = periodic_config(rule.alphabet, lw, core, rw,
                                               left_phase=lp, right_phase=rp)
-                        item = _first_cycle(sys, encode_config(sys.coder, cfg),
-                                            T, width_cap, Lg, Rg)
-                        if item is not None:
-                            found.setdefault((item.left_vertices,
-                                              item.right_vertices,
-                                              item.orbit), item)
+                        shape = _first_cycle(stepper, encode_config(sys.coder, cfg),
+                                             T, sys.coder, shapes)
+                        if shape is None:
+                            continue
+                        period, velocity, width, words, orbit = shape
+                        # flanking components must match the seeded pair;
+                        # otherwise the defect wandered off (e.g. decayed
+                        # against a different background)
+                        if orbit[0][0] in lv and orbit[0][2] in rv:
+                            found.setdefault((lv, rv, orbit), ClassifiedType(
+                                lv, rv, period, velocity, width, words, orbit))
     return sorted(found.values(),
                   key=lambda t: (sorted(t.left_vertices), sorted(t.right_vertices),
                                  t.defect_words))
 
 
-def _first_cycle(sys: RecodedSystem, cur: Configuration, T: int, width_cap: int,
-                 Lg: MarkovShift, Rg: MarkovShift) -> Optional[ClassifiedType]:
-    # a step's key is its configuration seen from the frame start z, each
-    # background written as the period of cells next to the core
+def _first_cycle(stepper: _Stepper, seed: Configuration, T: int, coder: BlockCoder,
+                 shapes: dict) -> Optional[tuple]:
+    """(period, velocity, width, defect words, orbit) of the cycle that
+    ``seed`` closes at its first repeat by step T; None when it splits,
+    vanishes or outgrows the stepper's cap first, or has not repeated.
+
+    ``shapes`` maps each key of a cycle already built to the shape a seed
+    entering the cycle there gets: its orbit starts at the first least state
+    from the entry on, as a walk from that entry would find it.
+    """
     seen: dict = {}
-    for t in range(T + 1):
-        if t:
-            cur = apply_rule(sys.rule, cur)
-        try:
-            run = locate_defect(cur, sys.shift)
-        except MultipleDefectsError:
+    for key, origin, scan in stepper.walk(seed, T):
+        if isinstance(scan, str):
             return None
-        if run is None or run.w > width_cap:
-            return None
-        z, L, R = frame_of(run)
-        key = (cur.origin - z, cur.left.cells(cur.origin - len(cur.left.word), cur.origin),
-               cur.core, cur.right.cells(cur.end, cur.end + len(cur.right.word)))
         if key in seen:
             break
-        seen[key] = (cur, z, L, R)
+        seen[key] = origin, scan
     else:
         return None
-    cycle = list(seen.values())[list(seen).index(key):]
-    period = len(cycle)
-    L = max(l for _, _, l, _ in cycle)
-    R = max(r for _, _, _, r in cycle)
-    states = [_padded_state(cfg, zc, L, R) for cfg, zc, _, _ in cycle]
-    k = states.index(min(states))
-    orbit = tuple(states[k:] + states[:k])
-    # flanking components must match the seeded pair; otherwise the defect
-    # wandered off (e.g. decayed against a different background)
-    if orbit[0][0] not in Lg.usable or orbit[0][2] not in Rg.usable:
-        return None
-    words = tuple(sys.coder.decode_word(cfg.window(zc - l, zc + r + 1))
-                  for cfg, zc, l, r in cycle[k:] + cycle[:k])
-    return ClassifiedType(frozenset(Lg.usable), frozenset(Rg.usable), period,
-                          Fraction(z - cycle[0][1], period), L + R + 1, words, orbit)
+    if key not in shapes:
+        keys = list(seen)
+        keys = keys[keys.index(key):]
+        period = len(keys)
+        scans = [seen[k][1] for k in keys]
+        L = max(sc[1] for sc in scans)
+        R = max(sc[2] for sc in scans)
+        states = []
+        for k, sc in zip(keys, scans):
+            cfg = stepper.config(k)
+            states.append(_padded_state(cfg, cfg.origin + sc[0], L, R))
+        velocity = Fraction(origin - seen[key][0], period)
+        least = min(states)
+        starts = [j for j, st in enumerate(states) if st == least]
+        built: dict = {}
+        for j, k in enumerate(keys):
+            m = next((i for i in starts if i >= j), starts[0])
+            if m not in built:
+                order = list(range(m, period)) + list(range(m))
+                built[m] = (period, velocity, L + R + 1,
+                            tuple(coder.decode_word(scans[i][3]) for i in order),
+                            tuple(states[i] for i in order))
+            shapes[k] = built[m]
+    return shapes[key]
 
 
 def marked_cell_presentation(config: Configuration, shift: MarkovShift,
@@ -145,7 +162,7 @@ def marked_cell_presentation(config: Configuration, shift: MarkovShift,
     m1 = bad[-1] + P // 2
 
     def src(j: int) -> int:
-        return coder.unpack(config.cell(j))[0]
+        return coder.first_symbol(config.cell(j))
 
     lword = tuple(src(j) for j in range(m0 - P, m0))
     dbits = tuple(src(j) for j in range(m0, m1 + 1))

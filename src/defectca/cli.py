@@ -110,7 +110,7 @@ def run_simulate(cfg: dio.Field, seed: int, em: _Emitter) -> int:
     block_rows, masks = dio.spacetime_rows(sys_rec.rule, enc, steps, lo, hi,
                                            shift=sys_rec.shift)
     # block cell z holds the source window [z, z+P): its first symbol is cell z
-    rows = [tuple(sys_rec.coder.unpack(b)[0] for b in row) for row in block_rows]
+    rows = [tuple(map(sys_rec.coder.first_symbol, row)) for row in block_rows]
     image, mask = dio.render_spacetime(rows, rule.alphabet, highlight=masks)
     em.write_bytes("spacetime.pbm", image)
     em.write_bytes("defects.pbm", mask)

@@ -120,16 +120,19 @@ def apply_rule(rule: LocalRule, config: Configuration) -> Configuration:
     Backgrounds are replaced by their image words (same period and
     anchoring).  The new core is the image of the old core's light cone,
     trimmed to the cells that differ from the new backgrounds, so its
-    length stays bounded while the defect does.
+    length stays bounded while the defect does; each side's trim compares
+    against one slice of its background.
     """
     r = rule.radius
     lo = config.origin - r
     core = rule.image_word(config.window(lo - r, config.end + 2 * r))
     left, right = config.left.image(rule), config.right.image(rule)
     i, j = 0, len(core)
-    while i < j and core[i] == left.cell(lo + i):
+    lcells = left.cells(lo, lo + j)
+    while i < j and core[i] == lcells[i]:
         i += 1
-    while j > i and core[j - 1] == right.cell(lo + j - 1):
+    rcells = right.cells(lo + i, lo + j)
+    while j > i and core[j - 1] == rcells[j - 1 - i]:
         j -= 1
     return Configuration(config.alphabet, left, core[i:j], right, lo + i)
 
@@ -152,8 +155,7 @@ def encode_config(coder: BlockCoder, config: Configuration) -> Configuration:
 
     lo = -((P - 1 - config.origin) // s)  # ceil: first block touching the core
     hi = -(-config.end // s)  # ceil: one past the last
-    cells = config.window(s * lo, s * hi + P - s)
-    core = tuple(coder.pack(cells[s * k:s * k + P]) for k in range(hi - lo))
+    core = coder.encode_word(config.window(s * lo, s * hi + P - s)) if hi > lo else ()
     return Configuration(coder.target, block_bg(config.left), core,
                          block_bg(config.right), lo)
 

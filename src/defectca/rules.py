@@ -254,12 +254,16 @@ def recode_rule(rule: LocalRule, coder: BlockCoder) -> LocalRule:
         return base
     r, keep = base.radius, P - s
     target = block_alphabet(alpha, P)
+    head, tail, whole = alpha.size ** s, alpha.size ** keep, alpha.size ** P
 
     def fn(nbhd: Word) -> int:
-        u, v, w = (unpack_word(alpha, b, P) for b in nbhd)
-        if u[s:] != v[:keep] or v[s:] != w[:keep]:
+        # in base n, u % n**keep is u[s:] and v // n**s is v[:keep]
+        u, v, w = nbhd
+        if u % tail != v // head or v % tail != w // head:
             return 0
-        fused = u[:s] + v[:s] + w
+        # u[:s] + v + w[keep:], which is u[:s] + v[:s] + w on consistent blocks
+        fused = unpack_word(alpha, ((u // tail) * whole + v) * head + w % head,
+                            P + 2 * s)
         return pack_word(alpha, base.image_word(fused[s - r:s + P + r]))
 
     return LocalRule(target, 1, fn, name=f"{rule.name}^[{P}/{s}]")

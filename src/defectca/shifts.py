@@ -294,18 +294,27 @@ class BlockCoder:
     P: int
     stride: int = 1
 
-    def pack(self, word: Sequence[int]) -> int:
-        return pack_word(self.source, word)
-
     def unpack(self, symbol: int) -> Word:
         return unpack_word(self.source, symbol, self.P)
 
+    def first_symbol(self, symbol: int) -> int:
+        """The first source symbol of a block: its leading base-n digit."""
+        return symbol // self.source.size ** (self.P - 1)
+
     def encode_word(self, word: Sequence[int]) -> Word:
-        """The blocks of a word of length ``P + k*stride``."""
+        """The blocks of a word of length ``P + k*stride``, each rolled from
+        the last as ``(b * n**stride + pack(next stride cells)) % n**P``."""
         w, P, s = tuple(word), self.P, self.stride
         if len(w) < P or (len(w) - P) % s:
             raise ValueError(f"word length {len(w)} is not {P} + k*{s}")
-        return tuple(self.pack(w[j:j + P]) for j in range(0, len(w) - P + 1, s))
+        A, n = self.source, self.source.size
+        ns, nP = n ** s, n ** P
+        b = pack_word(A, w[:P])
+        out = [b]
+        for j in range(P, len(w), s):
+            b = (b * ns + pack_word(A, w[j:j + s])) % nP
+            out.append(b)
+        return tuple(out)
 
     def decode_word(self, blocks: Sequence[int]) -> Word:
         bs = [self.unpack(b) for b in blocks]

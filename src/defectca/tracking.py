@@ -4,8 +4,18 @@ A defect is a maximal run of inadmissible transitions.  Tracking iterates
 the rule and relocates the run; :func:`~defectca.lattice.apply_rule` keeps
 the core trimmed to the cells that differ from the backgrounds, so each
 step costs work in proportion to the defect, not to the elapsed time.
-Locating the defect and recording it share one window read per step: the
-record's word is sliced from the scan window of :func:`locate_defect`.
+
+A configuration seen from its core, (one period of left background next to
+the core, the core, one period of right background next to it), fixes the
+configuration up to translation, and so fixes its future: the scan for its
+defect and its image under the rule, up to the same translation.  The
+window stepper :class:`_Stepper` keys on that triple and steps and scans
+each key once, on its first visit; after that a step is one dict lookup.
+:func:`track` makes one stepper per call, and junction classification
+(:mod:`defectca.ballistic`) one per call shared by all its seeds, so a
+periodic particle costs its transient plus one period of rule
+applications however long it is tracked.  The memo lives as long as the
+call and grows with the distinct configurations met, not with T.
 
 The defect frame is defined here once: :func:`frame_of` centres a frame on a
 run, :func:`next_frame` reads the next frame start off an imaged word, and
@@ -16,7 +26,7 @@ diffusive walk kernels and the CA-to-machine extraction both use that step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DefectcaError, MultipleDefectsError
 from .lattice import Configuration, apply_rule
@@ -138,6 +148,69 @@ def locate_defect(config: Configuration, shift: MarkovShift) -> Optional[DefectI
     return defect_run(word, shift.edges, lo)
 
 
+def _key(config: Configuration) -> tuple:
+    """(one period of left background next to the core, the core, one period
+    of right background next to it): the configuration up to translation."""
+    o, e = config.origin, config.end
+    return (config.left.cells(o - len(config.left.word), o), config.core,
+            config.right.cells(e, e + len(config.right.word)))
+
+
+class _Stepper:
+    """The defect's dynamics up to translation, memoised for one call.
+
+    Each key (see :func:`_key`) holds a configuration with that key, its
+    scan and, once stepped, (next key, origin move).  A scan is a verdict
+    kind ("split", "vanished" or "blight" past ``width_cap``) or (frame
+    start z, L, R, defect word) with z relative to the core's origin.
+    """
+
+    def __init__(self, rule: LocalRule, shift: MarkovShift, width_cap: int):
+        self.rule, self.edges, self.width_cap = rule, shift.edges, width_cap
+        self._memo: dict = {}
+
+    def _enter(self, config: Configuration) -> tuple:
+        key = _key(config)
+        if key not in self._memo:
+            self._memo[key] = [config, self._scan(config), None]
+        return key
+
+    def _scan(self, config: Configuration):
+        lo, word = _scan_window(config)
+        try:
+            run = defect_run(word, self.edges, lo)
+        except MultipleDefectsError:
+            return "split"
+        if run is None:
+            return "vanished"
+        if run.w > self.width_cap:
+            return "blight"
+        z, L, R = frame_of(run)
+        # the frame covers [i + 1, k + 1), inside the scan window
+        return z - config.origin, L, R, word[run.i + 1 - lo:run.k + 1 - lo]
+
+    def walk(self, config: Configuration, T: int) -> Iterator[tuple]:
+        """(key, core origin, scan) at steps 0..T from ``config``; the
+        caller stops at a verdict kind or where it has seen enough."""
+        memo = self._memo
+        key, origin = self._enter(config), config.origin
+        entry = memo[key]
+        yield key, origin, entry[1]
+        for _ in range(T):
+            if entry[2] is None:
+                cur = entry[0]
+                nxt = apply_rule(self.rule, cur)
+                entry[2] = self._enter(nxt), nxt.origin - cur.origin
+            key, move = entry[2]
+            origin += move
+            entry = memo[key]
+            yield key, origin, entry[1]
+
+    def config(self, key: tuple) -> Configuration:
+        """A configuration with this key, its core at its own origin."""
+        return self._memo[key][0]
+
+
 def track(rule: LocalRule, shift: MarkovShift, config: Configuration, T: int,
           width_cap: int = 64) -> DefectTrajectory:
     """Track a single defect for T steps.
@@ -150,26 +223,13 @@ def track(rule: LocalRule, shift: MarkovShift, config: Configuration, T: int,
     if T < 0:
         raise DefectcaError(f"T must be >= 0, got {T}")
     records: list[DefectRecord] = []
-    cur = config
-    for t in range(T + 1):
-        if t:
-            cur = apply_rule(rule, cur)
-        lo, word = _scan_window(cur)
-        try:
-            interval = defect_run(word, shift.edges, lo)
-        except MultipleDefectsError:
-            verdict = Verdict("split", t=t)
+    steps = _Stepper(rule, shift, width_cap).walk(config, T)
+    for t, (_, origin, scan) in enumerate(steps):
+        if isinstance(scan, str):
+            verdict = Verdict(scan, t=t)
             break
-        if interval is None:
-            verdict = Verdict("vanished", t=t)
-            break
-        if interval.w > width_cap:
-            verdict = Verdict("blight", t=t)
-            break
-        # the record covers [i + 1, k + 1), inside the scan window
-        z, L, R = frame_of(interval)
-        records.append(DefectRecord(t, z, L, R,
-                                    word[interval.i + 1 - lo:interval.k + 1 - lo]))
+        z, L, R, word = scan
+        records.append(DefectRecord(t, origin + z, L, R, word))
     else:
         verdict = Verdict("particle", width=max(r.width for r in records))
     return DefectTrajectory(tuple(records), verdict)

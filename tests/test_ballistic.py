@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from defectca import ballistic, zoo
+from defectca import tracking, zoo
 from defectca.ballistic import classify_junctions, marked_cell_presentation
 from defectca.errors import DefectcaError
-from defectca.lattice import apply_rule, encode_config
+from defectca.lattice import apply_rule
 from defectca.rules import from_wolfram_number, identity_rule, normalize, phi_orbit_components
 from defectca.shifts import binary_alphabet, build_markov_shift, build_sft, pack_word
 
@@ -103,23 +103,39 @@ class TestClassifyRecurrence:
     @pytest.mark.parametrize("number,background,n_types", SYSTEMS)
     def test_no_seed_is_stepped_past_its_first_repeat(self, monkeypatch, number,
                                                       background, n_types):
-        # steps[i] counts the rule applications to the i-th seed; the cap T
-        # is 64, and the slowest seed, on #110, repeats at step 12
+        # steps[i] counts the steps the i-th seed walks, each a lookup in the
+        # call's step memo or a rule application on the memo's miss; the cap
+        # T is 64, and the slowest seed, on #110, repeats at step 12
         steps = []
 
-        def encode(coder, cfg):
+        def walk(self, config, T, _walk=tracking._Stepper.walk):
             steps.append(0)
-            return encode_config(coder, cfg)
-
-        def step(rule, cfg):
-            steps[-1] += 1
-            return apply_rule(rule, cfg)
-        monkeypatch.setattr(ballistic, "encode_config", encode)
-        monkeypatch.setattr(ballistic, "apply_rule", step)
+            for n, item in enumerate(_walk(self, config, T)):
+                steps[-1] = n
+                yield item
+        monkeypatch.setattr(tracking._Stepper, "walk", walk)
         types = classify_junctions(from_wolfram_number(number), background(),
                                    max_core=1)
         assert len(types) == n_types
         assert 0 < max(steps) <= 16
+
+    @pytest.mark.parametrize("number,background,n_types,bound",
+                             [(*s, b) for s, b in zip(SYSTEMS, (44, 195, 720))])
+    def test_each_configuration_is_stepped_once_per_call(self, monkeypatch, number,
+                                                         background, n_types, bound):
+        # the seeds share one step memo, so the rule is applied once per
+        # configuration met up to translation: 44, 195 and 720 times here,
+        # against 68, 518 and 2,582 when each seed stepped on its own
+        calls = []
+
+        def step(rule, cfg):
+            calls.append(cfg)
+            return apply_rule(rule, cfg)
+        monkeypatch.setattr(tracking, "apply_rule", step)
+        types = classify_junctions(from_wolfram_number(number), background(),
+                                   max_core=1)
+        assert len(types) == n_types
+        assert 0 < len(calls) <= bound
 
     @pytest.mark.parametrize("number,background,n_types", SYSTEMS)
     def test_every_type_matches_direct_stepping(self, conjugacy, number, background,

@@ -37,8 +37,10 @@ from defectca.shifts import (
     build_sft,
     full_shift,
     higher_block,
+    pack_word,
     periodic_orbit_sft,
     reverse,
+    unpack_word,
 )
 
 A2 = binary_alphabet()
@@ -370,9 +372,40 @@ class TestCoderShiftIntertwining:
         cfg = _random_config(random.Random(seed))
         enc = encode_config(coder, cfg)
         for z in range(-8, 8):
-            assert enc.cell(z) == coder.pack(cfg.window(s * z, s * z + P))
+            assert enc.cell(z) == pack_word(A2, cfg.window(s * z, s * z + P))
         # the core is exactly the blocks that touch the source core
         assert s * (enc.origin - 1) + P <= cfg.origin < s * enc.origin + P
         assert s * (enc.end - 1) < cfg.end <= s * enc.end
         back = decode_config(coder, enc)
         assert back.window(-20, 20) == cfg.window(-20, 20)
+
+
+def _fused_image(rule, coder):
+    """recode_rule's neighbourhood function as first written: unpack the
+    three blocks, compare their overlaps, fuse u[:s] + v[:s] + w."""
+    P, s, alpha = coder.P, coder.stride, coder.source
+    r, keep = rule.radius, P - s
+
+    def fn(nbhd):
+        u, v, w = (unpack_word(alpha, b, P) for b in nbhd)
+        if u[s:] != v[:keep] or v[s:] != w[:keep]:
+            return 0
+        fused = u[:s] + v[:s] + w
+        return pack_word(alpha, rule.image_word(fused[s - r:s + P + r]))
+    return fn
+
+
+class TestRecodeArithmetic:
+    @pytest.mark.parametrize("n,P,stride", [(2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 3),
+                                            (2, 4, 1), (2, 4, 4), (3, 2, 1), (3, 2, 2)])
+    def test_matches_unpack_and_fuse(self, n, P, stride):
+        # every block neighbourhood, inconsistent ones included, on a
+        # Wolfram rule and a random ternary table
+        rng = random.Random(n * 100 + P * 10 + stride)
+        alpha = Alphabet(tuple(map(str, range(n))))
+        rule = from_wolfram_number(110) if n == 2 else rule_from_table(
+            alpha, 1, {w: rng.randrange(n) for w in product(range(n), repeat=3)})
+        coder = BlockCoder(alpha, block_alphabet(alpha, P), P, stride)
+        rec, ref = recode_rule(rule, coder), _fused_image(rule, coder)
+        for nbhd in product(range(n ** P), repeat=3):
+            assert rec(nbhd) == ref(nbhd), nbhd

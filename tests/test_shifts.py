@@ -8,7 +8,9 @@ from defectca.errors import EmptySubshiftError, NoChoicePointError
 from defectca.rules import from_wolfram_number, phi_orbit_components
 from defectca.shifts import (
     Alphabet,
+    BlockCoder,
     binary_alphabet,
+    block_alphabet,
     build_markov_shift,
     build_sft,
     choice_point,
@@ -391,3 +393,31 @@ class TestInvariants:
     def test_pack_unpack_round_trip(self):
         for idx in range(16):
             assert pack_word(A2, unpack_word(A2, idx, 4)) == idx
+
+
+@st.composite
+def coded_words(draw):
+    """A coder over 2-4 symbols with P in 1..5 and stride in 1..P, and a
+    word of length P + k*stride."""
+    n, P = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    stride = draw(st.integers(1, P))
+    alpha = Alphabet(tuple(map(str, range(n))))
+    size = P + draw(st.integers(0, 6)) * stride
+    word = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+    return BlockCoder(alpha, block_alphabet(alpha, P), P, stride), tuple(word)
+
+
+class TestBlockArithmetic:
+    @given(coded_words())
+    @settings(max_examples=150, deadline=None)
+    def test_encode_word_matches_window_packing(self, case):
+        coder, w = case
+        P, s, alpha = coder.P, coder.stride, coder.source
+        enc = coder.encode_word(w)
+        assert enc == tuple(pack_word(alpha, w[j:j + P])
+                            for j in range(0, len(w) - P + 1, s))
+        assert [coder.first_symbol(b) for b in enc] == [coder.unpack(b)[0] for b in enc]
+        # a length that is not P + k*stride is refused, naming it
+        for bad in [len(w) + d for d in range(1, s)] + [P - 1]:
+            with pytest.raises(ValueError, match=f"word length {bad} is not {P} "):
+                coder.encode_word((0,) * bad)

@@ -16,7 +16,7 @@ import random
 from dataclasses import replace
 from itertools import product
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from defectca.lattice import Configuration, PeriodicBackground, apply_rule
 from defectca.rules import rule_from_table
@@ -64,6 +64,40 @@ def stepper_cases(draw):
     n = cfg.alphabet.size
     r, table = draw(rule_tables(n))
     return cfg, r, table, draw(st.integers(1, 6))
+
+
+@st.composite
+def track_cases(draw):
+    """A stepper case, a shift and a width cap.  Every background image up to
+    T is admissible; a transition they all lack is planted in the core and
+    left out of the shift, so the seed holds a defect, and the rule need not
+    keep the shift invariant."""
+    cfg, r, table, T = draw(stepper_cases())
+    n = cfg.alphabet.size
+    bg_edges = set()
+    for word in (cfg.left.word, cfg.right.word):
+        for _ in range(T + 1):
+            bg_edges |= periodic_edges(word)
+            word = ref_periodic_image(table, r, word)
+    edges = bg_edges | draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    missing = sorted(set(product(range(n), repeat=2)) - bg_edges)
+    if missing:
+        planted = draw(st.sampled_from(missing))
+        edges.discard(planted)
+        cfg = replace(cfg, core=cfg.core + planted)
+    # hypothesis favours small draws; map them to wide caps
+    width_cap = draw(st.integers(0, 6).map(lambda c: 6 - c))
+    return cfg, r, table, T, edges, width_cap
+
+
+ECA184 = {(a, b, c): (184 >> (4 * a + 2 * b + c)) & 1
+          for a, b, c in product((0, 1), repeat=3)}
+# 2 stays 2, and a 0 with a 2 on its right becomes 2; all else is kept
+CREEP = {(a, b, c): 2 if b == 2 or (b, c) == (0, 2) else b
+         for a, b, c in product((0, 1, 2), repeat=3)}
+# 0 and 1 swap; 2 and 3 stay
+FLIP = {(a, b, c): 1 - b if b < 2 else b for a, b, c in product(range(4), repeat=3)}
 
 
 def bg_cell(word, phase, z):
@@ -207,32 +241,30 @@ class TestStepperOracle:
             assert cur.right.cells(hi, hi + 12) == \
                 tuple(bg_cell(*right, z) for z in range(hi, hi + 12)), t
 
-    @given(stepper_cases(), st.data())
+    @given(track_cases())
+    @example((Configuration(Alphabet(("0", "1")), PeriodicBackground((0, 1), 1), (),
+                            PeriodicBackground((0, 1)), 0),
+              1, ECA184, 40, {(0, 1), (1, 0)}, 6))
+    @example((Configuration(Alphabet(("0", "1", "2")), PeriodicBackground((0, 0, 1), 2),
+                            (), PeriodicBackground((2,)), 0),
+              1, CREEP, 30, {(0, 0), (0, 1), (1, 0), (2, 2)}, 6))
+    @example((Configuration(Alphabet(("0", "1", "2", "3")), PeriodicBackground((2,)),
+                            (3,), PeriodicBackground((0, 1)), 0),
+              1, FLIP, 30, {(0, 1), (1, 0), (1, 3), (2, 2), (3, 0)}, 6))
     @settings(max_examples=120, deadline=None)
-    def test_track_matches_untrimmed_stepper(self, case, data):
-        cfg, r, table, T = case
-        n = cfg.alphabet.size
+    def test_track_matches_untrimmed_stepper(self, case):
+        # the examples run 30 steps and more, so most steps are hits in
+        # track's step memo: the ECA#184 gamma+ particle over 0 <-> 1, and a
+        # wall of 2s that creeps left through the 0s of ...001001 and stops
+        # at a 1, where the innermost background cell alone does not tell
+        # the configurations apart; and a fixed 3 with ...0101 on its right
+        # flipping each step, so consecutive configurations differ only in
+        # the right background next to the core
+        cfg, r, table, T, edges, width_cap = case
         rule = rule_from_table(cfg.alphabet, r, table)
-        # every background image up to T is admissible; a transition they
-        # all lack is planted in the core and left out of the shift, so the
-        # seed holds a defect, and the rule need not keep the shift invariant
-        bg_edges = set()
-        for word in (cfg.left.word, cfg.right.word):
-            for _ in range(T + 1):
-                bg_edges |= periodic_edges(word)
-                word = ref_periodic_image(table, r, word)
-        edges = bg_edges | data.draw(st.sets(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
-        missing = sorted(set(product(range(n), repeat=2)) - bg_edges)
-        if missing:
-            planted = data.draw(st.sampled_from(missing))
-            edges.discard(planted)
-            cfg = replace(cfg, core=cfg.core + planted)
         shift = build_markov_shift(cfg.alphabet, edges)
-        run = ref_run(table, r, cfg, T)
-        # hypothesis favours small draws; map them to wide caps
-        width_cap = data.draw(st.integers(0, 6).map(lambda c: 6 - c))
-        want_records, want_verdict = ref_track(run, shift.edges, width_cap)
+        want_records, want_verdict = ref_track(ref_run(table, r, cfg, T), shift.edges,
+                                               width_cap)
         traj = track(rule, shift, cfg, T, width_cap=width_cap)
         assert [(rec.t, rec.z, rec.L, rec.R, rec.word) for rec in traj.records] == \
             want_records

@@ -3,11 +3,12 @@ from collections import Counter
 
 import pytest
 
-from defectca import zoo
+from defectca import tracking, zoo
 from defectca.errors import DefectcaError, MultipleDefectsError
 from defectca.lattice import (
     Configuration,
     PeriodicBackground,
+    apply_rule,
     encode_config,
     periodic_config,
 )
@@ -169,13 +170,32 @@ class TestReadCost:
                 calls[_name] += 1
                 return _cell(self, z)
             monkeypatch.setattr(cls, "cell", counted)
-        T = 200
-        traj = track(sys.rule, sys.shift, cfg, T, width_cap=30)
+        traj = track(sys.rule, sys.shift, cfg, 200, width_cap=30)
         assert traj.verdict.is_particle and traj.verdict.width == 12
-        # windows are slices; only apply_rule's trim reads single cells, two
-        # compares a side per step
-        assert calls["Configuration"] == 0
-        assert calls["PeriodicBackground"] <= 4 * (T + 1)
+        # windows are slices, and apply_rule trims against one slice a side
+        assert calls == Counter()
+
+    @pytest.mark.parametrize("right_phase,core,period", [(8, (), 3), (6, (0,), 4)])
+    def test_periodic_particle_is_stepped_once_per_configuration(
+            self, monkeypatch, right_phase, core, period):
+        # the ECA#110 A and B defects (periods 3 and 4) tracked 1,000 steps:
+        # the step memo applies the rule to each configuration met up to
+        # translation once, the transient and one cycle, not once a step
+        sys = normalize(from_wolfram_number(110), zoo.eca110_ether())
+        cfg = encode_config(sys.coder, periodic_config(A2, zoo.ETHER, core, zoo.ETHER,
+                                                       right_phase=right_phase))
+        calls = []
+
+        def step(rule, cfg):
+            calls.append(cfg)
+            return apply_rule(rule, cfg)
+        monkeypatch.setattr(tracking, "apply_rule", step)
+        traj = track(sys.rule, sys.shift, cfg, 1000, width_cap=30)
+        assert traj.verdict.is_particle and len(traj.records) == 1001
+        recs = traj.records
+        assert all(recs[t + period].word == recs[t].word
+                   for t in range(100, 1000 - period))
+        assert 0 < len(calls) <= 10
 
 
 class TestFuzzVelocityLemma:

@@ -22,7 +22,7 @@ from typing import Optional
 from .errors import DefectcaError
 from .lattice import Configuration, encode_config, periodic_config
 from .rules import LocalRule, normalize, phi_orbit_components
-from .shifts import BlockCoder, MarkovShift, Word, map_cycles
+from .shifts import BlockCoder, map_cycles
 from .tracking import _Stepper
 
 
@@ -142,29 +142,3 @@ def _first_cycle(stepper: _Stepper, seed: Configuration, T: int, coder: BlockCod
                             tuple(states[i] for i in order))
             shapes[k] = built[m]
     return shapes[key]
-
-
-def marked_cell_presentation(config: Configuration, shift: MarkovShift,
-                             coder) -> tuple[Word, Word, Word]:
-    """Present a block-space defect in source cells via centered windows.
-
-    A source cell is marked defective when the block window centered on it
-    (offset -P//2) is not a vertex of the background shift; the presentation
-    is (last window fully left of the marked run, the marked cells, first
-    window fully right).
-    """
-    P = coder.P
-    bad = [p for p in range(config.origin - 1, config.end + 1)
-           if config.cell(p) not in shift.usable]
-    if not bad:
-        raise ValueError("no marked cells: width-0 defect has empty presentation")
-    m0 = bad[0] + P // 2
-    m1 = bad[-1] + P // 2
-
-    def src(j: int) -> int:
-        return coder.first_symbol(config.cell(j))
-
-    lword = tuple(src(j) for j in range(m0 - P, m0))
-    dbits = tuple(src(j) for j in range(m0, m1 + 1))
-    rword = tuple(src(j) for j in range(m1 + 1, m1 + 1 + P))
-    return lword, dbits, rword

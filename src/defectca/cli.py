@@ -33,8 +33,8 @@ from .errors import DefectcaError
 from .lattice import apply_rule, encode_config
 from .rules import (check_invariance, is_left_resolving, is_right_resolving,
                     normalize, recode_rule)
-from .shifts import (MarkovShift, entropy, markov_presentation, regularity,
-                     transitive_components)
+from .shifts import (Alphabet, MarkovShift, entropy, markov_presentation,
+                     regularity, transitive_components)
 from .tracking import track
 from .turing import classical_to_lr, regime_of, turing_to_ca
 
@@ -74,8 +74,17 @@ def _jsonable(x):
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
-def _shift(cfg: dio.Field, key: str = "shift"):
-    return dio.load_shift(cfg[key].file())
+def _shift(cfg: dio.Field, key: str = "shift",
+           alphabet: Optional[Alphabet] = None):
+    """The shift in the config field ``key``, which must be on ``alphabet``
+    when one is given."""
+    field = cfg[key].file()
+    shift = dio.load_shift(field)
+    if alphabet is not None and shift.alphabet != alphabet:
+        raise field["alphabet"].error(
+            f"is {list(shift.alphabet.labels)}, not the rule's alphabet "
+            f"{list(alphabet.labels)}")
+    return shift
 
 
 @contextmanager
@@ -101,7 +110,7 @@ def _markov(shift):
 
 def run_simulate(cfg: dio.Field, seed: int, em: _Emitter) -> int:
     rule = dio.load_rule(cfg["rule"].file())
-    sys_rec = normalize(rule, _shift(cfg))
+    sys_rec = normalize(rule, _shift(cfg, alphabet=rule.alphabet))
     seed_cfg = dio.load_config(cfg["seed_config"].file(), rule.alphabet)
     steps = cfg.get("steps", 120).int(least=1)
     width = cfg.get("width", 300).int(least=1)
@@ -123,10 +132,14 @@ def run_simulate(cfg: dio.Field, seed: int, em: _Emitter) -> int:
 
 
 def run_classify(cfg: dio.Field, seed: int, em: _Emitter) -> int:
-    types = classify_junctions(dio.load_rule(cfg["rule"].file()), _shift(cfg),
-                               max_core=cfg.get("max_core", 0).int(least=0),
-                               T=cfg.get("steps", 64).int(least=1),
-                               width_cap=cfg.get("width_cap", 16).int(least=0))
+    rule = dio.load_rule(cfg["rule"].file())
+    shift = _shift(cfg, alphabet=rule.alphabet)
+    max_core = cfg.get("max_core", 0).int(least=0)
+    T = cfg.get("steps", 64).int(least=1)
+    width_cap = cfg.get("width_cap", 16).int(least=0)
+    with _rejects("rule", "shift"):
+        types = classify_junctions(rule, shift, max_core=max_core, T=T,
+                                   width_cap=width_cap)
     report = {"types": [{
         "left_component": sorted(t.left_vertices),
         "right_component": sorted(t.right_vertices),
@@ -145,7 +158,8 @@ def run_classify(cfg: dio.Field, seed: int, em: _Emitter) -> int:
 
 def run_walk(cfg: dio.Field, seed: int, em: _Emitter) -> int:
     rule = dio.load_rule(cfg["rule"].file())
-    L, R = _shift(cfg, "left_shift"), _shift(cfg, "right_shift")
+    L = _shift(cfg, "left_shift", rule.alphabet)
+    R = _shift(cfg, "right_shift", rule.alphabet)
     for key, shift in (("left_shift", L), ("right_shift", R)):
         if not isinstance(shift, MarkovShift):
             raise cfg[key].error("must be a Markov shift")
@@ -258,7 +272,7 @@ def run_run_tm(cfg: dio.Field, seed: int, em: _Emitter) -> int:
 
 def run_verify(cfg: dio.Field, seed: int, em: _Emitter) -> int:
     rule = dio.load_rule(cfg["rule"].file())
-    background = _shift(cfg)
+    background = _shift(cfg, alphabet=rule.alphabet)
     # the resolving checks read the rule in the shift's block presentation
     shift, coder = _markov(background)
     rep = regularity(shift)
@@ -277,7 +291,8 @@ def run_verify(cfg: dio.Field, seed: int, em: _Emitter) -> int:
         out["resolving_system"] = res.passed
         out["resolving_witnesses"] = list(res.witnesses)
     if "right_shift" in cfg:
-        out["regime"] = regime_of(shift, _markov(_shift(cfg, "right_shift"))[0])
+        right = _shift(cfg, "right_shift", rule.alphabet)
+        out["regime"] = regime_of(shift, _markov(right)[0])
     em.write_json("verify.json", out)
     return 0
 

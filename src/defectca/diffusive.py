@@ -9,7 +9,9 @@ lands uniformly, with mass 1/(P_L^(1-v) F_R^(1+v)), so the frame performs a
 finite-state Markov chain with an exactly computable kernel.  The frame step
 is :func:`~defectca.tracking.frame_moves`, which the Turing regime shares.
 The kernel and the samplers model seeds of width W = 0 or 1, the widths that
-fit the frame, and check their inputs in one place.
+fit the frame, and check their inputs in one place.  A side that sigma and
+the rule fix pointwise needs no sampler of its own: each of its fixed points
+is one background of :func:`sample_walks` at W = 0.
 The sampler checks the kernel cell by cell: each sample keeps a fixed 18-cell
 window [z-8, z+10) around its frame start z and draws two fresh cells on the
 left, then two on the right, per step.  The window's margin fixes the order
@@ -33,8 +35,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, product
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import accumulate, islice
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -42,7 +44,6 @@ from .errors import DefectcaError
 from .rules import LocalRule, check_invariance, is_right_resolving, mirror
 from .shifts import (
     MarkovShift,
-    Word,
     adjacency_matrix,
     perron,
     regularity,
@@ -80,17 +81,6 @@ class MarkovMeasure:
             if abs(flow - self.initial[b]) > 1e-12:
                 return False
         return True
-
-    def cylinder(self, word: Sequence[int]) -> float:
-        w = tuple(word)
-        if not w:
-            return 1.0
-        if w[0] not in self.initial:
-            return 0.0
-        p = self.initial[w[0]]
-        for a, b in zip(w, w[1:]):
-            p *= self.kernel.get((a, b), 0.0)
-        return p
 
     def backward(self, a: int, b: int) -> float:
         """tau-bar(a, b) = mu0(a) tau(a, b) / mu0(b): the time-reversed kernel."""
@@ -143,25 +133,6 @@ def parry_measure(shift: MarkovShift) -> MarkovMeasure:
         for b in shift.followers(a):
             kernel[(a, b)] /= row
     return MarkovMeasure(shift, initial, kernel)
-
-
-def pushforward_cylinders(rule: LocalRule, measure: MarkovMeasure,
-                          max_len: int) -> dict[Word, float]:
-    """The image measure's cylinder weights up to ``max_len``.
-
-    (Phi mu)[c] sums mu over the (len+2r)-word preimages of c.
-    """
-    out: dict[Word, float] = {}
-    r = rule.radius
-    syms = sorted(measure.shift.usable)
-    for n in range(1, max_len + 1):
-        for w in product(syms, repeat=n + 2 * r):
-            p = measure.cylinder(w)
-            if p == 0.0:
-                continue
-            c = rule.image_word(w)
-            out[c] = out.get(c, 0.0) + p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -807,37 +778,3 @@ def markov_property_test(stats: WalkStatistics,
     passed = all(r.passed for r in relevant) and bool(rows)
     max_tv = max((r.tv for r in rows), default=None)
     return MarkovTestReport(tuple(rows), passed, max_tv)
-
-
-# ---------------------------------------------------------------------------
-# Subsampled walks with one frozen side
-# ---------------------------------------------------------------------------
-
-def subsampled_walk(rule: LocalRule, L: MarkovShift, R: MarkovShift,
-                   fixed_side: str, T: int, n: int, seed: int
-                   ) -> list[tuple[float, list[list[int]], WalkStatistics]]:
-    """Random walks with one frozen side.
-
-    The frozen side must satisfy Phi = id and sigma = id pointwise; it
-    decomposes into fixed points, and each contributes one walk component
-    weighted by its share, sampled by :func:`sample_walks` from the junction
-    of the two backgrounds (W=0).
-    """
-    if fixed_side not in ("left", "right"):
-        raise ValueError("fixed_side must be 'left' or 'right'")
-    fixed = L if fixed_side == "left" else R
-    comps = transitive_components(fixed)
-    for comp in comps:
-        for s in comp.usable:
-            if comp.followers(s) != (s,):
-                raise DefectcaError("frozen side is not sigma-fixed")
-            if rule((s, s, s)) != s:
-                raise DefectcaError("frozen side is not rule-fixed")
-    weight = 1.0 / len(comps)
-    out = []
-    for j, comp in enumerate(comps):
-        Lc = comp if fixed_side == "left" else L
-        Rc = comp if fixed_side == "right" else R
-        trajs, stats = sample_walks(rule, Lc, Rc, {}, T, n, seed + j, W=0)
-        out.append((weight, trajs, stats))
-    return out

@@ -217,13 +217,6 @@ def load_rule(spec) -> LocalRule:
     raise f.error("needs 'wolfram', 'linear' or 'table'")
 
 
-def save_rule(rule: LocalRule) -> dict:
-    table = rule.dense_table()
-    return {"alphabet": list(rule.alphabet.labels), "radius": rule.radius,
-            "table": {rule.alphabet.word_to_text(k): rule.alphabet.labels[v]
-                      for k, v in sorted(table.items())}}
-
-
 # ---------------------------------------------------------------------------
 # Configurations
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ images come from :meth:`~defectca.rules.LocalRule.periodic_image`, which the
 rule memoises by period word.  :meth:`Configuration.splice` replaces a
 span of cells with a word of any length, moving the right background along.
 
-:func:`encode_config` and :func:`decode_config` recode configurations
-through a :class:`~defectca.shifts.BlockCoder`: block cell z holds the
-source window [stride*z, stride*z + P), so the source shift by ``stride``
-cells is the block shift by one.
+:func:`encode_config` recodes configurations through a
+:class:`~defectca.shifts.BlockCoder`: block cell z holds the source window
+[stride*z, stride*z + P), so the source shift by ``stride`` cells is the
+block shift by one.
 """
 
 from __future__ import annotations
@@ -100,10 +100,6 @@ class Configuration:
         return Configuration(self.alphabet, self.left, core,
                              self.right.shifted(hi - lo - len(cells)), o)
 
-    def shifted(self, k: int) -> "Configuration":
-        """The shift sigma^k: new.cell(z) = old.cell(z + k)."""
-        return Configuration(self.alphabet, self.left.shifted(k), self.core,
-                             self.right.shifted(k), self.origin - k)
 
 
 def periodic_config(alphabet: Alphabet, left_word: Sequence[int], core: Sequence[int],
@@ -158,16 +154,3 @@ def encode_config(coder: BlockCoder, config: Configuration) -> Configuration:
     core = coder.encode_word(config.window(s * lo, s * hi + P - s)) if hi > lo else ()
     return Configuration(coder.target, block_bg(config.left), core,
                          block_bg(config.right), lo)
-
-
-def decode_config(coder: BlockCoder, config: Configuration) -> Configuration:
-    """Invert :func:`encode_config` on consistent block configurations."""
-    s = coder.stride
-
-    def unblock_bg(bg: PeriodicBackground) -> PeriodicBackground:
-        word = tuple(x for b in bg.word for x in coder.unpack(b)[:s])
-        return PeriodicBackground(word, s * bg.phase)
-
-    return Configuration(coder.source, unblock_bg(config.left),
-                         coder.decode_word(config.core), unblock_bg(config.right),
-                         s * config.origin)

@@ -1,22 +1,24 @@
-"""Local rules: construction, invariance, permutativity, resolving checks.
+"""Local rules: construction, invariance, resolving checks, radius
+normalization and the rule-orbits of a shift's components.
 
 A rule is stored as a total map from radius-``r`` neighborhoods to symbols,
 either as a dense table (small alphabets) or as a callable with memoization
 (block alphabets can be far too large to tabulate).  Each side check is
 written for the right: a left-hand property is the right-hand one of the
 mirrored line, whose rule is :func:`mirror` and whose shift is
-:func:`~defectca.shifts.reverse`.
+:func:`~defectca.shifts.reverse`.  A Markov shift S is rule-invariant when
+the image of every admissible (2+2r)-word is an edge of S, which is
+Phi(S) ⊆ S for the sliding block code Phi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DefectcaError
 from .shifts import (
-    SFT,
     Alphabet,
     BlockCoder,
     MarkovShift,
@@ -36,8 +38,7 @@ from .shifts import (
 class LocalRule:
     """A radius-``r`` local rule ``phi: A^(2r+1) -> A``.
 
-    ``fn`` must be total on neighborhoods; lookups are memoized.  Use
-    :meth:`dense_table` only on alphabets small enough to enumerate.
+    ``fn`` must be total on neighborhoods; lookups are memoized.
     """
 
     def __init__(self, alphabet: Alphabet, radius: int,
@@ -86,10 +87,6 @@ class LocalRule:
             self._images[word] = out
         return out
 
-    def dense_table(self) -> dict[Word, int]:
-        k = 2 * self.radius + 1
-        return {n: self(n) for n in product(range(self.alphabet.size), repeat=k)}
-
 
 def rule_from_table(alphabet: Alphabet, radius: int,
                     table: dict[Word, int], name: str = "") -> LocalRule:
@@ -120,10 +117,6 @@ def from_linear(n: int, coeffs: tuple[int, int, int]) -> LocalRule:
                      name=f"linear{coeffs}mod{n}")
 
 
-def identity_rule(alphabet: Alphabet) -> LocalRule:
-    return LocalRule(alphabet, 1, lambda w: w[1], name="identity")
-
-
 def mirror(rule: LocalRule) -> LocalRule:
     """The rule of the mirrored line: phi~(w) = phi(reversed w)."""
     return LocalRule(rule.alphabet, rule.radius, lambda w: rule(w[::-1]),
@@ -131,40 +124,24 @@ def mirror(rule: LocalRule) -> LocalRule:
 
 
 # ---------------------------------------------------------------------------
-# Invariance / permutativity / resolving
+# Invariance / resolving
 # ---------------------------------------------------------------------------
 
-def _as_sft(background) -> SFT:
-    if isinstance(background, MarkovShift):
-        return markov_to_sft(background)
-    return background
+def _escaping_word(rule: LocalRule, shift: MarkovShift) -> Optional[Word]:
+    """The first admissible (2+2r)-word of ``shift`` whose image is not an
+    edge of ``shift``, or None when the rule preserves it."""
+    return next((w for w in shift.words(2 + 2 * rule.radius)
+                 if rule.image_word(w) not in shift.edges), None)
 
 
 def check_invariance(rule: LocalRule, background) -> bool:
     """True iff the image of every admissible (q+2r)-word is admissible."""
-    sft = _as_sft(background)
-    q, r = sft.q, rule.radius
+    if isinstance(background, MarkovShift):
+        return _escaping_word(rule, background) is None
+    q, r = background.q, rule.radius
     words = [w for w in product(range(rule.alphabet.size), repeat=q + 2 * r)
-             if sft.is_locally_admissible(w)]
-    return all(rule.image_word(w) in sft.admissible for w in words)
-
-
-def is_left_permutative(rule: LocalRule, subalphabet: Iterable[int]) -> bool:
-    """The leftmost argument acts bijectively on the subalphabet."""
-    return is_right_permutative(mirror(rule), subalphabet)
-
-
-def is_right_permutative(rule: LocalRule, subalphabet: Iterable[int]) -> bool:
-    """The rightmost argument acts bijectively on the subalphabet."""
-    syms = sorted(subalphabet)
-    if rule.radius != 1:
-        raise ValueError("permutativity checks need a radius-1 rule")
-    for a in syms:
-        for b in syms:
-            image = {rule((a, b, c)) for c in syms}
-            if image != set(syms):
-                return False
-    return True
+             if background.is_locally_admissible(w)]
+    return all(rule.image_word(w) in background.admissible for w in words)
 
 
 def is_left_resolving(rule: LocalRule, shift: MarkovShift) -> bool:
@@ -191,41 +168,6 @@ def is_right_resolving(rule: LocalRule, shift: MarkovShift,
                     return False
                 seen[out] = d
     return True
-
-
-def is_surjective_on(rule: LocalRule, shift: MarkovShift) -> bool:
-    """Check Phi(S) = S on 3-words: every admissible 3-word has an
-    admissible preimage."""
-    images = {rule.image_word(w) for w in shift.words(3 + 2 * rule.radius)}
-    return set(shift.words(3)) <= images
-
-
-def find_travelling_wave_backgrounds(rule: LocalRule, p: int, v: int,
-                                     max_period: int) -> list[list[Word]]:
-    """All periodic points w with period <= max_period and Phi^p(w) = sigma^(p*v)(w).
-
-    Returns sigma-orbits, each listed from its lexicographically least
-    rotation; orbits are keyed by primitive period.
-    """
-    if p < 1 or max_period < 1:
-        raise ValueError("p and max_period must be >= 1")
-    seen: set[Word] = set()
-    orbits: list[list[Word]] = []
-    for n in range(1, max_period + 1):
-        for w in product(range(rule.alphabet.size), repeat=n):
-            if w in seen:
-                continue
-            rots = [tuple(w[(i + k) % n] for i in range(n)) for k in range(n)]
-            if len(set(rots)) != n:
-                continue  # not primitive: counted at its primitive period
-            cur = w
-            for _ in range(p):
-                cur = rule.periodic_image(cur)
-            if cur == rots[p * v % n]:
-                orbit = sorted(set(rots))
-                seen.update(rots)
-                orbits.append(orbit)
-    return orbits
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +232,32 @@ def normalize(rule: LocalRule, background) -> RecodedSystem:
     background (q <= 2) keeps its alphabet (P = 1).  Rules of radius > 1
     raise :class:`DefectcaError`.
     """
-    sft = _as_sft(background)
+    sft = markov_to_sft(background) if isinstance(background, MarkovShift) \
+        else background
     shift, coder = markov_presentation(sft, sft.q if sft.q > 2 else 1)
     return RecodedSystem(recode_rule(rule, coder), shift, coder)
 
 
 def phi_orbit_components(rule: LocalRule, shift: MarkovShift) -> list[MarkovShift]:
     """Group the sigma-transitive components of a rule-invariant shift into
-    rule-orbits; each group is returned as one sub-shift (their union)."""
+    rule-orbits; each group is returned as one sub-shift (their union).
+
+    Raises :class:`DefectcaError` naming an admissible 4-word whose image
+    is not an edge when the rule does not preserve the shift."""
     if rule.radius != 1:
         raise ValueError("radius must be 1 (recode first)")
+    word = _escaping_word(rule, shift)
+    if word is not None:
+        text = shift.alphabet.word_to_text
+        raise DefectcaError(f"the rule does not preserve the shift: it maps the "
+                            f"admissible word {text(word)} to "
+                            f"{text(rule.image_word(word))}, which is not an edge")
     comps = transitive_components(shift)
     owner = {v: i for i, comp in enumerate(comps) for v in comp.usable}
     # the component map, symmetrised: its weak components are the orbits
     adj: list[set[int]] = [set() for _ in comps]
     for i, comp in enumerate(comps):
-        # probe: image of any admissible 3-word's center
+        # the image of any admissible 3-word's center
         v = min(comp.usable)
         img = rule((comp.predecessors(v)[0], v, comp.followers(v)[0]))
         if img not in owner:

@@ -118,13 +118,6 @@ class MarkovShift:
     def has_edge(self, a: int, b: int) -> bool:
         return (a, b) in self.edges
 
-    def is_admissible(self, word: Sequence[int]) -> bool:
-        """True iff every symbol is usable and every adjacent pair is an edge."""
-        w = tuple(word)
-        if any(s not in self.usable for s in w):
-            return False
-        return all((w[j], w[j + 1]) in self.edges for j in range(len(w) - 1))
-
     def words(self, n: int) -> list[Word]:
         """All admissible words of length ``n`` (lexicographic order)."""
         if n == 0:

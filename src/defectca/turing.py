@@ -497,29 +497,6 @@ class APDA:
         return -1 if act[0] == "push" else (1 if act[0] == "pop" else 0)
 
 
-def run_apda(apda: APDA, d, stack: Sequence[int], steps: int):
-    """Run against an explicit stack (top first).
-
-    Returns the history of (head, top, velocity) triples; stops early if the
-    stack runs dry.
-    """
-    st = list(stack)
-    hist = []
-    for _ in range(steps):
-        if not st:
-            break
-        t = st[0]
-        act = apda.stack_rule[(t, d)]
-        v = apda.velocity(t, d)
-        hist.append((d, t, v))
-        d = apda.upsilon[(t, d)]
-        if act[0] == "push":
-            st.insert(0, act[1])
-        elif act[0] == "pop":
-            st.pop(0)
-    return hist
-
-
 def runaway_cycles(apda: APDA) -> list[list]:
     """All periodic (head, top) orbits whose every move pushes.
 

@@ -44,10 +44,6 @@ def eca110_ether() -> SFT:
     return periodic_orbit_sft(binary_alphabet(), ETHER)
 
 
-def gstar_shift() -> MarkovShift:
-    return build_markov_shift(binary_alphabet(), [(0, 1), (1, 0)])
-
-
 # ---------------------------------------------------------------------------
 # The diffusive example: a marked random walker over a mod-2 linear sea
 # ---------------------------------------------------------------------------
@@ -111,7 +107,7 @@ def diffusive_marked_symbols() -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# A wall/noise system for subsampled walks with one frozen side: a frozen
+# A wall/noise system for walks with one frozen side: a frozen
 # symbol on the left, a right-permutative mod-2 sea on the right
 # ---------------------------------------------------------------------------
 

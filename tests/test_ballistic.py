@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from defectca import tracking, zoo
-from defectca.ballistic import classify_junctions, marked_cell_presentation
+from defectca.ballistic import classify_junctions
 from defectca.errors import DefectcaError
 from defectca.lattice import apply_rule
-from defectca.rules import from_wolfram_number, identity_rule, normalize, phi_orbit_components
+from defectca.rules import from_wolfram_number, normalize, phi_orbit_components
 from defectca.shifts import binary_alphabet, build_markov_shift, build_sft, pack_word
+from oracles import gstar_shift, identity_rule, marked_cell_presentation
 
 A2 = binary_alphabet()
 G3 = [(0, 0, 0), (1, 1, 1), (1, 0, 1), (0, 1, 0)]
@@ -149,3 +150,34 @@ class TestClassifyRecurrence:
     def test_negative_horizon_is_rejected(self):
         with pytest.raises(DefectcaError, match="T must be >= 0"):
             classify_junctions(from_wolfram_number(184), zoo.eca184_background(), T=-1)
+
+
+class TestInvariantBackground:
+    """A rule must map its background into itself: Phi(S) ⊆ S, checked on
+    every admissible 4-word of the recoded shift."""
+
+    def test_rule_that_leaves_the_shift_is_rejected(self):
+        # ECA 2 maps both 010 and 101 to 0, so (01)^inf goes to 0^inf
+        rule, gstar = from_wolfram_number(2), gstar_shift()
+        with pytest.raises(DefectcaError, match="word 0101 to 00"):
+            phi_orbit_components(rule, gstar)
+        with pytest.raises(DefectcaError, match="word 0101 to 00"):
+            classify_junctions(rule, gstar, max_core=1)
+
+    def test_gstar_sweep(self, conjugacy):
+        # an ECA preserves G* iff it maps 010 and 101 apart; a probe of one
+        # vertex per component rejects none of the 128 that do not
+        gstar, rejected, n_types = gstar_shift(), set(), 0
+        for number in range(256):
+            rule = from_wolfram_number(number)
+            try:
+                types = classify_junctions(rule, gstar, max_core=1)
+            except DefectcaError:
+                rejected.add(number)
+                continue
+            n_types += len(types)
+            for t in types:
+                conjugacy(normalize(rule, gstar), t)
+        assert rejected == {n for n in range(256) if (n >> 2) & 1 == (n >> 5) & 1}
+        assert len(rejected) == 128
+        assert n_types == 181

@@ -12,10 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from defectca import diffusive
 from defectca.diffusive import (
     build_walk_kernel,
-    subsampled_walk,
     markov_property_test,
     parry_measure,
-    pushforward_cylinders,
     sample_kernel_chain,
     sample_walks,
     stationary_and_drift,
@@ -26,7 +24,6 @@ from defectca.rules import (
     LocalRule,
     from_linear,
     from_wolfram_number,
-    identity_rule,
     mirror,
 )
 from defectca.shifts import (
@@ -37,10 +34,12 @@ from defectca.shifts import (
     full_shift,
     regularity,
     reverse,
+    transitive_components,
     union_shift,
 )
 from defectca.tracking import bad_transitions, next_frame
 from defectca import zoo
+from oracles import cylinder, gstar_shift, identity_rule, pushforward_cylinders
 
 A2 = binary_alphabet()
 PHI = (1 + math.sqrt(5)) / 2
@@ -122,14 +121,14 @@ class TestPushforward:
         m = parry_measure(full_shift(rule.alphabet))
         pushed = pushforward_cylinders(rule, m, 4)
         for word, p in pushed.items():
-            assert abs(p - m.cylinder(word)) < 1e-12
+            assert abs(p - cylinder(m, word)) < 1e-12
 
     def test_diffusive_rule_preserves_sea_measure(self):
         rule = zoo.diffusive_rule()
         m = parry_measure(zoo.diffusive_background())
         pushed = pushforward_cylinders(rule, m, 4)
         for word, p in pushed.items():
-            assert abs(p - m.cylinder(word)) < 1e-12
+            assert abs(p - cylinder(m, word)) < 1e-12
 
 
 class TestResolvingSystem:
@@ -233,7 +232,7 @@ class TestWalkKernel:
             assert k.vel[s] == expected
 
     def test_gamma_plus_as_degenerate_walk(self):
-        gstar = zoo.gstar_shift()
+        gstar = gstar_shift()
         k = build_walk_kernel(from_wolfram_number(184), gstar, gstar, 0)
         classes = stationary_and_drift(k)
         drifts = sorted(c.drift for c in classes)
@@ -535,7 +534,7 @@ def _walk_case(name):
     sea = zoo.diffusive_background()
     marked = _uniform_marked_delta()
     wall = (zoo.wall_rule(), zoo.wall_left_shift(), zoo.wall_right_shift())
-    gstar = zoo.gstar_shift()
+    gstar = gstar_shift()
     return {
         "marked-W1": (zoo.diffusive_rule(), sea, sea, marked, 1),
         "marked-W1-uniform": (zoo.diffusive_rule(), sea, sea,
@@ -843,7 +842,7 @@ class TestMarkovProperty:
         assert not report.passed
 
     def test_deterministic_kernel_rows_are_exact(self):
-        gstar = zoo.gstar_shift()
+        gstar = gstar_shift()
         rule = from_wolfram_number(184)
         k = build_walk_kernel(rule, gstar, gstar, 0)
         trajs, counts = sample_kernel_chain(k, {}, 50, 4, 5)
@@ -856,12 +855,15 @@ class TestMarkovProperty:
 
 
 class TestSubsampledWalk:
+    """Walks with one frozen side: the side is pointwise fixed by sigma and
+    the rule, so each of its fixed points is one walk component, sampled
+    from the junction of the two backgrounds (W=0) with seed ``seed + j``."""
+
     def test_wall_walk_with_frozen_side(self):
-        walks = subsampled_walk(zoo.wall_rule(), zoo.wall_left_shift(),
-                               zoo.wall_right_shift(), "left", 1500, 20, 21)
-        assert len(walks) == 1
-        weight, trajs, stats = walks[0]
-        assert weight == 1.0
+        L = zoo.wall_left_shift()
+        assert len(transitive_components(L)) == 1
+        _, stats = sample_walks(zoo.wall_rule(), L, zoo.wall_right_shift(), {},
+                                1500, 20, 21, W=0)
         assert abs(stats.empirical_drift - (-1 / 7)) < 0.1
 
     def test_wall_walk_frozen_on_the_right(self):
@@ -871,19 +873,9 @@ class TestSubsampledWalk:
         L, R = reverse(zoo.wall_right_shift()), reverse(zoo.wall_left_shift())
         k = build_walk_kernel(rule, L, R, 0)
         assert [c.drift for c in stationary_and_drift(k)] == [Fraction(1, 7)]
-        walks = subsampled_walk(rule, L, R, "right", 1500, 20, 21)
-        assert len(walks) == 1
-        weight, trajs, stats = walks[0]
-        assert weight == 1.0
+        assert len(transitive_components(R)) == 1
+        _, stats = sample_walks(rule, L, R, {}, 1500, 20, 21, W=0)
         assert abs(stats.empirical_drift - 1 / 7) < 0.1
-
-    def test_p1q1_reduces_to_sample_walks(self):
-        direct, dstats = sample_walks(zoo.wall_rule(), zoo.wall_left_shift(),
-                                      zoo.wall_right_shift(), {}, 200, 5, 21,
-                                      W=0)
-        walks = subsampled_walk(zoo.wall_rule(), zoo.wall_left_shift(),
-                               zoo.wall_right_shift(), "left", 200, 5, 21)
-        assert walks[0][1] == direct
 
     def test_mixture_over_two_fixed_points(self):
         base = zoo.wall_rule()
@@ -899,10 +891,10 @@ class TestSubsampledWalk:
         rule = LocalRule(alpha, 1, fn, name="two-walls")
         L = build_markov_shift(alpha, [(0, 0), (1, 1)])
         R = full_shift(alpha, (2, 3))
-        walks = subsampled_walk(rule, L, R, "left", 800, 10, 31)
-        assert len(walks) == 2
-        assert [w for w, _, _ in walks] == [0.5, 0.5]
-        for _, _, stats in walks:
+        comps = transitive_components(L)
+        assert len(comps) == 2
+        for j, comp in enumerate(comps):
+            _, stats = sample_walks(rule, comp, R, {}, 800, 10, 31 + j, W=0)
             assert abs(stats.empirical_drift - (-1 / 7)) < 0.15
 
 
@@ -910,7 +902,7 @@ class TestDegenerateWalk:
     def test_gamma_walks_move_at_unit_speed(self):
         # over the alternating background the two width-0 dislocations are
         # deterministic walkers: every sampled trajectory has speed exactly 1
-        gstar = zoo.gstar_shift()
+        gstar = gstar_shift()
         rule = from_wolfram_number(184)
         trajs, stats = sample_walks(rule, gstar, gstar, {}, 200, 12, 17, W=0)
         assert stats.excluded == 0

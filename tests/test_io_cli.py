@@ -14,6 +14,7 @@ from defectca.rules import LocalRule, from_wolfram_number, normalize
 from defectca.shifts import (SFT, Alphabet, binary_alphabet, build_markov_shift,
                               build_sft)
 from defectca.tracking import track
+from oracles import dense_table, save_rule
 
 A2 = binary_alphabet()
 
@@ -81,8 +82,8 @@ class TestRuleIO:
 
     def test_table_round_trip(self):
         r = from_wolfram_number(110)
-        again = dio.load_rule(dio.save_rule(r))
-        assert again.dense_table() == r.dense_table()
+        again = dio.load_rule(save_rule(r))
+        assert dense_table(again) == dense_table(r)
 
     def test_partial_table_rejected(self):
         spec = {"alphabet": ["0", "1"], "radius": 1, "table": {"000": "0"}}
@@ -195,6 +196,11 @@ TM_SPEC = {
 FULL_SHIFT = {"alphabet": ["0", "1"], "edges": [[0, 0], [0, 1], [1, 0], [1, 1]]}
 ECA184_SFT = {"alphabet": ["0", "1"], "radius": 3,
               "admissible": ["000", "111", "101", "010"]}
+# Shifts off the alphabet of every rule in the valid configs: one with a
+# symbol that no rule table has an entry for, and one with other labels.
+THIRD_SYMBOL_SHIFT = {"alphabet": ["0", "1", "2"],
+                      "edges": [[2, 2], [0, 1], [1, 0]]}
+OTHER_LABELS_SHIFT = {"alphabet": ["a", "b"], "edges": [[0, 1], [1, 0]]}
 
 
 class TestCLI:
@@ -258,7 +264,7 @@ class TestCLI:
     def test_walk_rejects_nonpositive_sizes(self, workdir, capsys, via,
                                             field, value):
         rule_path = os.path.join(workdir, "rule.json")
-        _write(rule_path, dio.save_rule(zoo.diffusive_rule()))
+        _write(rule_path, save_rule(zoo.diffusive_rule()))
         shift_path = os.path.join(workdir, "sea.json")
         _write(shift_path, dio.save_shift(zoo.diffusive_background()))
         sizes = {"steps": 40, "samples": 3, field: value}
@@ -297,7 +303,7 @@ class TestCLI:
 
     def test_walk_flags(self, workdir):
         rule_path = os.path.join(workdir, "rule.json")
-        _write(rule_path, dio.save_rule(zoo.diffusive_rule()))
+        _write(rule_path, save_rule(zoo.diffusive_rule()))
         shift_path = os.path.join(workdir, "sea.json")
         _write(shift_path, dio.save_shift(zoo.diffusive_background()))
         delta_path = os.path.join(workdir, "delta.json")
@@ -318,7 +324,7 @@ class TestCLI:
     @pytest.mark.parametrize("W", [-1, 2])
     def test_walk_rejects_unsupported_width(self, workdir, capsys, W):
         rule_path = os.path.join(workdir, "rule.json")
-        _write(rule_path, dio.save_rule(zoo.diffusive_rule()))
+        _write(rule_path, save_rule(zoo.diffusive_rule()))
         shift_path = os.path.join(workdir, "sea.json")
         _write(shift_path, dio.save_shift(zoo.diffusive_background()))
         path = os.path.join(workdir, "walk-width.json")
@@ -371,7 +377,7 @@ class TestCLI:
         assert "'[0]'" in payload["message"]
 
     def test_verify(self, workdir):
-        cfg = {"mode": "verify", "rule": dio.save_rule(zoo.diffusive_rule()),
+        cfg = {"mode": "verify", "rule": save_rule(zoo.diffusive_rule()),
                "shift": dio.save_shift(zoo.diffusive_background())}
         path = os.path.join(workdir, "ver.json")
         _write(path, cfg)
@@ -451,7 +457,7 @@ def _valid_config(mode, workdir):
                "shift": ECA184_SFT, "right_shift": FULL_SHIFT}
     else:
         _write(os.path.join(workdir, "rule.json"),
-               dio.save_rule(zoo.diffusive_rule()))
+               save_rule(zoo.diffusive_rule()))
         _write(os.path.join(workdir, "sea.json"),
                dio.save_shift(zoo.diffusive_background()))
         cfg = {"mode": "walk", "rule": "rule.json", "left_shift": "sea.json",
@@ -476,7 +482,7 @@ def _set(path, value=None):
 
 
 ECA184_TABLE_NO_RADIUS = {k: v for k, v in
-                          dio.save_rule(from_wolfram_number(184)).items()
+                          save_rule(from_wolfram_number(184)).items()
                           if k != "radius"}
 
 MALFORMED = [
@@ -498,6 +504,22 @@ MALFORMED = [
      "shift.alphabet"),
     ("shift-bad-admissible", "simulate",
      _set(("shift", "admissible"), ["002"]), "shift.admissible[0]"),
+    ("simulate-shift-third-symbol", "simulate",
+     _set(("shift",), THIRD_SYMBOL_SHIFT), "shift.alphabet"),
+    ("classify-shift-third-symbol", "classify",
+     _set(("shift",), THIRD_SYMBOL_SHIFT), "shift.alphabet"),
+    ("walk-left-shift-third-symbol", "walk",
+     _set(("left_shift",), THIRD_SYMBOL_SHIFT), "left_shift.alphabet"),
+    ("verify-shift-third-symbol", "verify",
+     _set(("shift",), THIRD_SYMBOL_SHIFT), "shift.alphabet"),
+    ("simulate-shift-other-labels", "simulate",
+     _set(("shift",), OTHER_LABELS_SHIFT), "shift.alphabet"),
+    ("classify-shift-other-labels", "classify",
+     _set(("shift",), OTHER_LABELS_SHIFT), "shift.alphabet"),
+    ("walk-left-shift-other-labels", "walk",
+     _set(("left_shift",), OTHER_LABELS_SHIFT), "left_shift.alphabet"),
+    ("verify-shift-other-labels", "verify",
+     _set(("shift",), OTHER_LABELS_SHIFT), "shift.alphabet"),
     ("seed-no-right", "simulate", _set(("seed_config", "right")),
      "seed_config"),
     ("seed-left-text", "simulate", _set(("seed_config", "left", "word"), "02"),
@@ -568,7 +590,7 @@ def test_unsupported_radius_is_bad_input(workdir, capsys, mode):
     cfg = _valid_config(mode, workdir)
     alphabet = (zoo.diffusive_rule() if mode == "walk" else
                 from_wolfram_number(184)).alphabet
-    cfg["rule"] = dio.save_rule(LocalRule(alphabet, 2, lambda w: w[2]))
+    cfg["rule"] = save_rule(LocalRule(alphabet, 2, lambda w: w[2]))
     cfg_path = os.path.join(workdir, "radius2.json")
     _write(cfg_path, cfg)
     code = main(["--json-errors", mode, "--config", cfg_path,
@@ -589,7 +611,7 @@ def _strict_json(text):
 def test_walk_without_compared_rows_writes_strict_json(workdir):
     """A one-step walk compares no kernel rows: its largest TV distance is
     null, not NaN.  The wall walker's kernel is small enough to be quick."""
-    _write(os.path.join(workdir, "wall.json"), dio.save_rule(zoo.wall_rule()))
+    _write(os.path.join(workdir, "wall.json"), save_rule(zoo.wall_rule()))
     for name, shift in (("left", zoo.wall_left_shift()),
                         ("right", zoo.wall_right_shift())):
         _write(os.path.join(workdir, f"{name}.json"), dio.save_shift(shift))
@@ -633,7 +655,7 @@ def test_walk_without_delta_draws_the_middle_cell_uniformly(workdir):
 def test_walk_without_kept_samples_is_bad_input(workdir, capsys):
     """A walk whose every sample vanishes has no drift to report."""
     cfg = _valid_config("walk", workdir)
-    cfg.update(rule=dio.save_rule(_fading_rule()), steps=50, samples=1)
+    cfg.update(rule=save_rule(_fading_rule()), steps=50, samples=1)
     cfg_path = os.path.join(workdir, "samples1.json")
     _write(cfg_path, cfg)
     code = main(["--json-errors", "walk", "--config", cfg_path,
@@ -645,20 +667,24 @@ def test_walk_without_kept_samples_is_bad_input(workdir, capsys):
 
 
 ZERO_SHIFT = {"alphabet": ["0", "1"], "edges": [[0, 0]]}
+GSTAR_SHIFT = {"alphabet": ["0", "1"], "edges": [[0, 1], [1, 0]]}
 
 
 @pytest.mark.parametrize("mode,edit,fields,why", [
     ("walk", lambda cfg: {"mode": "walk", "rule": {"wolfram": 184},
                           "left_shift": FULL_SHIFT, "right_shift": FULL_SHIFT},
      ("rule", "left_shift", "right_shift"), "not a resolving system"),
-    ("walk", lambda cfg: dict(cfg, rule=dio.save_rule(_fading_rule()), steps=50),
+    ("walk", lambda cfg: dict(cfg, rule=save_rule(_fading_rule()), steps=50),
      ("rule", "left_shift", "right_shift"), "samples vanished or split"),
     ("compile-tm", _set(("left_shift",), ZERO_SHIFT),
      ("left_shift", "right_shift"), "positive entropy"),
     ("run-tm", _set(("right_shift",), ZERO_SHIFT),
      ("left_shift", "right_shift"), "positive entropy"),
+    ("classify", lambda cfg: dict(cfg, rule={"wolfram": 2}, shift=GSTAR_SHIFT,
+                                  max_core=1),
+     ("rule", "shift"), "does not preserve the shift"),
 ], ids=["walk-not-resolving", "walk-vanishing", "compile-tm-zero-entropy",
-        "run-tm-zero-entropy"])
+        "run-tm-zero-entropy", "classify-not-invariant"])
 def test_rejected_system_names_its_fields(workdir, capsys, mode, edit, fields, why):
     """A rule and backgrounds that the library rejects together fail with an
     error naming the config fields that hold them."""

@@ -66,34 +66,25 @@ def test_imported_name_resolves(where, module, name):
 
 
 # Public functions, methods and fields that nothing outside the tests uses,
-# kept because each is a construct of the paper or an oracle the tests check
-# the library against.
+# with why no CLI mode reaches each.  The oracles the tests check the
+# library against live in tests/oracles.py, not here.
 KEEP = {
-    "ballistic.marked_cell_presentation":
-        "a block-space particle state in source cells, as the paper prints it",
-    "diffusive.pushforward_cylinders": "the Parry measure is Phi-invariant",
-    "diffusive.subsampled_walk":
-        "the walk with one frozen side, a mixture over its fixed points",
-    "io.save_rule": "writes rule specs; the inverse of load_rule",
-    "rules.identity_rule": "the trivial rule, under which every defect is at rest",
-    "rules.is_left_permutative": "the left half of the permutativity pair",
-    "rules.is_surjective_on": "Phi(S) = S on words",
-    "rules.find_travelling_wave_backgrounds":
-        "the periodic backgrounds with Phi^p = sigma^(p*v)",
-    "turing.ca_to_turing": "the CA-to-machine direction of the compilation",
-    "turing.apda_to_lr": "an APDA as a machine with one frozen tape",
-    "turing.run_apda": "the APDA oracle that runaway detection is checked on",
-    "zoo.gstar_shift": "the worked G* background of ECA#184",
-    "lattice.decode_config":
-        "the inverse recoding, which checks that encode_config is a conjugacy",
-    "lattice.Configuration.shifted":
-        "the shift sigma^k that rules and recodings commute with",
-    "shifts.MarkovShift.is_admissible":
-        "membership in the shift's language, the oracle for written words",
+    "turing.ca_to_turing":
+        "the paper's CA-to-machine direction; the CLI compiles machines to "
+        "CAs and has no mode that reads a CA back as a machine",
+    "turing.apda_to_lr":
+        "an APDA as a machine with one frozen tape; no CLI config describes "
+        "an APDA",
     "diffusive.RecurrentClassStats.stationary":
-        "the exact stationary law of the class, which STATIONARY_DIGESTS pins",
-    "diffusive.RecurrentClassStats.states": "the closed class the law lives on",
-    "diffusive.RowComparison.visits": "criterion 6's visit total per row",
+        "the exact stationary law of the class, which STATIONARY_DIGESTS "
+        "pins; walk-stats.json writing it would move the digests that "
+        "perfbench/golden.json pins",
+    "diffusive.RecurrentClassStats.states":
+        "the closed class the law lives on; writing it would move the "
+        "walk-stats.json digests that perfbench/golden.json pins",
+    "diffusive.RowComparison.visits":
+        "criterion 6's visit total per row; writing it would move the "
+        "walk-stats.json digests that perfbench/golden.json pins",
 }
 
 SRC = ROOT / "src" / "defectca"

@@ -7,21 +7,16 @@ from hypothesis import given, settings, strategies as st
 from defectca import zoo
 from defectca.lattice import (
     apply_rule,
-    decode_config,
     encode_config,
     periodic_config,
 )
 from defectca.rules import (
     LocalRule,
     check_invariance,
-    find_travelling_wave_backgrounds,
     from_linear,
     from_wolfram_number,
-    is_left_permutative,
     is_left_resolving,
-    is_right_permutative,
     is_right_resolving,
-    is_surjective_on,
     mirror,
     normalize,
     phi_orbit_components,
@@ -37,19 +32,17 @@ from defectca.shifts import (
     build_sft,
     full_shift,
     higher_block,
+    markov_to_sft,
     pack_word,
     periodic_orbit_sft,
     reverse,
     unpack_word,
 )
+from oracles import decode_config, dense_table, gstar_shift, is_admissible, shifted
 
 A2 = binary_alphabet()
 ETHER = tuple(int(c) for c in "00010011011111")
 G3 = [(0, 0, 0), (1, 1, 1), (1, 0, 1), (0, 1, 0)]
-
-
-def gstar():
-    return build_markov_shift(A2, [(0, 1), (1, 0)])
 
 
 class TestWolfram:
@@ -61,7 +54,7 @@ class TestWolfram:
 
     def test_rule_0_constant(self):
         r = from_wolfram_number(0)
-        assert all(v == 0 for v in r.dense_table().values())
+        assert all(v == 0 for v in dense_table(r).values())
 
     def test_rule_204_identity(self):
         r = from_wolfram_number(204)
@@ -111,8 +104,8 @@ class TestApply:
         cfg = periodic_config(A2, ETHER, (1, 1, 0, 0), ETHER, origin=3,
                               left_phase=2, right_phase=9)
         for k in (-3, 1, 7):
-            a = apply_rule(rule, cfg.shifted(k))
-            b = apply_rule(rule, cfg).shifted(k)
+            a = apply_rule(rule, shifted(cfg, k))
+            b = shifted(apply_rule(rule, cfg), k)
             assert a.window(-30, 30) == b.window(-30, 30)
 
     @pytest.mark.parametrize("case", ["source", "block", "radius2"])
@@ -139,25 +132,7 @@ class TestInvariance:
 
     def test_110_does_not_preserve_gstar(self):
         # the alternating background maps onto all-ones, which leaves G*
-        assert not check_invariance(from_wolfram_number(110), gstar())
-
-
-class TestPermutative:
-    def test_mod2_sum_both(self):
-        r = from_linear(2, (1, 1, 1))
-        assert is_left_permutative(r, (0, 1))
-        assert is_right_permutative(r, (0, 1))
-
-    def test_identity_neither(self):
-        r = from_wolfram_number(204)
-        assert not is_left_permutative(r, (0, 1))
-        assert not is_right_permutative(r, (0, 1))
-
-    def test_left_shift_rule(self):
-        # phi = x_{-1}: rule 240
-        r = from_wolfram_number(240)
-        assert is_left_permutative(r, (0, 1))
-        assert not is_right_permutative(r, (0, 1))
+        assert not check_invariance(from_wolfram_number(110), gstar_shift())
 
 
 class TestResolving:
@@ -182,15 +157,8 @@ class TestResolving:
         for n in (90, 150, 204, 240, 170, 184):
             r = from_wolfram_number(n)
             s = full_shift(A2)
-            assert is_left_resolving(r, s) == is_left_permutative(r, (0, 1))
-            assert is_right_resolving(r, s) == is_right_permutative(r, (0, 1))
-
-    def test_resolving_implies_onto(self):
-        r = from_linear(2, (1, 1, 1))
-        s = full_shift(r.alphabet)
-        assert is_surjective_on(r, s)
-        s2 = build_markov_shift(A2, [(0, 0)])
-        assert is_surjective_on(from_wolfram_number(184), s2)
+            assert is_left_resolving(r, s) == _left_permutative_ref(r, (0, 1))
+            assert is_right_resolving(r, s) == _left_permutative_ref(mirror(r), (0, 1))
 
 
 # The paper's left-hand definitions, written out directly as the slow
@@ -205,7 +173,7 @@ def _left_violation(rule, shift, a, b, c, d):
     """True iff (a, b, c, d) shows that ``shift`` is not left-resolving:
     a b c d is admissible, and a -> phi(a,b,c) on the predecessors of b
     either collides or misses the predecessors of phi(b,c,d)."""
-    if not shift.is_admissible((a, b, c, d)):
+    if not is_admissible(shift, (a, b, c, d)):
         return False
     out = rule((a, b, c))
     collides = any(rule((x, b, c)) == out
@@ -244,8 +212,6 @@ class TestMirroredChecks:
     @settings(max_examples=100, deadline=None)
     def test_left_checks_match_direct_definitions(self, case):
         rule, shift = case
-        syms = sorted(shift.usable)
-        assert is_left_permutative(rule, syms) == _left_permutative_ref(rule, syms)
         ok = is_left_resolving(rule, shift)
         assert ok == _left_resolving_ref(rule, shift)
         # the left witness is the right one of the mirrored line, read back
@@ -258,19 +224,30 @@ class TestMirroredChecks:
                 _left_violation(rule, shift, *witness[0][::-1])
 
 
+class TestMarkovInvariance:
+    @given(rules_on_shifts())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_sft_check(self, case):
+        # the admissible 4-words of a Markov shift are the locally
+        # admissible words of its radius-2 SFT
+        rule, shift = case
+        assert check_invariance(rule, shift) == \
+            check_invariance(rule, markov_to_sft(shift))
+
+
 class TestTravellingWaves:
+    # a periodic background w with Phi(w) = sigma^v(w) travels at velocity v
+
     def test_gstar_is_a_184_wave(self):
-        orbits = find_travelling_wave_backgrounds(from_wolfram_number(184), 1, 1, 2)
-        assert [(0, 1), (1, 0)] in orbits
+        assert from_wolfram_number(184).periodic_image((0, 1)) == (1, 0)
 
     def test_110_ether(self):
-        orbits = find_travelling_wave_backgrounds(from_wolfram_number(110), 1, 4, 14)
-        assert any(ETHER in orbit for orbit in orbits)
+        assert from_wolfram_number(110).periodic_image(ETHER) == ETHER[4:] + ETHER[:4]
 
     def test_identity_rule_all_periodic(self):
-        orbits = find_travelling_wave_backgrounds(from_wolfram_number(204), 1, 0, 3)
-        # orbits of primitive periods 1, 2, 3 over two symbols: 2 + 1 + 2
-        assert len(orbits) == 5
+        rule = from_wolfram_number(204)
+        assert all(rule.periodic_image(w) == w
+                   for n in (1, 2, 3) for w in product((0, 1), repeat=n))
 
 
 class TestRecoding:
@@ -350,8 +327,8 @@ class TestCoderShiftIntertwining:
         rng = random.Random(seed)
         cfg = _random_config(rng)
         k = rng.randrange(-3, 4)
-        a = encode_config(coder, cfg.shifted(k * coder.stride))
-        b = encode_config(coder, cfg).shifted(k)
+        a = encode_config(coder, shifted(cfg, k * coder.stride))
+        b = shifted(encode_config(coder, cfg), k)
         assert a.window(-12, 12) == b.window(-12, 12)
 
     def test_power_coder_phase_arithmetic(self):
@@ -360,8 +337,8 @@ class TestCoderShiftIntertwining:
         _, coder = higher_power(full_shift(A2), 3)
         assert coder.stride == 3
         cfg = periodic_config(A2, (0, 1), (1, 1, 0), (0, 1, 1), origin=0)
-        a = encode_config(coder, cfg.shifted(3))
-        b = encode_config(coder, cfg).shifted(1)
+        a = encode_config(coder, shifted(cfg, 3))
+        b = shifted(encode_config(coder, cfg), 1)
         assert a.window(-6, 6) == b.window(-6, 6)
 
     @coder_cases

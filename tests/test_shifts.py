@@ -29,6 +29,7 @@ from defectca.shifts import (
     transitive_components,
     unpack_word,
 )
+from oracles import gstar_shift, is_admissible
 
 A2 = binary_alphabet()
 
@@ -38,11 +39,6 @@ def golden_mean():
     return build_markov_shift(A2, [(0, 0), (0, 1), (1, 0)])
 
 
-def gstar():
-    # the 2-cycle 0 <-> 1
-    return build_markov_shift(A2, [(0, 1), (1, 0)])
-
-
 def count_words(shift, n):
     # brute-force admissible word count, independent of entropy()
     return len(shift.words(n))
@@ -50,10 +46,10 @@ def count_words(shift, n):
 
 class TestBuildMarkovShift:
     def test_two_cycle(self):
-        s = gstar()
+        s = gstar_shift()
         assert s.usable == frozenset({0, 1})
-        assert s.is_admissible((0, 1, 0, 1))
-        assert not s.is_admissible((0, 0))
+        assert is_admissible(s, (0, 1, 0, 1))
+        assert not is_admissible(s, (0, 0))
 
     def test_full_shift_nothing_pruned(self):
         s = full_shift(A2)
@@ -71,7 +67,7 @@ class TestBuildMarkovShift:
             build_markov_shift(a3, [(0, 1), (1, 2)])
 
     def test_empty_word_admissible(self):
-        assert gstar().is_admissible(())
+        assert is_admissible(gstar_shift(), ())
 
 
 class TestBuildSft:
@@ -113,7 +109,7 @@ class TestSftToMarkov:
 
 class TestHigherBlock:
     def test_gstar_p2(self):
-        shift, coder = higher_block(gstar(), 2)
+        shift, coder = higher_block(gstar_shift(), 2)
         v01 = pack_word(A2, (0, 1))
         v10 = pack_word(A2, (1, 0))
         assert shift.usable == frozenset({v01, v10})
@@ -125,15 +121,15 @@ class TestHigherBlock:
         assert len(shift.edges) == 16
 
     def test_p1_identity(self):
-        shift, coder = higher_block(gstar(), 1)
-        assert shift is gstar() or shift.edges == gstar().edges
+        shift, coder = higher_block(gstar_shift(), 1)
+        assert shift is gstar_shift() or shift.edges == gstar_shift().edges
         assert coder.P == 1
 
     def test_word_round_trip(self):
         shift, coder = higher_block(golden_mean(), 3)
         for w in golden_mean().words(6):
             assert coder.decode_word(coder.encode_word(w)) == w
-            assert shift.is_admissible(coder.encode_word(w))
+            assert is_admissible(shift, coder.encode_word(w))
 
 
 class TestHigherPower:
@@ -144,7 +140,7 @@ class TestHigherPower:
 
     def test_gstar_w2_two_fixed_points(self):
         # (01)(01) is admissible, (01)(10) is not: each vertex only self-loops
-        shift, _ = higher_power(gstar(), 2)
+        shift, _ = higher_power(gstar_shift(), 2)
         v01 = pack_word(A2, (0, 1))
         v10 = pack_word(A2, (1, 0))
         assert shift.edges == frozenset({(v01, v01), (v10, v10)})
@@ -184,7 +180,7 @@ class TestEntropy:
         assert entropy(full_shift(A2)) == 1.0
 
     def test_gstar_exact_zero(self):
-        assert entropy(gstar()) == 0.0
+        assert entropy(gstar_shift()) == 0.0
 
     def test_golden_mean(self):
         expected = math.log2((1 + math.sqrt(5)) / 2)
@@ -202,7 +198,7 @@ class TestChoicePoint:
         assert choice_point(full_shift(A2)) == 0
 
     def test_gstar_none(self):
-        assert choice_point(gstar()) is None
+        assert choice_point(gstar_shift()) is None
 
     def test_golden_mean(self):
         assert choice_point(golden_mean()) == 0
@@ -229,7 +225,7 @@ class TestEqualLengthCycles:
 
     def test_zero_entropy_raises(self):
         with pytest.raises(NoChoicePointError):
-            equal_length_cycles(gstar())
+            equal_length_cycles(gstar_shift())
 
     def test_output_properties(self):
         # in the mirrored golden mean the choice point 0 is on one simple cycle
@@ -244,7 +240,7 @@ def check_equal_length_cycles(s):
     assert len(c0) == len(c1) == P and c0 != c1
     assert c0[0] == c1[0]
     for c in (c0, c1):
-        assert s.is_admissible(c + c)
+        assert is_admissible(s, c + c)
 
 
 class TestComponentsAndPeriod:
@@ -258,7 +254,7 @@ class TestComponentsAndPeriod:
         assert len(transitive_components(full_shift(A2))) == 1
 
     def test_period_gstar(self):
-        assert period_of(gstar()) == 2
+        assert period_of(gstar_shift()) == 2
 
     def test_period_loop(self):
         assert period_of(build_markov_shift(A2, [(0, 0)])) == 1
@@ -387,7 +383,7 @@ class TestInvariants:
         w = tuple(w)
         enc = coder.encode_word(w)
         assert len(enc) == 1 + (len(w) - P) // coder.stride
-        assert lifted.is_admissible(enc)
+        assert is_admissible(lifted, enc)
         assert coder.decode_word(enc) == w
 
     def test_pack_unpack_round_trip(self):

@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 
 from defectca.errors import DefectcaError, InvalidMachineError
-from defectca.lattice import apply_rule, decode_config, encode_config, periodic_config
-from defectca.rules import from_wolfram_number, identity_rule
+from defectca.lattice import apply_rule, encode_config, periodic_config
+from defectca.rules import from_wolfram_number
 from defectca.shifts import (
     Alphabet,
     binary_alphabet,
@@ -23,12 +23,12 @@ from defectca.turing import (
     classical_to_lr,
     detect_runaway_cycle,
     regime_of,
-    run_apda,
     runaway_cycles,
     step_lrtm,
     turing_to_ca,
 )
 from defectca import zoo
+from oracles import decode_config, identity_rule, is_admissible, run_apda
 
 A2 = binary_alphabet()
 
@@ -306,7 +306,7 @@ class TestCycleEncoder:
         gm = build_markov_shift(A2, [(0, 0), (0, 1), (1, 0)])
         enc = build_cycle_encoder(gm)
         assert (enc.P, enc.w0, enc.w1) == (2, (0, 0), (0, 1))
-        assert gm.is_admissible(enc.encode((1, 0, 1)) * 2)
+        assert is_admissible(gm, enc.encode((1, 0, 1)) * 2)
 
     def test_decode_rejects_non_image(self):
         enc = build_cycle_encoder(full_shift(A2))
@@ -379,7 +379,7 @@ class TestClassicalToLR:
         assert comp.enc_left.P == comp.enc_right.P == 6
         for enc, shift in ((comp.enc_left, L), (comp.enc_right, R)):
             # code blocks, alone and side by side, are words of their side
-            assert all(shift.is_admissible(a + b)
+            assert all(is_admissible(shift, a + b)
                        for a, b in product((enc.w0, enc.w1), repeat=2))
         tape0 = {-3: 0, -2: 0, -1: 1, 0: 1}
         ctape, cd, cz = dict(tape0), "start", 0
@@ -466,6 +466,6 @@ class TestCheckedRun:
             s = step_lrtm(m, s)
             # the four cells beside the head on each side stay admissible
             left, right = near(s, 4)
-            assert m.left_shift.is_admissible(left)
-            assert m.right_shift.is_admissible(right)
+            assert is_admissible(m.left_shift, left)
+            assert is_admissible(m.right_shift, right)
         assert s.z == 10

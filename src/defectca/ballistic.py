@@ -10,6 +10,8 @@ its core.  Since that configuration determines the future, the seeds of one
 call share one window stepper (:class:`~defectca.tracking._Stepper`): each
 configuration is stepped by the rule once per call however many seeds pass
 through it, and each cycle's orbit, words and velocity are built once.
+Each (sigma-cycle word, phase) background is recoded to blocks once per
+call, and each seed recodes only its core.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from itertools import product
 from typing import Optional
 
 from .errors import DefectcaError
-from .lattice import Configuration, encode_config, periodic_config
+from .lattice import (Configuration, PeriodicBackground, _block_background, _block_core,
+                      periodic_config)
 from .rules import LocalRule, normalize, phi_orbit_components
 from .shifts import BlockCoder, map_cycles
 from .tracking import _Stepper
@@ -73,6 +76,10 @@ def classify_junctions(rule: LocalRule, background, *, max_core: int = 2,
             cycles, _ = map_cycles(sorted(g.usable), lambda v: g.followers(v)[0])
             words = [tuple(map(sys.coder.first_symbol, cyc)) for cyc in cycles]
             groups.append((frozenset(g.usable), words))
+    coder = sys.coder
+    # the block background of each (sigma-cycle word, phase), encoded once
+    blocks = {(w, p): _block_background(coder, PeriodicBackground(w, p))
+              for _, words in groups for w in words for p in range(len(w))}
     stepper = _Stepper(sys.rule, sys.shift, width_cap)
     shapes: dict = {}
     found: dict = {}
@@ -81,10 +88,11 @@ def classify_junctions(rule: LocalRule, background, *, max_core: int = 2,
             for lp, rp in product(range(len(lw)), range(len(rw))):
                 for clen in range(max_core + 1):
                     for core in product(range(rule.alphabet.size), repeat=clen):
-                        cfg = periodic_config(rule.alphabet, lw, core, rw,
-                                              left_phase=lp, right_phase=rp)
-                        shape = _first_cycle(stepper, encode_config(sys.coder, cfg),
-                                             T, sys.coder, shapes)
+                        lo, blocks_core = _block_core(coder, periodic_config(
+                            rule.alphabet, lw, core, rw, left_phase=lp, right_phase=rp))
+                        seed = Configuration(coder.target, blocks[lw, lp], blocks_core,
+                                             blocks[rw, rp], lo)
+                        shape = _first_cycle(stepper, seed, T, coder, shapes)
                         if shape is None:
                             continue
                         period, velocity, width, words, orbit = shape

@@ -13,7 +13,8 @@ span of cells with a word of any length, moving the right background along.
 :func:`encode_config` recodes configurations through a
 :class:`~defectca.shifts.BlockCoder`: block cell z holds the source window
 [stride*z, stride*z + P), so the source shift by ``stride`` cells is the
-block shift by one.
+block shift by one.  Its background encode and its core encode are the
+only ones in the package.
 """
 
 from __future__ import annotations
@@ -37,11 +38,14 @@ class PeriodicBackground:
         return self.word[(z + self.phase) % len(self.word)]
 
     def cells(self, lo: int, hi: int) -> Word:
-        """The cells [lo, hi): the period rotated to start at lo, repeated."""
+        """The cells [lo, hi): one slice of the period when they do not
+        wrap, else the period rotated to start at lo, repeated."""
         if hi <= lo:
             return ()
         w = self.word
         k = (lo + self.phase) % len(w)
+        if hi - lo <= len(w) - k:
+            return w[k:k + hi - lo]
         rot = w[k:] + w[:k]
         return (rot * -((lo - hi) // len(w)))[:hi - lo]
 
@@ -133,24 +137,34 @@ def apply_rule(rule: LocalRule, config: Configuration) -> Configuration:
     return Configuration(config.alphabet, left, core[i:j], right, lo + i)
 
 
+def _block_background(coder: BlockCoder, bg: PeriodicBackground) -> PeriodicBackground:
+    """A background in the coder's block presentation.  Word j holds the
+    block at s*(j - phase) for stride s, so the block phase is the source
+    phase."""
+    P, s = coder.P, coder.stride
+    m = math.lcm(len(bg.word), s) // s
+    lo = -s * bg.phase
+    return PeriodicBackground(coder.encode_word(bg.cells(lo, lo + s * (m - 1) + P)),
+                              bg.phase)
+
+
+def _block_core(coder: BlockCoder, config: Configuration) -> tuple[int, Word]:
+    """(first block, blocks) of every block that touches the source core."""
+    P, s = coder.P, coder.stride
+    lo = -((P - 1 - config.origin) // s)  # ceil: first block touching the core
+    hi = -(-config.end // s)  # ceil: one past the last
+    core = coder.encode_word(config.window(s * lo, s * hi + P - s)) if hi > lo else ()
+    return lo, core
+
+
 def encode_config(coder: BlockCoder, config: Configuration) -> Configuration:
     """Recode a configuration into the coder's block presentation.
 
     Block cell z holds the source window [s*z, s*z + P) for stride s.  The
-    core holds every block that touches the source core.
+    core holds every block that touches the source core.  The backgrounds
+    and the core are encoded apart, so a caller that meets one background
+    under many cores (junction classification) encodes it once.
     """
-    P, s = coder.P, coder.stride
-
-    def block_bg(bg: PeriodicBackground) -> PeriodicBackground:
-        # word j holds the block at s*(j - phase), so the block phase is
-        # the source phase
-        m = math.lcm(len(bg.word), s) // s
-        lo = -s * bg.phase
-        return PeriodicBackground(coder.encode_word(bg.cells(lo, lo + s * (m - 1) + P)),
-                                  bg.phase)
-
-    lo = -((P - 1 - config.origin) // s)  # ceil: first block touching the core
-    hi = -(-config.end // s)  # ceil: one past the last
-    core = coder.encode_word(config.window(s * lo, s * hi + P - s)) if hi > lo else ()
-    return Configuration(coder.target, block_bg(config.left), core,
-                         block_bg(config.right), lo)
+    lo, core = _block_core(coder, config)
+    return Configuration(coder.target, _block_background(coder, config.left), core,
+                         _block_background(coder, config.right), lo)

@@ -14,7 +14,6 @@ Phi(S) ⊆ S for the sliding block code Phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .errors import DefectcaError
@@ -138,10 +137,8 @@ def check_invariance(rule: LocalRule, background) -> bool:
     """True iff the image of every admissible (q+2r)-word is admissible."""
     if isinstance(background, MarkovShift):
         return _escaping_word(rule, background) is None
-    q, r = background.q, rule.radius
-    words = [w for w in product(range(rule.alphabet.size), repeat=q + 2 * r)
-             if background.is_locally_admissible(w)]
-    return all(rule.image_word(w) in background.admissible for w in words)
+    return all(rule.image_word(w) in background.admissible
+               for w in background.words(background.q + 2 * rule.radius))
 
 
 def is_left_resolving(rule: LocalRule, shift: MarkovShift) -> bool:
@@ -174,6 +171,11 @@ def is_right_resolving(rule: LocalRule, shift: MarkovShift,
 # Radius/window normalization: the block recoding of rule + background
 # ---------------------------------------------------------------------------
 
+# the most neighbourhoods of source cells one chunk table holds: 1,024
+# ten-cell binary words
+_CHUNK_ENTRIES = 1 << 10
+
+
 def recode_rule(rule: LocalRule, coder: BlockCoder) -> LocalRule:
     """Lift a rule to the coder's block alphabet as a radius-1 rule.
 
@@ -185,6 +187,14 @@ def recode_rule(rule: LocalRule, coder: BlockCoder) -> LocalRule:
     inconsistent ones (which no recoded configuration ever produces) map to
     the lexicographically least block symbol.  A one-cell coder keeps the
     source alphabet.
+
+    The middle P + 2r cells stay one base-n integer, cut into overlapping
+    (k + 2r)-digit chunks.  Each chunk's k-digit image comes from a table
+    filled from the source rule on the chunk's first use, with k as large
+    as a table of at most 1,024 chunks allows.  The table lives on the
+    recoded rule, so block neighbourhoods share the images of their chunks:
+    the #110 ether's junction classification asks the source rule for 739
+    ten-cell chunks instead of 2,647 sixteen-cell words.
     """
     P, s, alpha = coder.P, coder.stride, coder.source
     if rule.radius > s:
@@ -194,19 +204,39 @@ def recode_rule(rule: LocalRule, coder: BlockCoder) -> LocalRule:
         rule.alphabet, 1, lambda w, _r=rule: _r((w[1],)), name=rule.name)
     if P == 1:
         return base
-    r, keep = base.radius, P - s
+    n, r, keep = alpha.size, base.radius, P - s
     target = block_alphabet(alpha, P)
-    head, tail, whole = alpha.size ** s, alpha.size ** keep, alpha.size ** P
+    head, tail, whole = n ** s, n ** keep, n ** P
+    cut, middle = n ** (s - r), n ** (P + 2 * r)
+    k = 1  # image cells per chunk
+    while k < P and n ** (k + 1 + 2 * r) <= _CHUNK_ENTRIES:
+        k += 1
+    span, width = k + 2 * r, n ** (k + 2 * r)
+    # (place, size) of each chunk: the chunk at i images the cells
+    # [i, i + span) of the middle to the cells [i, i + k) of the new block,
+    # both at place n**(P - i - k); when k does not divide P, a last chunk
+    # at P - k gives only its last P % k cells
+    chunks = [(n ** (P - i - k), n ** k) for i in range(0, P - k + 1, k)]
+    if P % k:
+        chunks.append((1, n ** (P % k)))
+    table: dict[int, int] = {}
+
+    def image(chunk: int) -> int:
+        out = table.get(chunk)
+        if out is None:
+            out = table[chunk] = pack_word(alpha, base.image_word(
+                unpack_word(alpha, chunk, span)))
+        return out
 
     def fn(nbhd: Word) -> int:
         # in base n, u % n**keep is u[s:] and v // n**s is v[:keep]
         u, v, w = nbhd
         if u % tail != v // head or v % tail != w // head:
             return 0
-        # u[:s] + v + w[keep:], which is u[:s] + v[:s] + w on consistent blocks
-        fused = unpack_word(alpha, ((u // tail) * whole + v) * head + w % head,
-                            P + 2 * s)
-        return pack_word(alpha, base.image_word(fused[s - r:s + P + r]))
+        # the middle of u[:s] + v + w[keep:], which is u[:s] + v[:s] + w on
+        # consistent blocks
+        x = (((u // tail) * whole + v) * head + w % head) // cut % middle
+        return sum(image(x // d % width) % m * d for d, m in chunks)
 
     return LocalRule(target, 1, fn, name=f"{rule.name}^[{P}/{s}]")
 

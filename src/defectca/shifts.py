@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -187,10 +187,27 @@ class SFT:
     q: int
     admissible: frozenset[Word]
 
-    def is_locally_admissible(self, word: Sequence[int]) -> bool:
-        """True iff every length-``q`` window of ``word`` is admissible."""
-        w = tuple(word)
-        return all(w[j:j + self.q] in self.admissible for j in range(len(w) - self.q + 1))
+    def _followers(self) -> dict[Word, tuple[int, ...]]:
+        """The symbols that may follow each prefix of an admissible q-word
+        shorter than q, in increasing order."""
+        out: dict[Word, set[int]] = {}
+        for w in self.admissible:
+            for k in range(self.q):
+                out.setdefault(w[:k], set()).add(w[k])
+        return {u: tuple(sorted(v)) for u, v in out.items()}
+
+    def words(self, n: int) -> list[Word]:
+        """The locally admissible words of length ``n`` (lexicographic order);
+        below q, the prefixes of admissible q-words.
+
+        Each word extends one of the previous length by a symbol that may
+        follow its last q-1 symbols, so no other word is ever built."""
+        follow, m = self._followers(), self.q - 1
+        out: list[Word] = [()]
+        for k in range(n):
+            j = max(0, k - m)
+            out = [w + (a,) for w in out for a in follow.get(w[j:], ())]
+        return out
 
 
 def build_sft(alphabet: Alphabet, q: int, words: Iterable[Sequence[int]]) -> SFT:
@@ -296,18 +313,17 @@ class BlockCoder:
 
     def encode_word(self, word: Sequence[int]) -> Word:
         """The blocks of a word of length ``P + k*stride``, each rolled from
-        the last as ``(b * n**stride + pack(next stride cells)) % n**P``."""
+        the last as ``(b * n**stride + c) % n**P``, where c packs the next
+        stride cells: at stride 1, c is the next cell itself."""
         w, P, s = tuple(word), self.P, self.stride
         if len(w) < P or (len(w) - P) % s:
             raise ValueError(f"word length {len(w)} is not {P} + k*{s}")
         A, n = self.source, self.source.size
         ns, nP = n ** s, n ** P
-        b = pack_word(A, w[:P])
-        out = [b]
-        for j in range(P, len(w), s):
-            b = (b * ns + pack_word(A, w[j:j + s])) % nP
-            out.append(b)
-        return tuple(out)
+        digits = w[P:] if s == 1 else [pack_word(A, w[j:j + s])
+                                       for j in range(P, len(w), s)]
+        return tuple(accumulate(digits, lambda b, c: (b * ns + c) % nP,
+                                initial=pack_word(A, w[:P])))
 
     def decode_word(self, blocks: Sequence[int]) -> Word:
         bs = [self.unpack(b) for b in blocks]
@@ -323,22 +339,14 @@ class BlockCoder:
 def _lift(sft: SFT, P: int, stride: int) -> tuple[MarkovShift, BlockCoder]:
     """The Markov shift on the locally admissible ``P``-words of an SFT read
     at ``stride``: u -> v iff v is the last P symbols of a locally
-    admissible extension of u by ``stride`` symbols."""
-    A, q, adm = sft.alphabet, sft.q, sft.admissible
+    admissible extension of u by ``stride`` symbols.
 
-    def extend(words: list[Word], n: int) -> list[Word]:
-        for _ in range(n):
-            longer = []
-            for w in words:
-                for a in range(A.size):
-                    x = w + (a,)
-                    if len(x) < q or x[-q:] in adm:
-                        longer.append(x)
-            words = longer
-        return words
-
-    edges = [(pack_word(A, u), pack_word(A, x[stride:]))
-             for u in extend([()], P) for x in extend([u], stride)]
+    Needs P + stride >= q.  The extensions are the SFT's words of length
+    P + stride, which :meth:`SFT.words` builds from admissible prefixes
+    only: the #110 ether (q = 14) builds under 200 words, not 2^14."""
+    A = sft.alphabet
+    edges = [(pack_word(A, x[:P]), pack_word(A, x[stride:]))
+             for x in sft.words(P + stride)]
     target = block_alphabet(A, P)
     return build_markov_shift(target, edges), BlockCoder(A, target, P, stride)
 

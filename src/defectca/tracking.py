@@ -91,7 +91,7 @@ def frame_of(interval: DefectInterval) -> tuple[int, int, int]:
 
 def bad_transitions(word: Sequence[int], edges) -> list[int]:
     """Indices j whose transition (word[j], word[j+1]) is not in ``edges``."""
-    return [j for j in range(len(word) - 1) if (word[j], word[j + 1]) not in edges]
+    return [j for j, pair in enumerate(zip(word, word[1:])) if pair not in edges]
 
 
 def defect_run(word: Sequence[int], edges, origin: int) -> Optional[DefectInterval]:
@@ -172,11 +172,13 @@ class _Stepper:
     def _enter(self, config: Configuration) -> tuple:
         key = _key(config)
         if key not in self._memo:
-            self._memo[key] = [config, self._scan(config), None]
+            self._memo[key] = [config, self._scan(config, key), None]
         return key
 
-    def _scan(self, config: Configuration):
-        lo, word = _scan_window(config)
+    def _scan(self, config: Configuration, key: tuple):
+        # the scan window [origin - 1, end + 1): the core between the
+        # key's background cells next to it
+        lo, word = config.origin - 1, key[0][-1:] + key[1] + key[2][:1]
         try:
             run = defect_run(word, self.edges, lo)
         except MultipleDefectsError:

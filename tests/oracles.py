@@ -5,14 +5,20 @@ function that no CLI mode, demo or benchmark workload needs: the inverse
 recoding, the shift map on configurations, membership in a shift's
 language, an explicit-stack APDA run, push-forward cylinder weights, a
 rule's table as a config spec, the identity rule, the G* background of
-ECA#184, and the paper's source-cell presentation of a block-space defect.
+ECA#184, the paper's source-cell presentation of a block-space defect, and
+the unpruned enumerations of an SFT's words that the block lift and the
+invariance check once made, and the block rule that images each block
+neighbourhood as one unpacked word.
 """
 
 from itertools import product
 
+from defectca import zoo
 from defectca.lattice import Configuration, PeriodicBackground
 from defectca.rules import LocalRule
-from defectca.shifts import binary_alphabet, build_markov_shift
+from defectca.shifts import (BlockCoder, binary_alphabet, block_alphabet,
+                             build_markov_shift, markov_to_sft, pack_word,
+                             periodic_orbit_sft, unpack_word)
 
 
 def decode_config(coder, config):
@@ -143,3 +149,73 @@ def marked_cell_presentation(config, shift, coder):
     dbits = tuple(src(j) for j in range(m0, m1 + 1))
     rword = tuple(src(j) for j in range(m1 + 1, m1 + 1 + P))
     return lword, dbits, rword
+
+
+def is_locally_admissible(sft, word):
+    """True iff every length-``q`` window of ``word`` is admissible."""
+    w = tuple(word)
+    return all(w[j:j + sft.q] in sft.admissible for j in range(len(w) - sft.q + 1))
+
+
+def zoo_sfts():
+    """The SFTs of the worked systems, by name: the backgrounds of ECA#184,
+    #54 and #110, (001)^inf, and the radius-2 SFTs of G* and of the
+    marked walker's and wall walker's Markov backgrounds."""
+    return {"G184": zoo.eca184_background(), "B54": zoo.eca54_background(),
+            "ether": zoo.eca110_ether(),
+            "001": periodic_orbit_sft(binary_alphabet(), (0, 0, 1)),
+            "G*": markov_to_sft(gstar_shift()),
+            "walker": markov_to_sft(zoo.diffusive_background()),
+            "wall": markov_to_sft(zoo.wall_right_shift())}
+
+
+def lift_unpruned(sft, P, stride):
+    """:func:`~defectca.shifts._lift` by extending every word shorter than
+    q with no check, so that a q-periodic orbit builds 2^(q-1) words."""
+    A, q, adm = sft.alphabet, sft.q, sft.admissible
+
+    def extend(words, n):
+        for _ in range(n):
+            longer = []
+            for w in words:
+                for a in range(A.size):
+                    x = w + (a,)
+                    if len(x) < q or x[-q:] in adm:
+                        longer.append(x)
+            words = longer
+        return words
+
+    edges = [(pack_word(A, u), pack_word(A, x[stride:]))
+             for u in extend([()], P) for x in extend([u], stride)]
+    target = block_alphabet(A, P)
+    return build_markov_shift(target, edges), BlockCoder(A, target, P, stride)
+
+
+def invariant_unpruned(rule, sft):
+    """:func:`~defectca.rules.check_invariance` on an SFT, over every word
+    of length q + 2r filtered by local admissibility."""
+    words = [w for w in product(range(rule.alphabet.size), repeat=sft.q + 2 * rule.radius)
+             if is_locally_admissible(sft, w)]
+    return all(rule.image_word(w) in sft.admissible for w in words)
+
+
+def recode_unchunked(rule, coder):
+    """:func:`~defectca.rules.recode_rule` with each block neighbourhood
+    unpacked to its P + 2s source cells, imaged whole and packed again."""
+    P, s, alpha = coder.P, coder.stride, coder.source
+    base = rule if rule.radius else LocalRule(
+        rule.alphabet, 1, lambda w: rule((w[1],)), name=rule.name)
+    if P == 1:
+        return base
+    r, keep = base.radius, P - s
+    head, tail, whole = alpha.size ** s, alpha.size ** keep, alpha.size ** P
+
+    def fn(nbhd):
+        u, v, w = nbhd
+        if u % tail != v // head or v % tail != w // head:
+            return 0
+        fused = unpack_word(alpha, ((u // tail) * whole + v) * head + w % head,
+                            P + 2 * s)
+        return pack_word(alpha, base.image_word(fused[s - r:s + P + r]))
+
+    return LocalRule(block_alphabet(alpha, P), 1, fn)

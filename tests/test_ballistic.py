@@ -1,13 +1,16 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from defectca import tracking, zoo
+from defectca import ballistic, tracking, zoo
 from defectca.ballistic import classify_junctions
 from defectca.errors import DefectcaError
-from defectca.lattice import apply_rule
+from defectca.lattice import _block_background, apply_rule
 from defectca.rules import from_wolfram_number, normalize, phi_orbit_components
-from defectca.shifts import binary_alphabet, build_markov_shift, build_sft, pack_word
+from defectca.shifts import (SFT, binary_alphabet, build_markov_shift, build_sft,
+                             pack_word, periodic_orbit_sft)
 from oracles import gstar_shift, identity_rule, marked_cell_presentation
 
 A2 = binary_alphabet()
@@ -91,6 +94,18 @@ SYSTEMS = [(184, zoo.eca184_background, 11), (54, zoo.eca54_background, 3),
            (110, zoo.eca110_ether, 5)]
 
 
+# the ECA sweep's backgrounds: G of #184, the #54 background, the #110
+# ether, 0^inf, 1^inf, G* and (001)^inf
+SWEEP = [("G184", zoo.eca184_background), ("B54", zoo.eca54_background),
+         ("ether", zoo.eca110_ether),
+         ("0", lambda: build_markov_shift(A2, [(0, 0)])),
+         ("1", lambda: build_markov_shift(A2, [(1, 1)])),
+         ("G*", gstar_shift),
+         ("001", lambda: periodic_orbit_sft(A2, (0, 0, 1)))]
+SWEEP_TYPES, SWEEP_REJECTED = 2978, 988
+SWEEP_DIGEST = "6c578e646258d3e67ba1de84e6a6e239937e8672f8006098e9854f63ef0db3d2"
+
+
 class TestClassifyRecurrence:
     @pytest.mark.parametrize("number,background,n_types", SYSTEMS[1:])
     def test_types_do_not_depend_on_the_horizon(self, number, background, n_types):
@@ -139,6 +154,58 @@ class TestClassifyRecurrence:
         assert 0 < len(calls) <= bound
 
     @pytest.mark.parametrize("number,background,n_types", SYSTEMS)
+    def test_each_background_is_encoded_once_per_call(self, monkeypatch, number,
+                                                      background, n_types):
+        # one block encode per (sigma-cycle word, phase) background, however
+        # many seeds it flanks; each seed encodes only its core
+        calls = []
+
+        def encode(coder, bg):
+            calls.append(bg)
+            return _block_background(coder, bg)
+        monkeypatch.setattr(ballistic, "_block_background", encode)
+        rule, bg = from_wolfram_number(number), background()
+        types = classify_junctions(rule, bg, max_core=1)
+        assert len(types) == n_types
+        assert 0 < len(calls) == len(set(calls)) <= len(normalize(rule, bg).shift.usable)
+
+    def test_the_lift_builds_admissible_prefixes_only(self, monkeypatch):
+        # every word the ether's lift builds extends an admissible prefix by
+        # a symbol that may follow it: 181 words, against 2^14 when every
+        # word shorter than q = 14 was kept
+        sft, built = zoo.eca110_ether(), []
+
+        class Counting(dict):
+            def get(self, key, default=None):
+                out = dict.get(self, key, default)
+                built.append(len(out))
+                return out
+        followers = SFT._followers
+        monkeypatch.setattr(SFT, "_followers", lambda self: Counting(followers(self)))
+        sys = normalize(from_wolfram_number(110), sft)
+        assert sys.coder.P == sft.q == 14
+        assert 0 < sum(built) <= len(sft.admissible) * sys.coder.P
+
+    @pytest.mark.parametrize("number,background,n_types", SYSTEMS)
+    def test_the_source_rule_images_each_chunk_once(self, number, background,
+                                                    n_types):
+        # the recoded rule images its block neighbourhoods by chunks of at
+        # most ten cells (1,024 binary words), and asks the source rule for
+        # each distinct chunk once: 739 times on #110, against 2,647
+        # sixteen-cell words when each neighbourhood was imaged whole
+        rule, calls = from_wolfram_number(number), []
+        image_word = rule.image_word
+
+        def record(word):
+            calls.append(tuple(word))
+            return image_word(word)
+        rule.image_word = record
+        types = classify_junctions(rule, background(), max_core=1)
+        assert len(types) == n_types
+        assert 0 < len(calls) == len(set(calls)) <= 2 ** 10
+        assert all(len(word) <= 10 for word in calls)
+
+    @pytest.mark.parametrize("number,background,n_types", SYSTEMS)
     def test_every_type_matches_direct_stepping(self, conjugacy, number, background,
                                                 n_types):
         rule, bg = from_wolfram_number(number), background()
@@ -165,19 +232,35 @@ class TestInvariantBackground:
             classify_junctions(rule, gstar, max_core=1)
 
     def test_gstar_sweep(self, conjugacy):
-        # an ECA preserves G* iff it maps 010 and 101 apart; a probe of one
-        # vertex per component rejects none of the 128 that do not
-        gstar, rejected, n_types = gstar_shift(), set(), 0
-        for number in range(256):
-            rule = from_wolfram_number(number)
-            try:
-                types = classify_junctions(rule, gstar, max_core=1)
-            except DefectcaError:
-                rejected.add(number)
-                continue
-            n_types += len(types)
-            for t in types:
-                conjugacy(normalize(rule, gstar), t)
-        assert rejected == {n for n in range(256) if (n >> 2) & 1 == (n >> 5) & 1}
-        assert len(rejected) == 128
-        assert n_types == 181
+        # all 256 ECAs over seven backgrounds at max_core=1 and T=64: every
+        # type passes the conjugacy fixture within the radius-1 light cone,
+        # and the canonical result, error texts included, hashes to a pinned
+        # digest.  Over G*, an ECA preserves the shift iff it maps 010 and
+        # 101 apart; a probe of one vertex per component rejects none of the
+        # 128 that do not
+        results, rejected, n_types = [], {}, {}
+        for name, background in SWEEP:
+            bg = background()
+            for number in range(256):
+                rule = from_wolfram_number(number)
+                try:
+                    types = classify_junctions(rule, bg, max_core=1, T=64)
+                except DefectcaError as exc:
+                    rejected.setdefault(name, set()).add(number)
+                    results.append([name, number, str(exc)])
+                    continue
+                n_types[name] = n_types.get(name, 0) + len(types)
+                sys = normalize(rule, bg) if types else None
+                for t in types:
+                    assert abs(t.velocity) <= 1, (name, number, t)
+                    conjugacy(sys, t)
+                results.append([name, number, [
+                    [sorted(t.left_vertices), sorted(t.right_vertices), t.period,
+                     str(t.velocity), t.width, [list(w) for w in t.defect_words],
+                     [[s[0], list(s[1]), s[2]] for s in t.orbit]] for t in types]])
+        assert rejected["G*"] == {n for n in range(256) if (n >> 2) & 1 == (n >> 5) & 1}
+        assert n_types["G*"] == 181
+        assert sum(n_types.values()) == SWEEP_TYPES
+        assert sum(map(len, rejected.values())) == SWEEP_REJECTED
+        digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+        assert digest == SWEEP_DIGEST

@@ -38,7 +38,8 @@ from defectca.shifts import (
     reverse,
     unpack_word,
 )
-from oracles import decode_config, dense_table, gstar_shift, is_admissible, shifted
+from oracles import (decode_config, dense_table, gstar_shift, invariant_unpruned,
+                     is_admissible, recode_unchunked, shifted, zoo_sfts)
 
 A2 = binary_alphabet()
 ETHER = tuple(int(c) for c in "00010011011111")
@@ -235,6 +236,26 @@ class TestMarkovInvariance:
             check_invariance(rule, markov_to_sft(shift))
 
 
+class TestSftInvariance:
+    def test_matches_the_unpruned_check(self):
+        # the same booleans as filtering every (q+2r)-word, on each zoo SFT:
+        # every ECA on the short binary ones, some on the ether, and the
+        # walkers' own rules and a linear rule on theirs
+        rules = {"ether": [110, 54, 204, 0]}
+        other = {"walker": [zoo.diffusive_rule(), from_linear(4, (1, 1, 1))],
+                 "wall": [zoo.wall_rule(), from_linear(3, (0, 1, 2))]}
+        seen = set()
+        for name, sft in zoo_sfts().items():
+            for rule in other.get(name) or map(from_wolfram_number,
+                                               rules.get(name, range(256))):
+                ok = check_invariance(rule, sft)
+                assert ok == invariant_unpruned(rule, sft), (name, rule)
+                seen.add((name, ok))
+        # every ECA preserves G of #184; each other SFT meets both answers
+        assert seen == {(name, ok) for name in zoo_sfts() for ok in (True, False)} \
+            - {("G184", False)}
+
+
 class TestTravellingWaves:
     # a periodic background w with Phi(w) = sigma^v(w) travels at velocity v
 
@@ -293,6 +314,26 @@ class TestRecoding:
         direct = apply_rule(rule, cfg)
         back = decode_config(coder, lifted)
         assert back.window(-20, 20) == direct.window(-20, 20)
+
+    @given(st.integers(2, 4), st.integers(1, 5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_chunked_images_match_whole_ones(self, n, P, data):
+        # any alphabet, stride and radius r <= s, on consistent block
+        # neighbourhoods and on arbitrary ones
+        s = data.draw(st.integers(1, P))
+        r = data.draw(st.integers(0, min(s, 2)))
+        rng = random.Random(data.draw(st.integers(0, 10_000)))
+        alpha = Alphabet(tuple(map(str, range(n))))
+        rule = rule_from_table(alpha, r, {w: rng.randrange(n) for w in
+                                          product(range(n), repeat=2 * r + 1)})
+        coder = BlockCoder(alpha, block_alphabet(alpha, P), P, s)
+        rec, want = recode_rule(rule, coder), recode_unchunked(rule, coder)
+        for _ in range(30):
+            cells = tuple(rng.randrange(n) for _ in range(P + 2 * s))
+            nbhds = [coder.encode_word(cells),
+                     tuple(rng.randrange(n ** P) for _ in range(3))]
+            for nbhd in nbhds:
+                assert rec(nbhd) == want(nbhd)
 
     def test_encode_decode_round_trip(self):
         _, coder = higher_block(full_shift(A2), 3)

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,6 +10,7 @@ from defectca.rules import from_wolfram_number, phi_orbit_components
 from defectca.shifts import (
     Alphabet,
     BlockCoder,
+    _lift,
     binary_alphabet,
     block_alphabet,
     build_markov_shift,
@@ -29,7 +31,8 @@ from defectca.shifts import (
     transitive_components,
     unpack_word,
 )
-from oracles import gstar_shift, is_admissible
+from oracles import (gstar_shift, is_admissible, is_locally_admissible, lift_unpruned,
+                     zoo_sfts)
 
 A2 = binary_alphabet()
 
@@ -323,6 +326,45 @@ class TestPeriodicOrbitSft:
         shift, coder = markov_presentation(sft, 14)
         assert len(shift.usable) == 14
         assert period_of(shift) == 14
+
+
+def _same_lift(sft, P, stride):
+    (shift, coder), (want, want_coder) = _lift(sft, P, stride), \
+        lift_unpruned(sft, P, stride)
+    assert shift.edges == want.edges
+    assert coder == want_coder
+
+
+class TestLiftByPrefixes:
+    """The lift builds admissible prefixes only; its edges and coder are
+    those of extending every short word unchecked."""
+
+    @pytest.mark.parametrize("name", sorted(zoo_sfts()))
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_zoo_sfts(self, name, extra, stride):
+        # P = q - 1 (P = 1 at q = 1) and P = q + 1
+        sft = zoo_sfts()[name]
+        _same_lift(sft, max(sft.q + extra, 1), stride)
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_sfts(self, n, q, data):
+        alpha = Alphabet(tuple("abc"[:n]))
+        every = list(product(range(n), repeat=q))
+        chosen = data.draw(st.lists(st.sampled_from(every), min_size=1, unique=True))
+        try:
+            sft = build_sft(alpha, q, chosen)
+        except EmptySubshiftError:
+            assume(False)
+        P = data.draw(st.integers(max(q - 1, 1), q + 2))
+        _same_lift(sft, P, data.draw(st.integers(1, 3)))
+        # below q the words are the prefixes of admissible q-words, and
+        # from q on the locally admissible words
+        for k in range(q + 3):
+            want = sorted({w[:k] for w in sft.admissible}) if k < q else \
+                [w for w in product(range(n), repeat=k) if is_locally_admissible(sft, w)]
+            assert sft.words(k) == want
 
 
 def small_shifts():

@@ -26,6 +26,9 @@ Kernels and stationary laws are exact rationals; floats appear only in
 eigendata, empirical statistics and the float solve that proposes each
 stationary law before an exact check proves it.  The Markov-property test
 compares sampled rows with the kernel's entry by entry, at 4.5 sigma.
+numpy is imported by the functions that use it, not when the module loads:
+the Perron eigendata behind :func:`parry_measure`, the float proposal of
+each stationary law, each sample's random stream and the sampled moments.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, Optional
-
-import numpy as np
 
 from .errors import DefectcaError
 from .rules import LocalRule, check_invariance, is_right_resolving, mirror
@@ -119,7 +120,7 @@ def parry_measure(shift: MarkovShift) -> MarkovMeasure:
     idx = {s: i for i, s in enumerate(syms)}
     A = adjacency_matrix(shift, syms)
     _, right = perron(A)
-    lam, left = perron(A.T)
+    lam, left = perron(list(zip(*A)))
     kernel = {}
     for a in syms:
         for b in shift.followers(a):
@@ -376,7 +377,10 @@ def _stationary_exact(states: tuple, rows: dict) -> dict:
     checked exactly.  A closed communicating class has exactly one
     stationary law, so a proposal that passes is the answer.  When the
     float solve fails or the check does, exact elimination decides.
+    numpy, which makes the float solve, is imported here on the first call.
     """
+    import numpy as np
+
     n = len(states)
     idx = {s: i for i, s in enumerate(states)}
     A = -np.eye(n)  # P^T - I, with the last equation replaced by sum = 1
@@ -480,6 +484,8 @@ class WalkStatistics:
 def _uniforms(seed: int, index: int) -> Iterator[float]:
     """One sample's uniforms: the stream of ``default_rng([seed, index])``,
     drawn 4096 at a time into a list that is then read in order."""
+    import numpy as np
+
     rng = np.random.default_rng([seed, index])
     while True:
         yield from rng.random(4096).tolist()
@@ -560,8 +566,11 @@ def sample_walks(rule: LocalRule, L: MarkovShift, R: MarkovShift, delta: dict,
     :data:`MAX_EXCLUDED_FRAC`, or keeping no sample, aborts the run with a
     :class:`DefectcaError`.  So does a frame that moves by more than one
     cell in a step: that is not a width-2 walk.  ``T`` and ``n`` must be at
-    least 1.
+    least 1.  The drift and variance are numpy's mean and variance of the
+    displacements, and numpy is imported here, as it is by :func:`_uniforms`.
     """
+    import numpy as np
+
     _check_sampling(T, n)
     report = _check_walk(rule, L, R, W, delta)
     lam, rho = report.lam, report.rho

@@ -24,8 +24,6 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import ConvergenceError, EmptySubshiftError, NoChoicePointError
 
 Word = tuple[int, ...]
@@ -253,20 +251,20 @@ def periodic_orbit_sft(alphabet: Alphabet, word: Sequence[int]) -> SFT:
 # Block alphabets and coders
 # ---------------------------------------------------------------------------
 
-def _block_label(alphabet: Alphabet, word: Word) -> str:
-    if len(word) == 1 or all(len(l) == 1 for l in alphabet.labels):
-        return "".join(alphabet.labels[s] for s in word)
-    return "(" + ",".join(alphabet.labels[s] for s in word) + ")"
-
-
 @lru_cache(maxsize=16)
 def block_alphabet(alphabet: Alphabet, P: int) -> Alphabet:
     """The alphabet of all ``P``-words over ``alphabet``, in base-`size` order.
 
+    A label concatenates the word's labels, and is parenthesised and
+    comma-separated when P > 1 and some label is longer than one character.
     Cached by value: a P=14 binary block alphabet has 16,384 labels.
     """
-    labels = [_block_label(alphabet, w) for w in product(range(alphabet.size), repeat=P)]
-    return Alphabet(tuple(labels))
+    words = product(alphabet.labels, repeat=P)
+    if P == 1 or all(len(l) == 1 for l in alphabet.labels):
+        labels = tuple(map("".join, words))
+    else:
+        labels = tuple("(" + ",".join(w) + ")" for w in words)
+    return Alphabet(labels)
 
 
 def pack_word(alphabet: Alphabet, word: Sequence[int]) -> int:
@@ -486,34 +484,65 @@ def choice_point(shift: MarkovShift) -> Optional[int]:
     return min((min(comp) for comp in _branching_sccs(shift)), default=None)
 
 
-def adjacency_matrix(shift: MarkovShift, vertices: Sequence[int]) -> np.ndarray:
-    """The dense 0/1 matrix of ``shift``'s edges among ``vertices``, rows
-    and columns in the order given."""
+def adjacency_matrix(shift: MarkovShift, vertices: Sequence[int]) -> list[list[float]]:
+    """The dense 0/1 matrix of ``shift``'s edges among ``vertices``, as a
+    list of rows, rows and columns in the order given."""
     idx = {v: i for i, v in enumerate(vertices)}
-    A = np.zeros((len(idx), len(idx)))
+    A = [[0.0] * len(idx) for _ in idx]
     for v in vertices:
         for w in shift.followers(v):
             if w in idx:
-                A[idx[v], idx[w]] = 1.0
+                A[idx[v]][idx[w]] = 1.0
     return A
 
 
-def perron(M: np.ndarray) -> tuple[float, np.ndarray]:
+# Relative width of the Collatz-Wielandt bracket that certifies a Perron
+# pair; numpy's eigen-solve gives brackets under 1e-13 of the root on the
+# test suite's matrices, up to the 400-vertex chorded cycle.
+_PERRON_TOL = 1e-9
+
+
+def perron(M: Sequence[Sequence[float]]) -> tuple[float, Sequence[float]]:
     """Perron root and eigenvector (max entry 1) of an irreducible nonnegative matrix.
 
-    One dense eigen-solve.  The Perron root is the eigenvalue of largest
-    real part: the other eigenvalues of largest modulus are the root times
-    nontrivial roots of unity.  Raises :class:`ConvergenceError` when the
-    eigen-solve does not converge.
+    One dense eigen-solve of ``M``, given as rows, in float64; the vector
+    comes back as a numpy array.  numpy is imported here, on the first
+    call, and not when the package loads.  The Perron root is the eigenvalue
+    of largest real part: the other eigenvalues of largest modulus are the
+    root times nontrivial roots of unity.
+
+    The pair is then certified by the Collatz-Wielandt bracket: for a
+    positive v, min_i (Mv)_i / v_i <= root <= max_i (Mv)_i / v_i (Collatz
+    1942; Wielandt 1950).  Raises :class:`ConvergenceError` when the
+    eigen-solve does not converge, when the vector has an entry <= 0, when
+    the bracket is wider than :data:`_PERRON_TOL` times the root, or when
+    the root lies outside the bracket widened by that much for rounding.
     """
+    import numpy as np
+
+    A = np.array(M, dtype=float)
+    n = A.shape[0]
     try:
-        vals, vecs = np.linalg.eig(M)
+        vals, vecs = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigen-solve of a {M.shape[0]}-vertex matrix "
+        raise ConvergenceError(f"eigen-solve of a {n}-vertex matrix "
                                f"did not converge: {exc}") from exc
     k = int(np.argmax(vals.real))
-    v = np.abs(vecs[:, k].real)
-    return float(vals[k].real), v / float(v.max())
+    lam, x = float(vals[k].real), vecs[:, k].real
+    if x.sum() < 0.0:
+        x = -x
+    v = x / float(x.max())
+    if not v.min() > 0.0:
+        raise ConvergenceError(f"eigen-solve of a {n}-vertex matrix gave a "
+                               f"Perron vector with an entry {float(v.min())!r} <= 0")
+    ratios = (A @ v) / v
+    lo, hi = float(ratios.min()), float(ratios.max())
+    tol = _PERRON_TOL * lam
+    if hi - lo > tol or not lo - tol <= lam <= hi + tol:
+        raise ConvergenceError(f"eigen-solve of a {n}-vertex matrix gave root "
+                               f"{lam!r} that its Collatz-Wielandt bracket "
+                               f"[{lo!r}, {hi!r}] does not certify")
+    return lam, v
 
 
 def entropy(shift: MarkovShift) -> float:

@@ -34,7 +34,7 @@ from .shifts import (
     MarkovShift,
     Word,
     build_markov_shift,
-    entropy,
+    choice_point,
     equal_length_cycles,
     full_shift,
     higher_power,
@@ -332,9 +332,13 @@ class ClassicalTM:
 
 
 def regime_of(L: MarkovShift, R: MarkovShift) -> str:
-    """Machine class of (L,R)-tape machines from the entropy sign pattern."""
-    hl = entropy(L) > 0.0
-    hr = entropy(R) > 0.0
+    """Machine class of (L,R)-tape machines from the entropy sign pattern.
+
+    A side has positive entropy exactly when it has a :func:`choice_point`,
+    so the sign is read combinatorially, with no eigen-solve.
+    """
+    hl = choice_point(L) is not None
+    hr = choice_point(R) is not None
     if hl and hr:
         return "turing-complete"
     if hl or hr:
@@ -408,7 +412,7 @@ def classical_to_lr(tm: ClassicalTM, L: MarkovShift,
     cycle-block strings and the head buffers reads and writes over
     ``bits * P`` micro steps per move.
     """
-    if entropy(L) == 0.0 or entropy(R) == 0.0:
+    if choice_point(L) is None or choice_point(R) is None:
         raise DefectcaError(
             "both sides need positive entropy; use the stack or finite-"
             "automaton construction instead")

@@ -7,16 +7,21 @@ language, an explicit-stack APDA run, push-forward cylinder weights, a
 rule's table as a config spec, the identity rule, the G* background of
 ECA#184, the paper's source-cell presentation of a block-space defect, and
 the unpruned enumerations of an SFT's words that the block lift and the
-invariance check once made, and the block rule that images each block
-neighbourhood as one unpacked word.
+invariance check once made, the block rule that images each block
+neighbourhood as one unpacked word, and the block alphabet's labels built
+word by word.  :func:`small_shifts` draws the random Markov shifts that
+several test modules check invariants on.
 """
 
 from itertools import product
 
+from hypothesis import strategies as st
+
 from defectca import zoo
+from defectca.errors import EmptySubshiftError
 from defectca.lattice import Configuration, PeriodicBackground
 from defectca.rules import LocalRule
-from defectca.shifts import (BlockCoder, binary_alphabet, block_alphabet,
+from defectca.shifts import (Alphabet, BlockCoder, binary_alphabet, block_alphabet,
                              build_markov_shift, markov_to_sft, pack_word,
                              periodic_orbit_sft, unpack_word)
 
@@ -219,3 +224,27 @@ def recode_unchunked(rule, coder):
         return pack_word(alpha, base.image_word(fused[s - r:s + P + r]))
 
     return LocalRule(block_alphabet(alpha, P), 1, fn)
+
+
+def block_label(alphabet, word):
+    """The label of one block, built from its word alone: the word's labels
+    concatenated, parenthesised and comma-separated when the word is longer
+    than one symbol and some label is longer than one character."""
+    if len(word) == 1 or all(len(l) == 1 for l in alphabet.labels):
+        return "".join(alphabet.labels[s] for s in word)
+    return "(" + ",".join(alphabet.labels[s] for s in word) + ")"
+
+
+def small_shifts():
+    """Random pruned digraphs on up to 5 symbols."""
+    def build(n, pairs):
+        alpha = Alphabet(tuple("abcde"[:n]))
+        try:
+            return build_markov_shift(alpha, [(a % n, b % n) for a, b in pairs])
+        except EmptySubshiftError:
+            return None
+    return st.builds(
+        build,
+        st.integers(min_value=1, max_value=5),
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=12),
+    ).filter(lambda s: s is not None)

@@ -17,6 +17,7 @@ from defectca.tracking import track
 from oracles import dense_table, save_rule
 
 A2 = binary_alphabet()
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 class TestShiftIO:
@@ -701,8 +702,7 @@ def test_rejected_system_names_its_fields(workdir, capsys, mode, edit, fields, w
 def test_exit_status(workdir, capsys, monkeypatch):
     """``python -m defectca`` exits 0 on success, 2 on a config error and 3
     on a fault inside defectca."""
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
 
     def cli(config):
         proc = subprocess.run(
@@ -758,6 +758,44 @@ def test_unknown_key_is_bad_input(workdir, capsys):
     assert payload["error"] == "DefectcaError"
     assert "'stpes'" in payload["message"]
     assert not os.path.exists(out)
+
+
+# The modes that load numpy: walk samples from numpy's random stream and
+# averages with its moments, and verify, on a background of positive
+# entropy, reads Perron eigendata.  The others, like importing the package,
+# leave it unloaded.
+NUMPY_MODES = {"walk", "verify"}
+
+
+def _numpy_loaded(*args):
+    """Whether a fresh interpreter has numpy loaded after importing
+    ``defectca`` and ``defectca.cli`` and, given ``args``, running
+    ``cli.main`` on them, which must exit 0."""
+    probe = ("import sys, defectca, defectca.cli\n"
+             "if sys.argv[1:]:\n"
+             "    assert defectca.cli.main(sys.argv[1:]) == 0\n"
+             "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, *args],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()[-1] == "True"
+
+
+def test_import_leaves_numpy_unloaded():
+    assert not _numpy_loaded()
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_only_walk_and_verify_load_numpy(workdir, mode):
+    cfg = _valid_config(mode, workdir)
+    if mode == "verify":  # over the sea, which has entropy 1
+        cfg = {"mode": "verify", "rule": save_rule(zoo.diffusive_rule()),
+               "shift": dio.save_shift(zoo.diffusive_background())}
+    cfg_path = os.path.join(workdir, "cfg.json")
+    _write(cfg_path, cfg)
+    assert _numpy_loaded(mode, "--config", cfg_path, "--out",
+                         os.path.join(workdir, "out")) == (mode in NUMPY_MODES)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))

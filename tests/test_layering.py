@@ -2,8 +2,11 @@
 
 The three regimes (ballistic, diffusive, turing) share their machinery
 through the lower layers (shifts, rules, lattice, tracking), so none of them
-imports another.  Every import sits at module level, where the layering can
-be read off the top of each file.
+imports another.  Every package import sits at module level, where the
+layering can be read off the top of each file.  numpy is the reverse: it is
+imported only inside the functions of :data:`NUMPY_FUNCTIONS`, never at
+module level, so importing the package, and every path that calls none of
+those functions, leaves numpy unloaded.
 """
 
 import ast
@@ -14,6 +17,10 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "defectca"
 REGIMES = ("ballistic", "diffusive", "turing")
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+# (module, function): the Perron eigen-solve, the float proposal of a
+# stationary law, a walk sample's random stream and the sampled moments
+NUMPY_FUNCTIONS = {("shifts", "perron"), ("diffusive", "_stationary_exact"),
+                   ("diffusive", "_uniforms"), ("diffusive", "sample_walks")}
 
 
 def _tree(module):
@@ -47,11 +54,50 @@ def test_regimes_import_no_other_regime(module):
     assert sorted(_imported_modules(_tree(module)) & others) == []
 
 
+def _imports_by_function(tree):
+    """(innermost enclosing function or None, import node) for every
+    import statement of a module."""
+    out = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                out.append((fn, child))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+    visit(tree, None)
+    return out
+
+
+def _top_names(node):
+    """The top-level names an import statement loads; a relative import
+    loads the package."""
+    if isinstance(node, ast.ImportFrom):
+        return {"defectca" if node.level else node.module.split(".")[0]}
+    return {alias.name.split(".")[0] for alias in node.names}
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_import_inside_a_function(module):
-    inner = [f"{fn.name}:{node.lineno}"
-             for fn in ast.walk(_tree(module))
-             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-             for node in ast.walk(fn)
-             if isinstance(node, (ast.Import, ast.ImportFrom))]
-    assert inner == []
+    """A function imports nothing but numpy, and only a function of
+    :data:`NUMPY_FUNCTIONS` imports that; numpy is never imported at
+    module level."""
+    wrong = []
+    for fn, node in _imports_by_function(_tree(module)):
+        names = _top_names(node)
+        if fn is None and "numpy" in names:
+            wrong.append(f"module level:{node.lineno} imports numpy")
+        elif fn is not None and (names != {"numpy"}
+                                 or (module, fn) not in NUMPY_FUNCTIONS):
+            wrong.append(f"{fn}:{node.lineno} imports {sorted(names)}")
+    assert wrong == []
+
+
+def test_numpy_functions_import_numpy():
+    """Every function named in :data:`NUMPY_FUNCTIONS` exists and imports
+    numpy, so the list names no stale exception."""
+    found = {(module, fn) for module in MODULES
+             for fn, node in _imports_by_function(_tree(module))
+             if fn is not None and _top_names(node) == {"numpy"}}
+    assert found == NUMPY_FUNCTIONS

@@ -2,15 +2,17 @@ import math
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from defectca.errors import EmptySubshiftError, NoChoicePointError
+from defectca.errors import ConvergenceError, EmptySubshiftError, NoChoicePointError
 from defectca.rules import from_wolfram_number, phi_orbit_components
 from defectca.shifts import (
     Alphabet,
     BlockCoder,
     _lift,
+    adjacency_matrix,
     binary_alphabet,
     block_alphabet,
     build_markov_shift,
@@ -26,15 +28,18 @@ from defectca.shifts import (
     pack_word,
     period_of,
     periodic_orbit_sft,
+    perron,
     regularity,
     strongly_connected,
     transitive_components,
     unpack_word,
 )
-from oracles import (gstar_shift, is_admissible, is_locally_admissible, lift_unpruned,
-                     zoo_sfts)
+from defectca.zoo import DIFFUSIVE_ALPHABET
+from oracles import (block_label, gstar_shift, is_admissible, is_locally_admissible,
+                     lift_unpruned, small_shifts, zoo_sfts)
 
 A2 = binary_alphabet()
+SEA = DIFFUSIVE_ALPHABET  # the marked walker's labels 0, 1, 0*, 1*
 
 
 def golden_mean():
@@ -194,6 +199,51 @@ class TestEntropy:
         s = golden_mean()
         ratio = count_words(s, 26) / count_words(s, 25)
         assert abs(entropy(s) - math.log2(ratio)) < 1e-4
+
+
+class TestPerronCertificate:
+    def test_certified_pair(self):
+        lam, v = perron(adjacency_matrix(golden_mean(), [0, 1]))
+        assert lam == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-12)
+        assert max(v) == 1.0 and min(v) > 0.0
+
+    @pytest.mark.parametrize("fault, match", [
+        ("vector", "bracket"), ("root", "bracket"), ("sign", "entry")])
+    def test_perturbed_eigenpair_raises(self, monkeypatch, fault, match):
+        # numpy's own pair, with the Perron vector or root moved by 1e-6
+        # or one vector entry's sign flipped
+        eig = np.linalg.eig
+
+        def perturbed(A):
+            vals, vecs = (x.copy() for x in eig(A))
+            k = int(np.argmax(vals.real))
+            if fault == "vector":
+                vecs[0, k] *= 1 + 1e-6
+            elif fault == "root":
+                vals[k] += 1e-6
+            else:
+                vecs[0, k] *= -1
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
+        with pytest.raises(ConvergenceError, match=match):
+            perron(adjacency_matrix(golden_mean(), [0, 1]))
+        with pytest.raises(ConvergenceError, match=match):
+            entropy(full_shift(A2))
+
+
+class TestBlockAlphabet:
+    @pytest.mark.parametrize("alpha, P", [(A2, 1), (A2, 14), (SEA, 1), (SEA, 3)])
+    def test_labels_match_per_word_construction(self, alpha, P):
+        want = tuple(block_label(alpha, w)
+                     for w in product(range(alpha.size), repeat=P))
+        assert block_alphabet(alpha, P).labels == want
+
+    def test_multi_character_labels_are_parenthesised(self):
+        assert block_alphabet(SEA, 1).labels == SEA.labels
+        labels = block_alphabet(SEA, 3).labels
+        assert labels[pack_word(SEA, (0, 2, 3))] == "(0,0*,1*)"
+        assert block_alphabet(A2, 3).labels[pack_word(A2, (0, 1, 1))] == "011"
 
 
 class TestChoicePoint:
@@ -365,21 +415,6 @@ class TestLiftByPrefixes:
             want = sorted({w[:k] for w in sft.admissible}) if k < q else \
                 [w for w in product(range(n), repeat=k) if is_locally_admissible(sft, w)]
             assert sft.words(k) == want
-
-
-def small_shifts():
-    """Random pruned digraphs on up to 5 symbols."""
-    def build(n, pairs):
-        alpha = Alphabet(tuple("abcde"[:n]))
-        try:
-            return build_markov_shift(alpha, [(a % n, b % n) for a, b in pairs])
-        except EmptySubshiftError:
-            return None
-    return st.builds(
-        build,
-        st.integers(min_value=1, max_value=5),
-        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=12),
-    ).filter(lambda s: s is not None)
 
 
 class TestInvariants:

@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from defectca.errors import DefectcaError, InvalidMachineError
 from defectca.lattice import apply_rule, encode_config, periodic_config
@@ -10,7 +11,9 @@ from defectca.shifts import (
     Alphabet,
     binary_alphabet,
     build_markov_shift,
+    entropy,
     full_shift,
+    markov_presentation,
 )
 from defectca.turing import (
     APDA,
@@ -28,7 +31,8 @@ from defectca.turing import (
     turing_to_ca,
 )
 from defectca import zoo
-from oracles import decode_config, identity_rule, is_admissible, run_apda
+from oracles import (decode_config, identity_rule, is_admissible, run_apda,
+                     small_shifts, zoo_sfts)
 
 A2 = binary_alphabet()
 
@@ -401,6 +405,44 @@ class TestRegime:
         assert regime_of(full, zero) == "apda"
         gstar = build_markov_shift(A2, [(0, 1), (1, 0)])
         assert regime_of(gstar, gstar) == "ballistic"
+
+
+def _regime_by_entropy(L, R):
+    """The regime read from the sign of the two sides' entropies."""
+    return {(True, True): "turing-complete", (False, False): "ballistic"}.get(
+        (entropy(L) > 0, entropy(R) > 0), "apda")
+
+
+def zoo_backgrounds():
+    """The Markov backgrounds of the worked systems: each zoo SFT's Markov
+    presentation, and the walkers' Markov shifts."""
+    return ([markov_presentation(sft)[0] for sft in zoo_sfts().values()]
+            + [zoo.diffusive_background(), zoo.wall_left_shift(),
+               zoo.wall_right_shift()])
+
+
+class TestEntropySign:
+    """``regime_of`` and ``classical_to_lr`` read the sign of each side's
+    entropy from its choice point; both agree with ``entropy``."""
+
+    def _check(self, L, R):
+        assert regime_of(L, R) == _regime_by_entropy(L, R)
+        if entropy(L) == 0.0 or entropy(R) == 0.0:
+            with pytest.raises(DefectcaError,
+                               match="^both sides need positive entropy; use the "
+                                     "stack or finite-automaton construction instead$"):
+                classical_to_lr(zoo.binary_increment_tm(), L, R)
+
+    @given(small_shifts(), small_shifts())
+    @settings(max_examples=200, deadline=None)
+    def test_random_pairs(self, L, R):
+        self._check(L, R)
+
+    def test_zoo_backgrounds(self):
+        shifts = zoo_backgrounds()
+        assert {entropy(s) > 0 for s in shifts} == {True, False}
+        for L, R in product(shifts, repeat=2):
+            self._check(L, R)
 
 
 def _random_apda(rng, n_states=3, n_syms=2):
